@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .cones import dproject_cone, project_cone
+from .solver import _dproj_embedding, _embed_matrix, _proj_embedding
 
 __all__ = ["LsqrNoConvergence", "NonsmoothWarning", "ResidualPoint",
            "dphi", "dphi_adjoint"]
@@ -61,33 +61,21 @@ class ResidualPoint:
         self.m, self.n = m, n
         self.z = np.concatenate([self.x, self.y - self.s, [1.0]])
         self.w = self.z[-1]
-        Jy, nonsmooth = dproject_cone(self.z[n:n + m], dims, dual=True)
+        DPi, nonsmooth = _dproj_embedding(self.z, n, m, self.dims)
         self.nonsmooth = bool(nonsmooth)
         if self.nonsmooth:
             warnings.warn("projection not differentiable at the solution; "
                           "sensitivities are a least-squares heuristic",
                           NonsmoothWarning, stacklevel=3)
-        DPi = sp.block_diag(
-            [sp.eye(n, format="csr"), Jy, sp.csr_matrix([[1.0]])],
-            format="csc")
-        Q = sp.bmat([
-            [None, self.A.T, sp.csc_matrix(self.c.reshape(-1, 1))],
-            [-self.A, None, sp.csc_matrix(self.b.reshape(-1, 1))],
-            [sp.csc_matrix(-self.c.reshape(1, -1)),
-             sp.csc_matrix(-self.b.reshape(1, -1)), None],
-        ], format="csc")
-        N = n + m + 1
-        eye = sp.eye(N, format="csc")
+        Q = _embed_matrix(self.A, self.b, self.c)
+        eye = sp.eye(n + m + 1, format="csc")
         self.M = ((Q - eye) @ DPi + eye).tocsc()
         self.MT = self.M.T.tocsc()
         self.DPi = DPi
 
     def splitting(self):
         """Recover (u, v) = (Pi(z), Pi(z) - z); reproduces (x, y, 1), (0, s, 0)."""
-        n, m = self.n, self.m
-        u = self.z.copy()
-        u[n:n + m] = project_cone(self.z[n:n + m], self.dims, dual=True)
-        u[-1] = max(self.z[-1], 0.0)
+        u = _proj_embedding(self.z, self.n, self.m, self.dims)
         return u, u - self.z
 
 
@@ -142,13 +130,9 @@ def dphi_adjoint(point, dx):
     r = _lsqr(point.MT, rhs)
     rx, ry, rtau = r[:n], r[n:n + m], r[-1]
     dA = A.copy()
-    data = np.empty_like(dA.data)
-    indptr, rows = dA.indptr, dA.indices
-    for j in range(n):
-        for k in range(indptr[j], indptr[j + 1]):
-            i = rows[k]
-            data[k] = ry[i] * x[j] - y[i] * rx[j]
-    dA.data = data
+    rows = dA.indices
+    cols = np.repeat(np.arange(n), np.diff(dA.indptr))
+    dA.data = ry[rows] * x[cols] - y[rows] * rx[cols]
     db = rtau * y - ry
     dc = rtau * x - rx
     return dA, db, dc

@@ -15,10 +15,12 @@ self-dual embedding: the skew matrix
 
 pairs u = (x, y, tau) against v = (0, s, kappa), and a solution (or an
 infeasibility certificate) is read off a complementary pair with Qu = v.
-Each iteration solves one cached sparse factorization of I + Q and takes
-one cone projection.  A Gauss-Newton polish on the normalized residual
-map pushes the returned point to tight tolerances once ADMM has found
-the neighborhood.
+Each iteration takes one linear solve with I + Q and one cone
+projection.  The linear solve reuses a sparse factorization of the
+quasidefinite matrix [[I, A'], [A, -I]], which depends on A alone, and
+eliminates tau with a rank-one correction computed once per solve.  A
+Gauss-Newton polish on the normalized residual map pushes the returned
+point to tight tolerances once ADMM has found the neighborhood.
 """
 
 from __future__ import annotations
@@ -72,31 +74,22 @@ def _validate(A, b, c):
         raise DataError("cone program data contains NaN or Inf")
 
 
-def _row_groups(dims):
-    """Index groups that must share one equilibration scale."""
-    groups = [[i] for i in range(dims["zero"] + dims["nonneg"])]
-    base = dims["zero"] + dims["nonneg"]
-    for k in range(dims["exp"]):
-        groups.append([base + 3 * k, base + 3 * k + 1, base + 3 * k + 2])
-    return groups
-
-
 def _equilibrate(A, b, c, dims):
     """Ruiz scaling; exponential-cone triples get a uniform row factor."""
     m, n = A.shape
+    base = dims["zero"] + dims["nonneg"]
     d = np.ones(m)
     e = np.ones(n)
     As = A.copy().tocsr()
-    groups = _row_groups(dims)
     for _ in range(_RUIZ_ITERS):
         absA = abs(As)
         rmax = np.asarray(absA.max(axis=1).todense()).ravel()
         cmax = np.asarray(absA.max(axis=0).todense()).ravel()
+        peak = np.concatenate(
+            [rmax[:base], np.repeat(rmax[base:].reshape(-1, 3).max(axis=1), 3)])
         dr = np.ones(m)
-        for g in groups:
-            peak = max(rmax[i] for i in g)
-            if peak > 0.0:
-                dr[g] = 1.0 / np.sqrt(peak)
+        pos = peak > 0.0
+        dr[pos] = 1.0 / np.sqrt(peak[pos])
         dc = np.where(cmax > 0.0, 1.0 / np.sqrt(np.maximum(cmax, 1e-300)), 1.0)
         As = sp.diags(dr) @ As @ sp.diags(dc)
         d *= dr
@@ -112,6 +105,48 @@ def _embed_matrix(A, b, c):
     ], format="csc")
 
 
+def _factor_kkt(A):
+    """Sparse LU of the quasidefinite K = [[I, A'], [A, -I]].
+
+    Every symmetric permutation of a quasidefinite matrix factors without
+    pivoting, so the factor keeps a symmetric minimum-degree order, which
+    puts the dense posynomial rows last and keeps the fill about linear
+    in the size of A.
+    """
+    m, n = A.shape
+    K = sp.bmat([[sp.eye(n), A.T], [A, -sp.eye(m)]], format="csc")
+    return spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
+
+
+class _HsdStep:
+    """Solves (I + Q) u = w for the embedding of (A, b, c).
+
+    With M = [[I, A'], [-A, I]] and h = (c, b), I + Q = [[M, h], [-h', 1]].
+    Eliminating tau gives
+
+        tau = (w[-1] + h'M^-1 w[:-1]) / (1 + h'M^-1 h),
+        u[:-1] = M^-1 w[:-1] - tau M^-1 h.
+
+    M is K = [[I, A'], [A, -I]] with its second block row negated, so each
+    M^-1 is one solve with the factor lu of K, which does not depend on b
+    or c.  The symmetric part of M^-1 is positive definite, so the
+    denominator is at least one.
+    """
+
+    def __init__(self, lu, b, c):
+        self._lu = lu
+        self._sign = np.concatenate([np.ones(c.size), -np.ones(b.size)])
+        self._h = np.concatenate([c, b])
+        self._p = lu.solve(self._sign * self._h)
+        self._denom = 1.0 + float(self._h @ self._p)
+
+    def solve(self, w):
+        z = self._lu.solve(self._sign * w[:-1])
+        tau = (w[-1] + float(self._h @ z)) / self._denom
+        return np.append(z - tau * self._p, tau)
+
+
 def _proj_embedding(w, n, m, dims):
     """Project onto R^n x K* x R_+, the cone of the u iterate."""
     out = w.copy()
@@ -122,10 +157,11 @@ def _proj_embedding(w, n, m, dims):
 
 
 def _dproj_embedding(w, n, m, dims):
-    Jy, _ = dproject_cone(w[n:n + m], dims, dual=True)
+    """Derivative of _proj_embedding at w, and whether Pi kinks there."""
+    Jy, nonsmooth = dproject_cone(w[n:n + m], dims, dual=True)
     blocks = [sp.eye(n, format="csr"), Jy,
               sp.csr_matrix([[1.0 if w[-1] > 0.0 else 0.0]])]
-    return sp.block_diag(blocks, format="csr")
+    return sp.block_diag(blocks, format="csr"), nonsmooth
 
 
 def _residuals(A, b, c, x, y, s):
@@ -184,7 +220,7 @@ def _refine(Q, z, n, m, dims, eps, iters=10):
     for _ in range(iters):
         if best_norm <= eps * 1e-3:
             break
-        DPi = _dproj_embedding(z, n, m, dims)
+        DPi, _ = _dproj_embedding(z, n, m, dims)
         J = (Q - eye) @ DPi + eye
         dz = spla.lsqr(J, -Fz, atol=1e-12, btol=1e-12, iter_lim=10 * N)[0]
         step = 1.0
@@ -225,19 +261,23 @@ def _solve_fixed_slack(b, dims, eps):
                         "infeasible", 0, np.nan, np.nan, np.nan)
 
 
-def _finish(A, b, c, Q, u_full, v_full, n, m, dims, eps):
+def _finish(A, b, c, Q, u_full, v_full, n, m, dims, eps, polish_tol=np.inf):
     """Polish the current iterate and measure true residuals.
 
-    Returns the better of the raw and polished candidates as a tuple
-    (x, y, s, pres, dres, gap), or None if tau has collapsed.
+    The polish runs only when the raw candidate's residuals are finite
+    and at most polish_tol: Gauss-Newton from an iterate far from
+    convergence overflows.  Returns the better of the raw and polished
+    candidates as a tuple (x, y, s, pres, dres, gap), or None if tau has
+    collapsed.
     """
     cands = []
     pair = _extract(u_full, v_full, n, m)
     if pair is not None:
         xs, ys, ss = pair
         cands.append((xs, ys, ss) + _residuals(A, b, c, xs, ys, ss))
+    near = bool(cands) and np.all(np.asarray(cands[0][3:]) <= polish_tol)
     tau = u_full[-1]
-    if tau > 1e-12 * (1.0 + np.linalg.norm(u_full)):
+    if near and tau > 1e-12 * (1.0 + np.linalg.norm(u_full)):
         z = _refine(Q, u_full - v_full, n, m, dims, eps)
         u_ref = _proj_embedding(z, n, m, dims)
         pair = _extract(u_ref, u_ref - z, n, m)
@@ -271,10 +311,9 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
         return _solve_fixed_slack(b, dims, eps)
 
     As, bs, cs, d, e = _equilibrate(A, b, c, dims)
-    Qs = _embed_matrix(As, bs, cs)
-    N = n + m + 1
-    lu = spla.splu((sp.eye(N, format="csc") + Qs).tocsc())
+    step = _HsdStep(_factor_kkt(As), bs, cs)
     Q = _embed_matrix(A, b, c)
+    N = n + m + 1
 
     u = np.zeros(N)
     v = np.zeros(N)
@@ -292,7 +331,7 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
     it = 0
     while it < max_iters:
         it += 1
-        ut = lu.solve(u + v)
+        ut = step.solve(u + v)
         rel = _ALPHA * ut + (1.0 - _ALPHA) * u
         u_next = _proj_embedding(rel - v, n, m, dims)
         v = v - rel + u_next
@@ -333,7 +372,7 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
 
     u_full = np.concatenate([u[:n] * e, u[n:n + m] * d, u[-1:]])
     v_full = np.concatenate([v[:n], v[n:n + m] / d, v[-1:]])
-    cand = _finish(A, b, c, Q, u_full, v_full, n, m, dims, eps)
+    cand = _finish(A, b, c, Q, u_full, v_full, n, m, dims, eps, admm_tol)
     if cand is not None and (best is None or max(cand[3:]) < max(best[3:])):
         best = cand
     if best is None:

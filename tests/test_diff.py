@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from llcp import diff
 from llcp.compiler import compile_problem
 from llcp.diff import NonsmoothWarning, ResidualPoint, dphi, dphi_adjoint
 from llcp.solver import solve
@@ -113,7 +114,7 @@ def test_adjoint_inner_product_identity():
         assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(lhs))
 
 
-def test_adjoint_keeps_sparsity_pattern():
+def test_adjoint_keeps_sparsity_pattern(monkeypatch):
     rng = np.random.default_rng(7)
     A, b, c, dims, *_ = planted_regular_program(rng, 6, ne=1, density=0.6)
     A = sp.csc_matrix(A)
@@ -121,10 +122,23 @@ def test_adjoint_keeps_sparsity_pattern():
     sol = solve(A, b, c, dims, eps=1e-11)
     assert sol.status == "optimal"
     pt = ResidualPoint(A, b, c, dims, sol.x, sol.y, sol.s)
+    solves = []
+    lsqr = diff._lsqr
+    monkeypatch.setattr(diff, "_lsqr",
+                        lambda op, rhs: solves.append(lsqr(op, rhs)) or solves[-1])
     dA, _, _ = dphi_adjoint(pt, rng.normal(size=pt.n))
     assert dA.nnz == A.nnz
     assert np.array_equal(dA.indices, A.indices)
     assert np.array_equal(dA.indptr, A.indptr)
+    # reference: one entry of r_y x' - y r_x' per nonzero of A
+    n, m = pt.n, pt.m
+    rx, ry = solves[0][:n], solves[0][n:n + m]
+    want = np.empty(A.nnz)
+    for j in range(n):
+        for k in range(A.indptr[j], A.indptr[j + 1]):
+            i = A.indices[k]
+            want[k] = ry[i] * pt.x[j] - pt.y[i] * rx[j]
+    assert np.array_equal(dA.data, want)
 
 
 def test_compiled_problem_layout_adjoint():

@@ -1,12 +1,17 @@
 """Operator-splitting solver: exactness, certificates, and edge shapes."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from llcp import examples
+from llcp.canon import canonicalize
 from llcp.cones import in_dual_expcone, in_expcone
 from llcp.compiler import compile_problem
-from llcp.solver import ConeSolution, DataError, solve
+from llcp.solver import (ConeSolution, DataError, _embed_matrix, _equilibrate,
+                         _factor_kkt, _HsdStep, solve)
 
 from oracles import planted_cone_program
 from test_canon import canon_hello
@@ -160,7 +165,10 @@ def test_warm_start_shape_mismatch_ignored():
 def test_max_iters_reported():
     rng = np.random.default_rng(5)
     A, b, c, dims, *_ = planted_cone_program(rng, 10, 2, 5, 2)
-    sol = solve(A, b, c, dims, max_iters=10)
+    # the cap falls far from convergence: no polish, so nothing overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve(A, b, c, dims, max_iters=10)
     assert sol.status == "max_iters"
     assert sol.iterations == 10
 
@@ -181,3 +189,67 @@ def test_solution_is_frozen():
     assert isinstance(sol, ConeSolution)
     with pytest.raises(AttributeError):
         sol.status = "other"
+
+
+def test_equilibrate_matches_grouped_loop():
+    # reference: one max per row group, each exp triple one group
+    rng = np.random.default_rng(11)
+    A, b, c, dims, *_ = planted_cone_program(rng, 9, 2, 4, 3)
+    A = sp.csc_matrix(A * rng.lognormal(0.0, 3.0, size=A.shape))
+    A[5, :] = 0.0
+    base = dims["zero"] + dims["nonneg"]
+    groups = [[i] for i in range(base)] + [
+        [base + 3 * k, base + 3 * k + 1, base + 3 * k + 2]
+        for k in range(dims["exp"])]
+    m, n = A.shape
+    d, e = np.ones(m), np.ones(n)
+    As = A.tocsr()
+    for _ in range(10):
+        absA = abs(As)
+        rmax = np.asarray(absA.max(axis=1).todense()).ravel()
+        cmax = np.asarray(absA.max(axis=0).todense()).ravel()
+        dr = np.ones(m)
+        for g in groups:
+            peak = max(rmax[i] for i in g)
+            if peak > 0.0:
+                dr[g] = 1.0 / np.sqrt(peak)
+        dc = np.where(cmax > 0.0, 1.0 / np.sqrt(np.maximum(cmax, 1e-300)), 1.0)
+        As = sp.diags(dr) @ As @ sp.diags(dc)
+        d *= dr
+        e *= dc
+    _, _, _, d_got, e_got = _equilibrate(A, b, c, dims)
+    assert np.array_equal(d_got, d)
+    assert np.array_equal(e_got, e)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hsd_step_matches_dense_solve(seed):
+    rng = np.random.default_rng(seed)
+    A, b, c, dims, *_ = planted_cone_program(rng, 7, 2, 4, 3)
+    As, bs, cs, _, _ = _equilibrate(sp.csc_matrix(A), b, c, dims)
+    lu = _factor_kkt(As)
+    m, n = As.shape
+    # the factor depends on A alone: reuse it after b and c change
+    for bb, cc in ((bs, cs), (rng.normal(size=m), 10.0 * rng.normal(size=n))):
+        step = _HsdStep(lu, bb, cc)
+        dense = np.eye(n + m + 1) + _embed_matrix(As, bb, cc).toarray()
+        for _ in range(3):
+            w = rng.normal(size=n + m + 1)
+            want = np.linalg.solve(dense, w)
+            got = step.solve(w)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_kkt_factor_fill_is_linear():
+    p = examples.benchmark(n=500)
+    prob, cmap = canonicalize(p.objective.sense, p.objective.expr,
+                              p.constraints, p.variables, p.parameters)
+    pmap = compile_problem(prob)
+    A, b, c = pmap.instantiate(cmap.eval_C(cmap.pack_alpha()))
+    As, *_ = _equilibrate(A, b, c, pmap.dims)
+    m, n = As.shape
+    lu = _factor_kkt(As)
+    # K = [[I, A'], [A, -I]]; splu(I + Q) in the COLAMD order filled to
+    # about 70 times this
+    nnz_K = n + m + 2 * As.nnz
+    assert lu.L.nnz + lu.U.nnz <= 2 * nnz_K
