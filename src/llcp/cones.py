@@ -7,10 +7,17 @@ The product cone is {0}^nz x R+^nl x Kexp^ne with
 whose dual (up to sign conventions) appears in the operator-splitting
 iteration.  Zero and nonnegative blocks project coordinatewise; the
 exponential cone projection reduces, outside three easy regions, to a
-one-dimensional root find in rho = x/y of the projected point, solved by
-safeguarded Newton inside a sign-change bracket.  All formulas are written
-to avoid overflow for large |rho|: for rho >= 0 the root function is
-rescaled by e^(-2 rho).
+one-dimensional root find in rho = x/y of the projected point (Friberg,
+"Projection onto the exponential cone: a univariate root-finding
+problem", 2021).  Given the root of a nearby earlier input, as between
+two ADMM iterations, plain Newton starts from it; otherwise, or when
+Newton does not converge to an admissible root, a scan finds a
+sign-change bracket and safeguarded Newton runs inside it.  Either way
+Newton stops as soon as a step moves rho by at most 1e-15 relative.  The
+root find runs on the triple divided by a power of two that brings it to
+unit scale, and all formulas are written to avoid overflow for large
+|rho|: for rho >= 0 the root function is rescaled by e^(-2 rho).
+``project_cone`` keeps the per-triple loop in Python floats.
 
 Derivatives follow from the case analysis: identity inside the cone, zero
 inside the polar, a diagonal on the third region, and for boundary
@@ -144,7 +151,12 @@ def _root_der(rho, r, s, t):
 
 
 def _polish(lo, hi, flo, r, s, t):
-    """Safeguarded Newton for the residual root inside a sign bracket."""
+    """Safeguarded Newton for the residual root inside a sign bracket.
+
+    Newton steps that land strictly inside the bracket are taken, others
+    are replaced by bisection.  A step that moves rho by at most 1e-15
+    relative has converged: it is returned at once instead of bisecting
+    the bracket down to the same width from its far end."""
     rho = 0.5 * (lo + hi)
     for _ in range(200):
         f = _root_fun(rho, r, s, t)
@@ -157,22 +169,70 @@ def _polish(lo, hi, flo, r, s, t):
         if hi - lo <= 1e-15 * (1.0 + abs(lo) + abs(hi)):
             break
         fp = _root_der(rho, r, s, t)
-        nxt = rho - f / fp if fp != 0.0 else rho
-        if not (lo < nxt < hi):
-            nxt = 0.5 * (lo + hi)
-        rho = nxt
+        if fp != 0.0:
+            nxt = rho - f / fp
+            if lo <= nxt <= hi and abs(nxt - rho) <= 1e-15 * (1.0 + abs(rho)):
+                return nxt
+            if lo < nxt < hi:
+                rho = nxt
+                continue
+        rho = 0.5 * (lo + hi)
     return rho
 
 
-def _solve_boundary(r, s, t):
-    """Scan sign-change brackets and keep the first root whose recovered
-    point satisfies the projection's optimality conditions.
+def _newton(rho, r, s, t):
+    """Plain Newton from a warm start: the root once a step moves rho by
+    at most 1e-15 relative, NaN if no step does within eight."""
+    for _ in range(8):
+        f = _root_fun(rho, r, s, t)
+        fp = _root_der(rho, r, s, t)
+        if fp == 0.0:
+            break
+        nxt = rho - f / fp
+        if abs(nxt - rho) <= 1e-15 * (1.0 + abs(rho)):
+            return nxt
+        rho = nxt
+    return math.nan
+
+
+def _admissible(mu, clamp, scale):
+    """Whether a root's recovered point meets the optimality conditions.
+
+    The raw point of any root satisfies the stationarity conditions; it
+    is the projection when its multiplier is nonnegative and it lies in
+    the cone.  Both are judged on the scale of the input: mu is the
+    multiplier times the largest entry of the constraint gradient, and
+    clamp is how far clamping y and z at zero moves the point.  Far from
+    rho = 0 both factors are large, so a root with y or the multiplier
+    only a hair below zero can still be off by order scale.  Tolerances
+    admit roots where mu or clamp are a hair off (tangency with the polar
+    boundary, deep-right points hugging the z-axis ray); spurious roots
+    miss by order scale and stay rejected."""
+    return clamp <= 1e-11 * scale and mu >= -1e-9 * scale
+
+
+def _solve_boundary(r, s, t, rho0=math.nan):
+    """Root, projected point and multiplier of the boundary case.
+
+    Returns (rho, x, y, z, lam).  A finite rho0, the root for a nearby
+    earlier input, starts plain Newton; its root is kept when a step
+    converges and the recovered point is admissible.  Otherwise, and
+    always without rho0, sign-change brackets are scanned and the first
+    root whose recovered point is admissible is kept.
 
     Face-hugging inputs put the root near r/s (left) or 1 - s/r (right),
     which can sit far outside any fixed window, so the scan reach adapts
     to those estimates.  Beyond |rho| ~ 745 the exponentials underflow
     and the residual is exactly linear there, so Newton still converges
-    in one step inside such brackets."""
+    in one step inside such brackets.  Callers pass (r, s, t) at unit
+    scale, which keeps every product in the residual finite."""
+    scale = 1.0 + abs(r) + abs(s) + abs(t)
+    if -math.inf < rho0 < math.inf:
+        rho = _newton(rho0, r, s, t)
+        if rho == rho:
+            x, y, z, lam, mu, clamp = _recover(rho, r, s, t)
+            if _admissible(mu, clamp, scale):
+                return rho, x, y, z, max(lam, 0.0)
     reach = 512.0
     if s > 0.0:
         reach = max(reach, 2.0 * abs(r) / s + 2.0)
@@ -185,21 +245,15 @@ def _solve_boundary(r, s, t):
         knots.extend((step, -step))
         step *= 2.0
     knots.sort()
-    scale = 1.0 + abs(r) + abs(s) + abs(t)
     prev_k = knots[0]
     prev_f = _root_fun(prev_k, r, s, t)
     for k in knots[1:]:
         f = _root_fun(k, r, s, t)
         if f == 0.0 or (f > 0.0) != (prev_f > 0.0):
             rho = _polish(prev_k, k, prev_f, r, s, t)
-            p, lam, y, y_raw = _recover(rho, r, s, t)
-            # Tolerances admit roots where y or lam round to a hair below
-            # zero (tangency with the polar boundary, deep-right points
-            # hugging the z-axis ray); clamping moves the result by no
-            # more than the same hair.  Spurious sign-flipped roots miss
-            # by order scale and stay rejected.
-            if y_raw >= -1e-11 * scale and lam >= -1e-9 * scale:
-                return rho, p, max(lam, 0.0), y
+            x, y, z, lam, mu, clamp = _recover(rho, r, s, t)
+            if _admissible(mu, clamp, scale):
+                return rho, x, y, z, max(lam, 0.0)
         prev_k, prev_f = k, f
     raise FloatingPointError(
         f"no valid root for exponential-cone projection of ({r}, {s}, {t})"
@@ -209,26 +263,67 @@ def _solve_boundary(r, s, t):
 def _recover(rho, r, s, t):
     """Projected point and multiplier from the root.
 
+    Returns (x, y, z, lam, mu, clamp): the point with y and z clamped at
+    zero, the multiplier lam, mu = lam times the largest entry of the
+    constraint gradient (e^rho, e^rho (1 - rho), -1), and clamp, the
+    largest entry of the move the clamping makes (x = rho y moves by
+    |rho| times as much as y).
+
     For rho < 0 the divisor 1 + a^2 (1 - rho) is at least one, so the
-    direct formulas are safe.  For rho >= 0 that divisor can vanish (it
-    does exactly when s = t = 0), so the multiplier is taken from the
-    always-positive divisor 1 - rho + rho^2 >= 3/4 instead."""
+    direct formulas are safe, and the largest gradient entry is 1.  For
+    rho >= 0 that divisor can vanish (it does exactly when s = t = 0), so
+    the multiplier is taken from the always-positive divisor
+    E = 1 - rho + rho^2 >= 3/4 instead; there mu = (r - rho s) g / E with
+    g = max(1, rho - 1), written for rho > 2 as a ratio that keeps huge
+    rho from overflowing E."""
     if rho < 0.0:
         a = math.exp(rho)
         den = 1.0 + a * a * (1.0 - rho)
         y = (s + t * a * (1.0 - rho)) / den
         lam = (s * a - t) / den
+        mu = lam
         z = t + lam
     else:
         e1 = math.exp(-rho)
         E = 1.0 - rho + rho * rho
         lam = (r - rho * s) * e1 / E
+        if rho <= 2.0:
+            mu = (r - rho * s) / E
+        else:
+            mu = (r - rho * s) / (rho + 1.0 / (rho - 1.0))
         z = t + lam
         y = z * e1
-    y_raw = y
+    clamp = max(0.0, -y * max(1.0, abs(rho)), -z)
     y = max(y, 0.0)
     z = max(z, 0.0)
-    return np.array([rho * y, y, z]), lam, y, y_raw
+    return rho * y, y, z, lam, mu, clamp
+
+
+def _project_exp(r, s, t, rho0=math.nan):
+    """Projection of one triple onto the exponential cone, in floats.
+
+    Returns (x, y, z, case, rho, lam); rho and lam are the boundary
+    case's root and multiplier, NaN in the three closed-form cases.  The
+    boundary root find runs on the triple divided by a power of two that
+    brings its largest entry into [1/2, 1); the projection is positively
+    homogeneous and that division is exact, so only the result is
+    multiplied back.  rho0 is passed on to _solve_boundary."""
+    if in_expcone((r, s, t)):
+        return r, s, t, "interior", math.nan, math.nan
+    if in_polar_expcone((r, s, t)):
+        return 0.0, 0.0, 0.0, "polar", math.nan, math.nan
+    # Projection is 1-Lipschitz, so folding r, s in (0, 1e-12 scale] into
+    # the r, s <= 0 face case perturbs the result by at most ~1e-12 scale,
+    # and it keeps the boundary root (near r/s or 1 - s/r for these
+    # face-hugging inputs) within a floating-point-sized scan range.
+    scale = max(abs(r), abs(s), abs(t))
+    if r <= 1e-12 * scale and s <= 1e-12 * scale:
+        return min(r, 0.0), 0.0, max(t, 0.0), "third", math.nan, math.nan
+    e = math.frexp(scale)[1]
+    rho, x, y, z, lam = _solve_boundary(
+        math.ldexp(r, -e), math.ldexp(s, -e), math.ldexp(t, -e), rho0)
+    return (math.ldexp(x, e), math.ldexp(y, e), math.ldexp(z, e),
+            "boundary", rho, math.ldexp(lam, e))
 
 
 def project_expcone(v):
@@ -237,20 +332,12 @@ def project_expcone(v):
     Returns (p, info): info carries the case label and, on the boundary
     case, the quantities the derivative needs (rho, lambda, y).
     """
-    r, s, t = float(v[0]), float(v[1]), float(v[2])
-    if in_expcone((r, s, t)):
-        return np.array([r, s, t]), {"case": "interior"}
-    if in_polar_expcone((r, s, t)):
-        return np.zeros(3), {"case": "polar"}
-    # Projection is 1-Lipschitz, so folding r, s in (0, 1e-12 scale] into
-    # the r, s <= 0 face case perturbs the result by at most ~1e-12 scale,
-    # and it keeps the boundary root (near r/s or 1 - s/r for these
-    # face-hugging inputs) within a floating-point-sized scan range.
-    scale = max(abs(r), abs(s), abs(t))
-    if r <= 1e-12 * scale and s <= 1e-12 * scale:
-        return np.array([min(r, 0.0), 0.0, max(t, 0.0)]), {"case": "third"}
-    rho, p, lam, y = _solve_boundary(r, s, t)
-    return p, {"case": "boundary", "rho": rho, "lam": lam, "y": y}
+    x, y, z, case, rho, lam = _project_exp(
+        float(v[0]), float(v[1]), float(v[2]))
+    if case == "boundary":
+        return np.array([x, y, z]), {"case": case, "rho": rho, "lam": lam,
+                                     "y": y}
+    return np.array([x, y, z]), {"case": case}
 
 
 def dproject_expcone(v):
@@ -263,8 +350,7 @@ def dproject_expcone(v):
     r, s, t = float(v[0]), float(v[1]), float(v[2])
     scale = 1.0 + abs(r) + abs(s) + abs(t)
     tol = _NS_TOL * scale
-    p, info = project_expcone(v)
-    case = info["case"]
+    _, y, z, case, rho, lam = _project_exp(r, s, t)
     if case == "interior":
         near = (not in_expcone((r, s, t), tol=-tol)) if s > 0 else True
         return np.eye(3), bool(near)
@@ -275,13 +361,12 @@ def dproject_expcone(v):
         J = np.diag([1.0, 0.0, 1.0 if t > 0.0 else 0.0])
         near = (abs(t) <= tol or r >= -tol or s >= -tol)
         return J, bool(near)
-    rho, lam, y = info["rho"], info["lam"], info["y"]
     near = lam <= tol or y <= tol
     if y <= 0.0:
         if rho > 0.0:
             # deep-right degenerate point: projection hugs the z-axis ray
             # (0, 0, z), where only dz/dt survives at double precision
-            return np.diag([0.0, 0.0, 1.0 if p[2] > 0.0 else 0.0]), True
+            return np.diag([0.0, 0.0, 1.0 if z > 0.0 else 0.0]), True
         # degenerate boundary point; fall back to the third-region form
         return np.diag([1.0, 0.0, 1.0 if t > 0.0 else 0.0]), True
     a = math.exp(min(rho, 700.0))
@@ -308,12 +393,18 @@ def _exp_blocks(dims):
     return nz, nl, ne, nz + nl + 3 * ne
 
 
-def project_cone(v, dims, dual=False):
+def project_cone(v, dims, dual=False, rho=None):
     """Projection onto the product cone (dual=False) or its dual cone.
 
     The dual cone replaces the zero block by free variables, keeps the
     nonnegative block, and swaps in the dual exponential cone via the
-    Moreau identity."""
+    Moreau identity.
+
+    rho, if given, is a float array with one entry per exponential
+    triple: the root of that triple's last boundary-case projection, NaN
+    before the first.  Each boundary-case root find starts from it, and
+    it is updated in place.  An iteration whose input moves little
+    between calls then needs a few Newton steps per triple."""
     v = np.asarray(v, dtype=float)
     nz, nl, ne, m = _exp_blocks(dims)
     if v.shape != (m,):
@@ -324,15 +415,37 @@ def project_cone(v, dims, dual=False):
     else:
         out[:nz] = 0.0
     out[nz:nz + nl] = np.maximum(v[nz:nz + nl], 0.0)
-    for k in range(ne):
-        sl = slice(nz + nl + 3 * k, nz + nl + 3 * k + 3)
-        if dual:
-            p, _ = project_expcone(-v[sl])
-            out[sl] = v[sl] + p
-        else:
-            p, _ = project_expcone(v[sl])
-            out[sl] = p
+    if ne:
+        blk = v[nz + nl:]
+        it = iter((-blk if dual else blk).tolist())
+        warm = [math.nan] * ne if rho is None else rho.tolist()
+        proj = []
+        for k, (r, s, t) in enumerate(zip(it, it, it)):
+            x, y, z, _, root, _ = _project_exp(r, s, t, warm[k])
+            proj += (x, y, z)
+            if root == root:
+                warm[k] = root
+        out[nz + nl:] = blk + proj if dual else proj
+        if rho is not None:
+            rho[:] = warm
     return out
+
+
+def _blockdiag_csr(diag, J):
+    """diag(diag) followed by the 3x3 blocks J[0], ..., J[-1] down the
+    diagonal, as one CSR matrix that stores no zero entries."""
+    nd, ne = diag.size, J.shape[0]
+    m = nd + 3 * ne
+    first = nd + 3 * np.arange(ne)
+    data = np.concatenate([diag, J.ravel()])
+    cols = np.concatenate([
+        np.arange(nd),
+        (first[:, None, None] + np.arange(3)).repeat(3, axis=1).ravel()])
+    rows = np.concatenate([np.arange(nd), np.arange(nd, m).repeat(3)])
+    keep = data != 0.0
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[keep], minlength=m), out=indptr[1:])
+    return sp.csr_matrix((data[keep], cols[keep], indptr), shape=(m, m))
 
 
 def dproject_cone(v, dims, dual=False):
@@ -342,25 +455,16 @@ def dproject_cone(v, dims, dual=False):
     nz, nl, ne, m = _exp_blocks(dims)
     if v.shape != (m,):
         raise ValueError(f"vector has shape {v.shape}, expected ({m},)")
-    blocks = []
-    nonsmooth = False
-    if nz:
-        blocks.append(sp.identity(nz) if dual
-                      else sp.csr_matrix((nz, nz)))
-    if nl:
-        w = v[nz:nz + nl]
-        scale = 1.0 + np.abs(w)
-        nonsmooth = nonsmooth or bool(np.any(np.abs(w) <= _NS_TOL * scale))
-        blocks.append(sp.diags((w > 0.0).astype(float)))
-    for k in range(ne):
-        sl = slice(nz + nl + 3 * k, nz + nl + 3 * k + 3)
-        if dual:
-            J, ns = dproject_expcone(-v[sl])
-            blocks.append(sp.csr_matrix(np.eye(3) - J))
-        else:
-            J, ns = dproject_expcone(v[sl])
-            blocks.append(sp.csr_matrix(J))
+    w = v[nz:nz + nl]
+    diag = np.concatenate([np.full(nz, 1.0 if dual else 0.0),
+                           (w > 0.0).astype(float)])
+    nonsmooth = bool(np.any(np.abs(w) <= _NS_TOL * (1.0 + np.abs(w))))
+    blk = v[nz + nl:]
+    it = iter((-blk if dual else blk).tolist())
+    J = np.empty((ne, 3, 3))
+    for k, rst in enumerate(zip(it, it, it)):
+        J[k], ns = dproject_expcone(rst)
         nonsmooth = nonsmooth or ns
-    if not blocks:
-        return sp.csr_matrix((0, 0)), False
-    return sp.block_diag(blocks, format="csr"), nonsmooth
+    if dual:
+        J = np.eye(3) - J
+    return _blockdiag_csr(diag, J), nonsmooth

@@ -147,21 +147,31 @@ class _HsdStep:
         return np.append(z - tau * self._p, tau)
 
 
-def _proj_embedding(w, n, m, dims):
-    """Project onto R^n x K* x R_+, the cone of the u iterate."""
+def _proj_embedding(w, n, m, dims, rho=None):
+    """Project onto R^n x K* x R_+, the cone of the u iterate.
+
+    rho is passed on to project_cone: the exponential root finds start
+    from it, and it is updated in place."""
     out = w.copy()
     if m:
-        out[n:n + m] = project_cone(w[n:n + m], dims, dual=True)
+        out[n:n + m] = project_cone(w[n:n + m], dims, dual=True, rho=rho)
     out[-1] = max(w[-1], 0.0)
     return out
 
 
 def _dproj_embedding(w, n, m, dims):
-    """Derivative of _proj_embedding at w, and whether Pi kinks there."""
+    """Derivative of _proj_embedding at w, and whether Pi kinks there.
+
+    The CSR arrays of the K* block are shifted past the n identity rows
+    and closed by the tau row, so the whole matrix is one constructor."""
     Jy, nonsmooth = dproject_cone(w[n:n + m], dims, dual=True)
-    blocks = [sp.eye(n, format="csr"), Jy,
-              sp.csr_matrix([[1.0 if w[-1] > 0.0 else 0.0]])]
-    return sp.block_diag(blocks, format="csr"), nonsmooth
+    data = np.concatenate([np.ones(n), Jy.data,
+                           [1.0 if w[-1] > 0.0 else 0.0]])
+    indices = np.concatenate([np.arange(n), Jy.indices + n, [n + m]])
+    indptr = np.concatenate([np.arange(n + 1), Jy.indptr[1:] + n,
+                             [n + Jy.nnz + 1]])
+    N = n + m + 1
+    return sp.csr_matrix((data, indices, indptr), shape=(N, N)), nonsmooth
 
 
 def _residuals(A, b, c, x, y, s):
@@ -326,6 +336,8 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
             u = np.concatenate([wx / e, wy / d, [1.0]])
             v = np.concatenate([np.zeros(n), ws * d, [0.0]])
 
+    # root of each exponential triple's last boundary projection
+    rho = np.full(dims["exp"], np.nan)
     admm_tol = max(eps, 1e-6)
     best = None
     it = 0
@@ -333,7 +345,7 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
         it += 1
         ut = step.solve(u + v)
         rel = _ALPHA * ut + (1.0 - _ALPHA) * u
-        u_next = _proj_embedding(rel - v, n, m, dims)
+        u_next = _proj_embedding(rel - v, n, m, dims, rho)
         v = v - rel + u_next
         u = u_next
 

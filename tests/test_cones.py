@@ -1,9 +1,13 @@
 """Cone projections: fixtures, Moreau identity, derivatives, flags."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from llcp import cones
 from llcp.cones import (
     dproject_cone,
     dproject_expcone,
@@ -12,6 +16,7 @@ from llcp.cones import (
     project_cone,
     project_expcone,
 )
+from llcp.solver import _dproj_embedding
 
 from oracles import central_jacobian, project_expcone_oracle
 
@@ -89,6 +94,92 @@ def test_dual_projection_idempotent_and_member(v):
     p = project_cone(np.asarray(v), dims, dual=True)
     assert in_dual_expcone(p, tol=1e-9)
     assert np.allclose(project_cone(p, dims, dual=True), p, atol=1e-9)
+
+
+def _moreau_residuals(v):
+    """Moreau identity and orthogonality errors of the projection of v,
+    both relative to |v|, computed without squaring huge entries."""
+    dims = {"zero": 0, "nonneg": 0, "exp": 1}
+    v = np.asarray(v, dtype=float)
+    p, _ = project_expcone(v)
+    n = project_cone(-v, dims, dual=True)
+    nv = math.hypot(*v)
+    if nv == 0.0:
+        return 0.0, 0.0
+    pu, vu = p / nv, v / nv
+    moreau = math.hypot(*(pu - n / nv - vu))
+    orth = abs(float(np.dot(pu, pu - vu)))
+    return moreau, orth
+
+
+@pytest.mark.parametrize("v", [
+    (5.039724722046546e+288, -3.1814940574396505e+299, 1.39952032729633e+140),
+    (8.905457019015431e+287, -1.878825443495105e+298, 1.2728013378721101e+116),
+])
+def test_projection_at_huge_magnitudes(v):
+    # not at unit scale, the root function overflows here and no root
+    # is found
+    moreau, orth = _moreau_residuals(v)
+    assert moreau <= 1e-12 and orth <= 1e-12
+
+
+# subnormal inputs carry too few bits for relative checks
+huge = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0),
+              st.integers(-300, 300)),
+).filter(lambda x: x == 0.0 or abs(x) >= 1e-300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=st.tuples(huge, huge, huge))
+def test_projection_any_magnitude(v):
+    moreau, orth = _moreau_residuals(v)
+    assert moreau <= 1e-9 and orth <= 1e-9
+
+
+def test_polish_stops_when_newton_converges(monkeypatch):
+    r, s, t = (-0.007712958605542796, 0.008117661150532527,
+               0.0012080675946270919)
+    lo, hi = -2.0, -1.0
+    flo = cones._root_fun(lo, r, s, t)
+    calls = []
+    root_fun = cones._root_fun
+    monkeypatch.setattr(cones, "_root_fun",
+                        lambda *a: calls.append(a) or root_fun(*a))
+    rho = cones._polish(lo, hi, flo, r, s, t)
+    assert lo < rho < hi
+    assert abs(root_fun(rho, r, s, t)) <= 1e-15
+    # Newton converges in a few steps; bisecting down from the far
+    # bracket end afterwards took about 53 evaluations
+    assert len(calls) <= 8
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=st.one_of(vec3, st.tuples(huge, huge, huge)), data=st.data())
+def test_warm_started_projection_matches_cold(v, data):
+    dims = {"zero": 0, "nonneg": 0, "exp": 1}
+    p_cold, info = project_expcone(v)
+    starts = [st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300,
+                               0.0]),
+              st.floats(-50.0, 50.0)]
+    if info["case"] == "boundary":
+        starts.append(st.sampled_from([info["rho"] - 1e-3,
+                                       info["rho"] + 1e-3]))
+    rho0 = data.draw(st.one_of(*starts))
+    rho = np.array([rho0])
+    p = project_cone(np.asarray(v), dims, rho=rho)
+    assert math.hypot(*(p - p_cold)) <= 1e-12 * (1.0 + math.hypot(*v))
+    if info["case"] == "boundary":
+        # Both finds stop once a Newton step moves rho by 1e-15 relative,
+        # but far right the residual is a difference of terms ~rho^2
+        # times larger than its slope, so there the root itself is only
+        # determined to about 1e-10 relative (the projection still
+        # agrees to 1e-12).
+        assert abs(rho[0] - info["rho"]) <= 1e-9 * (1.0 + abs(info["rho"]))
+    else:
+        # only boundary-case projections store a root
+        assert rho[0] == rho0 or (math.isnan(rho0) and math.isnan(rho[0]))
 
 
 def test_membership_tests():
@@ -202,3 +293,72 @@ def test_derivative_row_block_structure():
     Jd, _ = dproject_cone(v, dims, dual=True)
     dd = Jd.toarray()
     assert np.allclose(dd[:2, :2], np.eye(2))
+
+
+def _dproject_cone_block_diag(v, dims, dual):
+    """Per-block sparse constructors and block_diag: the assembly that
+    dproject_cone replaced, kept as the reference for its result."""
+    nz, nl, ne = dims["zero"], dims["nonneg"], dims["exp"]
+    blocks = []
+    nonsmooth = False
+    if nz:
+        blocks.append(sp.identity(nz) if dual else sp.csr_matrix((nz, nz)))
+    if nl:
+        w = v[nz:nz + nl]
+        scale = 1.0 + np.abs(w)
+        nonsmooth = nonsmooth or bool(np.any(np.abs(w) <= 1e-9 * scale))
+        blocks.append(sp.diags((w > 0.0).astype(float)))
+    for k in range(ne):
+        sl = slice(nz + nl + 3 * k, nz + nl + 3 * k + 3)
+        if dual:
+            J, ns = dproject_expcone(-v[sl])
+            blocks.append(sp.csr_matrix(np.eye(3) - J))
+        else:
+            J, ns = dproject_expcone(v[sl])
+            blocks.append(sp.csr_matrix(J))
+        nonsmooth = nonsmooth or ns
+    if not blocks:
+        return sp.csr_matrix((0, 0)), False
+    return sp.block_diag(blocks, format="csr"), nonsmooth
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("nz,nl,ne", [
+    (0, 0, 0), (3, 0, 0), (0, 4, 0), (0, 0, 5), (2, 3, 4), (1, 0, 6),
+    (0, 5, 1),
+])
+def test_dproject_cone_matches_block_diag_assembly(nz, nl, ne, dual):
+    dims = {"zero": nz, "nonneg": nl, "exp": ne}
+    rng = np.random.default_rng(100 * nz + 10 * nl + ne)
+    m = nz + nl + 3 * ne
+    for trial in range(5):
+        v = rng.uniform(-3.0, 3.0, size=m)
+        if trial == 1:
+            v[nz:nz + nl] = 0.0          # kinks of the nonnegative block
+        if trial == 2 and ne:
+            v[nz + nl:nz + nl + 3] = [1.0, 1.0, 1.0]
+            v[-3:] = (-1.5, -0.2, 2.5)   # third region
+        J, ns = dproject_cone(v, dims, dual=dual)
+        ref, ref_ns = _dproject_cone_block_diag(v, dims, dual)
+        assert J.shape == ref.shape == (m, m)
+        assert np.array_equal(_bits(J.toarray()), _bits(ref.toarray()))
+        assert ns == ref_ns
+
+
+@pytest.mark.parametrize("tau", [1.0, -1.0])
+def test_dproj_embedding_matches_block_diag_assembly(tau):
+    dims = {"zero": 2, "nonneg": 3, "exp": 4}
+    n, m = 5, 2 + 3 + 12
+    rng = np.random.default_rng(7)
+    w = np.append(rng.uniform(-3.0, 3.0, size=n + m), tau)
+    D, ns = _dproj_embedding(w, n, m, dims)
+    Jy, ref_ns = _dproject_cone_block_diag(w[n:n + m], dims, True)
+    ref = sp.block_diag([sp.eye(n, format="csr"), Jy,
+                         sp.csr_matrix([[1.0 if tau > 0.0 else 0.0]])],
+                        format="csr")
+    assert np.array_equal(_bits(D.toarray()), _bits(ref.toarray()))
+    assert ns == ref_ns
