@@ -4,10 +4,11 @@ Given an optimal primal-dual triple (x, y, s) for
 
     minimize c'x  subject to  Ax + s = b,  s in K,
 
-the solution is a zero of the residual map built on the homogeneous
-embedding, evaluated at the normalized point z = (x, y - s, 1).  Both
-the derivative of the solution in a data direction (dA, db, dc) and its
-adjoint reduce to one sparse least-squares solve with the operator
+the solution is a zero of the residual map F of the homogeneous
+self-dual embedding (embedding.Embedding), evaluated at the normalized
+point z = (x, y - s, 1).  Both the derivative of the solution in a data
+direction (dA, db, dc) and its adjoint reduce to one sparse
+least-squares solve with the Jacobian of F there,
 
     M = (Q - I) DPi(z) + I,
 
@@ -24,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .solver import _dproj_embedding, _embed_matrix, _proj_embedding
+from .embedding import Embedding
 
 __all__ = ["LsqrNoConvergence", "NonsmoothWarning", "ResidualPoint",
            "dphi", "dphi_adjoint"]
@@ -60,22 +61,18 @@ class ResidualPoint:
         m, n = self.A.shape
         self.m, self.n = m, n
         self.z = np.concatenate([self.x, self.y - self.s, [1.0]])
-        self.w = self.z[-1]
-        DPi, nonsmooth = _dproj_embedding(self.z, n, m, self.dims)
+        self.embedding = Embedding(self.A, self.b, self.c, self.dims)
+        self.M, self.DPi, nonsmooth = self.embedding.jacobian(self.z)
+        self.MT = self.M.T.tocsc()
         self.nonsmooth = bool(nonsmooth)
         if self.nonsmooth:
             warnings.warn("projection not differentiable at the solution; "
                           "sensitivities are a least-squares heuristic",
                           NonsmoothWarning, stacklevel=3)
-        Q = _embed_matrix(self.A, self.b, self.c)
-        eye = sp.eye(n + m + 1, format="csc")
-        self.M = ((Q - eye) @ DPi + eye).tocsc()
-        self.MT = self.M.T.tocsc()
-        self.DPi = DPi
 
     def splitting(self):
         """Recover (u, v) = (Pi(z), Pi(z) - z); reproduces (x, y, 1), (0, s, 0)."""
-        u = _proj_embedding(self.z, self.n, self.m, self.dims)
+        u = self.embedding.project(self.z)
         return u, u - self.z
 
 
@@ -95,7 +92,7 @@ def dphi(point, dA, db, dc):
     dA may be dense or sparse with any pattern; db and dc are vectors.
     Linear in (dA, db, dc).
     """
-    n, m = point.n, point.m
+    n = point.n
     dA = sp.csc_matrix(dA)
     db = np.asarray(db, dtype=float)
     dc = np.asarray(dc, dtype=float)
@@ -106,8 +103,6 @@ def dphi(point, dA, db, dc):
         -(dA @ x) + db,
         [-float(dc @ x) - float(db @ y)],
     ])
-    if not np.any(g):
-        return np.zeros(n)
     dz = _lsqr(point.M, g)
     du = point.DPi @ dz
     return du[:n] - x * du[-1]
@@ -122,10 +117,6 @@ def dphi_adjoint(point, dx):
     dx = np.asarray(dx, dtype=float)
     x, y = point.x, point.y
     A = point.A
-    if not np.any(dx):
-        dA = A.copy()
-        dA.data = np.zeros_like(dA.data)
-        return dA, np.zeros(m), np.zeros(n)
     rhs = point.DPi.T @ np.concatenate([dx, np.zeros(m), [-float(x @ dx)]])
     r = _lsqr(point.MT, rhs)
     rx, ry, rtau = r[:n], r[n:n + m], r[-1]

@@ -1,0 +1,100 @@
+"""The homogeneous self-dual embedding of a cone program.
+
+For the cone program
+
+    minimize    c'x
+    subject to  Ax + s = b,  s in K
+
+the skew matrix
+
+    Q = [[ 0,  A', c],
+         [-A,  0,  b],
+         [-c', -b', 0]]
+
+pairs u = (x, y, tau) against v = (0, s, kappa), and a solution (or an
+infeasibility certificate) is read off a complementary pair with Qu = v,
+u in R^n x K* x R_+ and v in {0}^n x K x R_+.  With z = u - v the pair
+is u = Pi(z), v = Pi(z) - z, where Pi projects onto R^n x K* x R_+, and
+Qu = v becomes a zero of the residual map
+
+    F(z) = Q Pi(z) - Pi(z) + z,
+
+whose Jacobian is M = (Q - I) DPi(z) + I wherever Pi is differentiable.
+The solver's polish drives F to zero with M, and the solution-map
+derivatives solve least-squares problems with M and M'.
+
+Pi depends on (n, m, dims) alone, not on (A, b, c).  That is why the
+ADMM loop, which iterates on equilibrated data, may project its iterates
+with the embedding of the original data.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.sparse as sp
+
+from .cones import dproject_cone, project_cone
+
+__all__ = ["Embedding"]
+
+
+class Embedding:
+    """Q, Pi, DPi, F and M for the cone program (A, b, c, dims)."""
+
+    def __init__(self, A, b, c, dims):
+        self.m, self.n = A.shape
+        self.dims = dims
+        self.Q = sp.bmat([
+            [None, A.T, sp.csc_matrix(c.reshape(-1, 1))],
+            [-A, None, sp.csc_matrix(b.reshape(-1, 1))],
+            [sp.csc_matrix(-c.reshape(1, -1)),
+             sp.csc_matrix(-b.reshape(1, -1)), None],
+        ], format="csc")
+
+    def project(self, w, rho=None):
+        """Project onto R^n x K* x R_+, the cone of the u iterate.
+
+        rho is passed on to project_cone: the exponential root finds
+        start from it, and it is updated in place."""
+        n, m = self.n, self.m
+        out = w.copy()
+        if m:
+            out[n:n + m] = project_cone(w[n:n + m], self.dims, dual=True,
+                                        rho=rho)
+        out[-1] = max(w[-1], 0.0)
+        return out
+
+    def dproject(self, w):
+        """Derivative of project at w, and whether Pi kinks there.
+
+        The CSR arrays of the K* block are shifted past the n identity
+        rows and closed by the tau row, so the whole matrix is one
+        constructor."""
+        n, m = self.n, self.m
+        Jy, nonsmooth = dproject_cone(w[n:n + m], self.dims, dual=True)
+        data = np.concatenate([np.ones(n), Jy.data,
+                               [1.0 if w[-1] > 0.0 else 0.0]])
+        indices = np.concatenate([np.arange(n), Jy.indices + n, [n + m]])
+        indptr = np.concatenate([np.arange(n + 1), Jy.indptr[1:] + n,
+                                 [n + Jy.nnz + 1]])
+        N = n + m + 1
+        return sp.csr_matrix((data, indices, indptr), shape=(N, N)), nonsmooth
+
+    def residual(self, z):
+        """F(z) = Q Pi(z) - Pi(z) + z."""
+        u = self.project(z)
+        return self.Q @ u - u + z
+
+    def jacobian(self, z):
+        """M = (Q - I) DPi(z) + I as CSC, with DPi and the nonsmooth flag."""
+        DPi, nonsmooth = self.dproject(z)
+        eye = sp.eye(self.n + self.m + 1, format="csc")
+        return ((self.Q - eye) @ DPi + eye).tocsc(), DPi, nonsmooth
+
+    def split(self, u, v):
+        """(x, y, s) from a pair (u, v), or None if tau is not positive."""
+        n, m = self.n, self.m
+        tau = u[-1]
+        if tau <= 0.0:
+            return None
+        return u[:n] / tau, u[n:n + m] / tau, v[n:n + m] / tau

@@ -7,20 +7,13 @@ Solves
 
 with K a product of zero, nonnegative, and exponential cones, together
 with the dual variable y in K*.  The method is ADMM on the homogeneous
-self-dual embedding: the skew matrix
-
-    Q = [[ 0,  A', c],
-         [-A,  0,  b],
-         [-c', -b', 0]]
-
-pairs u = (x, y, tau) against v = (0, s, kappa), and a solution (or an
-infeasibility certificate) is read off a complementary pair with Qu = v.
-Each iteration takes one linear solve with I + Q and one cone
-projection.  The linear solve reuses a sparse factorization of the
-quasidefinite matrix [[I, A'], [A, -I]], which depends on A alone, and
-eliminates tau with a rank-one correction computed once per solve.  A
-Gauss-Newton polish on the normalized residual map pushes the returned
-point to tight tolerances once ADMM has found the neighborhood.
+self-dual embedding (embedding.Embedding, which also holds the residual
+map and its Jacobian).  Each iteration takes one linear solve with I + Q
+and one cone projection.  The linear solve reuses a sparse factorization
+of the quasidefinite matrix [[I, A'], [A, -I]], which depends on A
+alone, and eliminates tau with a rank-one correction computed once per
+solve.  A Gauss-Newton polish on the normalized residual map pushes the
+returned point to tight tolerances once ADMM has found the neighborhood.
 """
 
 from __future__ import annotations
@@ -31,7 +24,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .cones import dproject_cone, project_cone
+from .cones import project_cone
+from .embedding import Embedding
 
 __all__ = ["ConeSolution", "DataError", "solve"]
 
@@ -75,34 +69,40 @@ def _validate(A, b, c):
 
 
 def _equilibrate(A, b, c, dims):
-    """Ruiz scaling; exponential-cone triples get a uniform row factor."""
+    """Ruiz scaling; exponential-cone triples get a uniform row factor.
+
+    The passes work on the CSC arrays of A: each scales entry (i, j) as
+    dr[i] * a * dc[j], the rounding order of diags(dr) @ A @ diags(dc).
+    """
     m, n = A.shape
     base = dims["zero"] + dims["nonneg"]
+    # sorted, summed and without stored zeros: the form a sparse product
+    # returns, and the pattern the factor of K is built on
+    A = sp.csc_matrix(A, copy=True)
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    rows = A.indices
+    cols = np.repeat(np.arange(n), np.diff(A.indptr))
+    data = A.data
     d = np.ones(m)
     e = np.ones(n)
-    As = A.copy().tocsr()
     for _ in range(_RUIZ_ITERS):
-        absA = abs(As)
-        rmax = np.asarray(absA.max(axis=1).todense()).ravel()
-        cmax = np.asarray(absA.max(axis=0).todense()).ravel()
+        absdata = np.abs(data)
+        rmax = np.zeros(m)
+        np.maximum.at(rmax, rows, absdata)
+        cmax = np.zeros(n)
+        np.maximum.at(cmax, cols, absdata)
         peak = np.concatenate(
             [rmax[:base], np.repeat(rmax[base:].reshape(-1, 3).max(axis=1), 3)])
         dr = np.ones(m)
         pos = peak > 0.0
         dr[pos] = 1.0 / np.sqrt(peak[pos])
         dc = np.where(cmax > 0.0, 1.0 / np.sqrt(np.maximum(cmax, 1e-300)), 1.0)
-        As = sp.diags(dr) @ As @ sp.diags(dc)
+        data = dr[rows] * data * dc[cols]
         d *= dr
         e *= dc
-    return As.tocsc(), b * d, c * e, d, e
-
-
-def _embed_matrix(A, b, c):
-    return sp.bmat([
-        [None, A.T, sp.csc_matrix(c.reshape(-1, 1))],
-        [-A, None, sp.csc_matrix(b.reshape(-1, 1))],
-        [sp.csc_matrix(-c.reshape(1, -1)), sp.csc_matrix(-b.reshape(1, -1)), None],
-    ], format="csc")
+    As = sp.csc_matrix((data, rows, A.indptr), shape=(m, n))
+    return As, b * d, c * e, d, e
 
 
 def _factor_kkt(A):
@@ -131,7 +131,8 @@ class _HsdStep:
     M is K = [[I, A'], [A, -I]] with its second block row negated, so each
     M^-1 is one solve with the factor lu of K, which does not depend on b
     or c.  The symmetric part of M^-1 is positive definite, so the
-    denominator is at least one.
+    denominator is at least one.  solve returns one buffer, which the
+    next call overwrites.
     """
 
     def __init__(self, lu, b, c):
@@ -140,38 +141,16 @@ class _HsdStep:
         self._h = np.concatenate([c, b])
         self._p = lu.solve(self._sign * self._h)
         self._denom = 1.0 + float(self._h @ self._p)
+        self._out = np.empty(self._h.size + 1)
 
     def solve(self, w):
         z = self._lu.solve(self._sign * w[:-1])
         tau = (w[-1] + float(self._h @ z)) / self._denom
-        return np.append(z - tau * self._p, tau)
-
-
-def _proj_embedding(w, n, m, dims, rho=None):
-    """Project onto R^n x K* x R_+, the cone of the u iterate.
-
-    rho is passed on to project_cone: the exponential root finds start
-    from it, and it is updated in place."""
-    out = w.copy()
-    if m:
-        out[n:n + m] = project_cone(w[n:n + m], dims, dual=True, rho=rho)
-    out[-1] = max(w[-1], 0.0)
-    return out
-
-
-def _dproj_embedding(w, n, m, dims):
-    """Derivative of _proj_embedding at w, and whether Pi kinks there.
-
-    The CSR arrays of the K* block are shifted past the n identity rows
-    and closed by the tau row, so the whole matrix is one constructor."""
-    Jy, nonsmooth = dproject_cone(w[n:n + m], dims, dual=True)
-    data = np.concatenate([np.ones(n), Jy.data,
-                           [1.0 if w[-1] > 0.0 else 0.0]])
-    indices = np.concatenate([np.arange(n), Jy.indices + n, [n + m]])
-    indptr = np.concatenate([np.arange(n + 1), Jy.indptr[1:] + n,
-                             [n + Jy.nnz + 1]])
-    N = n + m + 1
-    return sp.csr_matrix((data, indices, indptr), shape=(N, N)), nonsmooth
+        head = self._out[:-1]
+        np.multiply(tau, self._p, out=head)
+        np.subtract(z, head, out=head)
+        self._out[-1] = tau
+        return self._out
 
 
 def _residuals(A, b, c, x, y, s):
@@ -183,15 +162,9 @@ def _residuals(A, b, c, x, y, s):
     return pres, dres, gap
 
 
-def _extract(u, v, n, m):
-    tau = u[-1]
-    if tau <= 0.0:
-        return None
-    return u[:n] / tau, u[n:n + m] / tau, v[n:n + m] / tau
-
-
-def _certificates(A, b, c, u, v, n, m, tol):
+def _certificates(A, b, c, u, v, tol):
     """Farkas-style tests on the raw iterates."""
+    m, n = A.shape
     uy = u[n:n + m]
     bty = float(b @ uy)
     if bty < 0.0:
@@ -208,36 +181,29 @@ def _certificates(A, b, c, u, v, n, m, tol):
     return None, None
 
 
-def _refine(Q, z, n, m, dims, eps, iters=10):
-    """Gauss-Newton on F(z) = Q Pi(z) - Pi(z) + z with tau pinned to one.
+def _refine(emb, z, eps, iters=10):
+    """Gauss-Newton on the residual map F of emb with tau pinned to one.
 
     F is positively homogeneous, so z is renormalized after every step.
     Returns the polished z; gives back the input if no step helps.
     """
-    N = n + m + 1
-    eye = sp.eye(N, format="csc")
-
-    def F_of(zz):
-        u = _proj_embedding(zz, n, m, dims)
-        return Q @ u - u + zz
-
     def norm_tau(zz):
         return zz / max(zz[-1], 1e-300)
 
     z = norm_tau(z)
-    Fz = F_of(z)
+    Fz = emb.residual(z)
     best_norm = np.linalg.norm(Fz)
     for _ in range(iters):
         if best_norm <= eps * 1e-3:
             break
-        DPi, _ = _dproj_embedding(z, n, m, dims)
-        J = (Q - eye) @ DPi + eye
-        dz = spla.lsqr(J, -Fz, atol=1e-12, btol=1e-12, iter_lim=10 * N)[0]
+        J = emb.jacobian(z)[0]
+        dz = spla.lsqr(J, -Fz, atol=1e-12, btol=1e-12,
+                       iter_lim=10 * z.size)[0]
         step = 1.0
         improved = False
         for _ in range(20):
             cand = norm_tau(z + step * dz)
-            Fc = F_of(cand)
+            Fc = emb.residual(cand)
             nc = np.linalg.norm(Fc)
             if nc < best_norm:
                 z, Fz, best_norm = cand, Fc, nc
@@ -271,8 +237,8 @@ def _solve_fixed_slack(b, dims, eps):
                         "infeasible", 0, np.nan, np.nan, np.nan)
 
 
-def _finish(A, b, c, Q, u_full, v_full, n, m, dims, eps, polish_tol=np.inf):
-    """Polish the current iterate and measure true residuals.
+def _finish(emb, A, b, c, u, v, eps, polish_tol=np.inf):
+    """Polish the unscaled iterate (u, v) and measure true residuals.
 
     The polish runs only when the raw candidate's residuals are finite
     and at most polish_tol: Gauss-Newton from an iterate far from
@@ -281,19 +247,16 @@ def _finish(A, b, c, Q, u_full, v_full, n, m, dims, eps, polish_tol=np.inf):
     collapsed.
     """
     cands = []
-    pair = _extract(u_full, v_full, n, m)
+    pair = emb.split(u, v)
     if pair is not None:
-        xs, ys, ss = pair
-        cands.append((xs, ys, ss) + _residuals(A, b, c, xs, ys, ss))
+        cands.append(pair + _residuals(A, b, c, *pair))
     near = bool(cands) and np.all(np.asarray(cands[0][3:]) <= polish_tol)
-    tau = u_full[-1]
-    if near and tau > 1e-12 * (1.0 + np.linalg.norm(u_full)):
-        z = _refine(Q, u_full - v_full, n, m, dims, eps)
-        u_ref = _proj_embedding(z, n, m, dims)
-        pair = _extract(u_ref, u_ref - z, n, m)
+    if near and u[-1] > 1e-12 * (1.0 + np.linalg.norm(u)):
+        z = _refine(emb, u - v, eps)
+        u_ref = emb.project(z)
+        pair = emb.split(u_ref, u_ref - z)
         if pair is not None:
-            xs, ys, ss = pair
-            cands.append((xs, ys, ss) + _residuals(A, b, c, xs, ys, ss))
+            cands.append(pair + _residuals(A, b, c, *pair))
     if not cands:
         return None
     return min(cands, key=lambda t: max(t[3], t[4], t[5]))
@@ -322,8 +285,13 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
 
     As, bs, cs, d, e = _equilibrate(A, b, c, dims)
     step = _HsdStep(_factor_kkt(As), bs, cs)
-    Q = _embed_matrix(A, b, c)
+    # the iterates are scaled, but Pi does not depend on the data
+    emb = Embedding(A, b, c, dims)
     N = n + m + 1
+
+    def unscaled(u, v):
+        return (np.concatenate([u[:n] * e, u[n:n + m] * d, u[-1:]]),
+                np.concatenate([v[:n], v[n:n + m] / d, v[-1:]]))
 
     u = np.zeros(N)
     v = np.zeros(N)
@@ -345,19 +313,17 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
         it += 1
         ut = step.solve(u + v)
         rel = _ALPHA * ut + (1.0 - _ALPHA) * u
-        u_next = _proj_embedding(rel - v, n, m, dims, rho)
+        u_next = emb.project(rel - v, rho)
         v = v - rel + u_next
         u = u_next
 
         if it % _CHECK_EVERY == 0:
-            pair = _extract(u, v, n, m)
+            pair = emb.split(u, v)
             if pair is not None:
                 xs, ys, ss = pair
                 pres, dres, gap = _residuals(A, b, c, xs * e, ys * d, ss / d)
                 if max(pres, dres, gap) <= admm_tol:
-                    u_full = np.concatenate([u[:n] * e, u[n:n + m] * d, u[-1:]])
-                    v_full = np.concatenate([v[:n], v[n:n + m] / d, v[-1:]])
-                    cand = _finish(A, b, c, Q, u_full, v_full, n, m, dims, eps)
+                    cand = _finish(emb, A, b, c, *unscaled(u, v), eps)
                     if cand is not None and (best is None
                                              or max(cand[3:]) < max(best[3:])):
                         best = cand
@@ -367,11 +333,9 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
                     # polish fell short: drive the splitting further
                     admm_tol = max(eps, admm_tol / 100.0)
         if it % _CERT_EVERY == 0:
-            kind, _ = _certificates(As, bs, cs, u, v, n, m, max(eps, 1e-9))
+            kind, _ = _certificates(As, bs, cs, u, v, max(eps, 1e-9))
             if kind is not None:
-                u_full = np.concatenate([u[:n] * e, u[n:n + m] * d, u[-1:]])
-                v_full = np.concatenate([v[:n], v[n:n + m] / d, v[-1:]])
-                kind2, cert = _certificates(A, b, c, u_full, v_full, n, m, 1e-6)
+                kind2, cert = _certificates(A, b, c, *unscaled(u, v), 1e-6)
                 if kind2 == "infeasible":
                     return ConeSolution(np.full(n, np.nan), cert,
                                         np.full(m, np.nan), "infeasible", it,
@@ -382,9 +346,7 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
                                         "unbounded", it,
                                         np.nan, np.nan, np.nan)
 
-    u_full = np.concatenate([u[:n] * e, u[n:n + m] * d, u[-1:]])
-    v_full = np.concatenate([v[:n], v[n:n + m] / d, v[-1:]])
-    cand = _finish(A, b, c, Q, u_full, v_full, n, m, dims, eps, admm_tol)
+    cand = _finish(emb, A, b, c, *unscaled(u, v), eps, admm_tol)
     if cand is not None and (best is None or max(cand[3:]) < max(best[3:])):
         best = cand
     if best is None:

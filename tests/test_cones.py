@@ -16,7 +16,7 @@ from llcp.cones import (
     project_cone,
     project_expcone,
 )
-from llcp.solver import _dproj_embedding
+from llcp.embedding import Embedding
 
 from oracles import central_jacobian, project_expcone_oracle
 
@@ -355,7 +355,8 @@ def test_dproj_embedding_matches_block_diag_assembly(tau):
     n, m = 5, 2 + 3 + 12
     rng = np.random.default_rng(7)
     w = np.append(rng.uniform(-3.0, 3.0, size=n + m), tau)
-    D, ns = _dproj_embedding(w, n, m, dims)
+    emb = Embedding(sp.csc_matrix((m, n)), np.zeros(m), np.zeros(n), dims)
+    D, ns = emb.dproject(w)
     Jy, ref_ns = _dproject_cone_block_diag(w[n:n + m], dims, True)
     ref = sp.block_diag([sp.eye(n, format="csr"), Jy,
                          sp.csr_matrix([[1.0 if tau > 0.0 else 0.0]])],

@@ -10,8 +10,9 @@ from llcp import cones, examples
 from llcp.canon import canonicalize
 from llcp.cones import in_dual_expcone, in_expcone
 from llcp.compiler import compile_problem
-from llcp.solver import (ConeSolution, DataError, _embed_matrix, _equilibrate,
-                         _factor_kkt, _HsdStep, solve)
+from llcp.embedding import Embedding
+from llcp.solver import (ConeSolution, DataError, _equilibrate, _factor_kkt,
+                         _HsdStep, solve)
 
 from oracles import planted_cone_program
 from test_canon import canon_hello
@@ -217,9 +218,13 @@ def test_equilibrate_matches_grouped_loop():
         As = sp.diags(dr) @ As @ sp.diags(dc)
         d *= dr
         e *= dc
-    _, _, _, d_got, e_got = _equilibrate(A, b, c, dims)
+    As = As.tocsc()
+    As_got, _, _, d_got, e_got = _equilibrate(A, b, c, dims)
     assert np.array_equal(d_got, d)
     assert np.array_equal(e_got, e)
+    assert np.array_equal(As_got.indptr, As.indptr)
+    assert np.array_equal(As_got.indices, As.indices)
+    assert np.array_equal(As_got.data.view(np.uint64), As.data.view(np.uint64))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -232,7 +237,7 @@ def test_hsd_step_matches_dense_solve(seed):
     # the factor depends on A alone: reuse it after b and c change
     for bb, cc in ((bs, cs), (rng.normal(size=m), 10.0 * rng.normal(size=n))):
         step = _HsdStep(lu, bb, cc)
-        dense = np.eye(n + m + 1) + _embed_matrix(As, bb, cc).toarray()
+        dense = np.eye(n + m + 1) + Embedding(As, bb, cc, dims).Q.toarray()
         for _ in range(3):
             w = rng.normal(size=n + m + 1)
             want = np.linalg.solve(dense, w)
