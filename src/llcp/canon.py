@@ -140,7 +140,9 @@ class CanonMap:
 
     ``entries[i]`` is (parameter, element, tag): beta_i is log of that
     parameter element for tag "log" and the raw value for "passthrough".
-    ``alpha`` concatenates parameter values in the given parameter order.
+    ``alpha`` concatenates parameter values in the given parameter order;
+    ``index[i]`` is the alpha position of beta_i and ``logged[i]`` marks
+    the "log" entries.
     """
 
     params: list
@@ -155,6 +157,10 @@ class CanonMap:
         self.offsets = off
         self.n_alpha = total
         self.n_beta = len(self.entries)
+        self.index = np.array([off[id(p)] + j for p, j, _ in self.entries],
+                              dtype=np.int64)
+        self.logged = np.array([tag == LOG for _, _, tag in self.entries],
+                               dtype=bool)
 
     def pack_alpha(self) -> np.ndarray:
         out = np.empty(self.n_alpha)
@@ -170,33 +176,32 @@ class CanonMap:
             raise DomainError(
                 f"alpha has shape {alpha.shape}, expected ({self.n_alpha},)"
             )
-        beta = np.empty(self.n_beta)
-        for i, (p, j, tag) in enumerate(self.entries):
-            a = alpha[self.offsets[id(p)] + j]
-            if tag == LOG:
-                if a <= 0:
-                    raise DomainError(
-                        f"parameter {p.name}[{j}] must be positive, got {a}"
-                    )
-                beta[i] = math.log(a)
-            else:
-                beta[i] = a
+        beta = alpha[self.index]
+        sources = beta[self.logged]
+        bad = np.flatnonzero(sources <= 0)
+        if bad.size:
+            i = np.flatnonzero(self.logged)[bad[0]]
+            p, j, _ = self.entries[i]
+            raise DomainError(
+                f"parameter {p.name}[{j}] must be positive, got {beta[i]}"
+            )
+        # math.log, not np.log: the two differ in the last bit on some inputs
+        beta[self.logged] = [math.log(a) for a in sources.tolist()]
         return beta
 
     def apply_DC(self, alpha: np.ndarray, dalpha: np.ndarray) -> np.ndarray:
-        dbeta = np.empty(self.n_beta)
-        for i, (p, j, tag) in enumerate(self.entries):
-            k = self.offsets[id(p)] + j
-            dbeta[i] = dalpha[k] / alpha[k] if tag == LOG else dalpha[k]
+        dbeta = np.asarray(dalpha, dtype=float)[self.index]
+        dbeta[self.logged] /= np.asarray(alpha)[self.index[self.logged]]
         return dbeta
 
     def apply_DC_adjoint(self, alpha: np.ndarray,
                          dbeta: np.ndarray) -> np.ndarray:
-        dalpha = np.zeros(self.n_alpha)
-        for i, (p, j, tag) in enumerate(self.entries):
-            k = self.offsets[id(p)] + j
-            dalpha[k] += dbeta[i] / alpha[k] if tag == LOG else dbeta[i]
-        return dalpha
+        w = np.array(dbeta, dtype=float)
+        w[self.logged] /= np.asarray(alpha)[self.index[self.logged]]
+        # bincount sums each bin in entry order, starting from zero; with no
+        # entries it returns integers, hence the cast
+        dalpha = np.bincount(self.index, weights=w, minlength=self.n_alpha)
+        return dalpha.astype(float, copy=False)
 
 
 class _Canonicalizer:
@@ -215,6 +220,9 @@ class _Canonicalizer:
         self.beta_index = {}
         self.beta_entries = []
         self.constraints = []
+        # curvature verdicts by node id; every node analyzed stays referenced
+        # by the problem for the whole call, so no id is reused
+        self.verdicts = {}
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -242,10 +250,10 @@ class _Canonicalizer:
         not log-log affine."""
         if e.size == 1:
             elem = 0
-        facts = _analyze(e)
-        if facts.const:
+        verdict = _analyze(e, self.verdicts)
+        if verdict.kind == "constant":
             return lin_const(math.log(float(evaluate(e)[elem])))
-        if not (facts.cvx and facts.ccv):
+        if not verdict.is_affine:
             return None
         if isinstance(e, Variable):
             return lin_var(self.var_index[(id(e), elem)])

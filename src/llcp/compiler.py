@@ -250,36 +250,14 @@ class ParamToDataMap:
             )
         return self._Tp.T @ dvals
 
-    def split_data(self, dvals):
-        """View a data vector as its (A.data, b, c) parts."""
-        dvals = np.asarray(dvals, dtype=float).ravel()
-        return (dvals[:self.nnz], dvals[self.nnz:self.nnz + self.m],
-                dvals[self.nnz + self.m:])
-
     def pack_data(self, dA_data, db, dc) -> np.ndarray:
         return np.concatenate([dA_data, db, dc])
 
     def perturbation_matrices(self, dvals):
         """Data perturbation as (dA sparse, db, dc)."""
-        dA_data, db, dc = self.split_data(dvals)
+        dvals = np.asarray(dvals, dtype=float).ravel()
+        nnz, m = self.nnz, self.m
         dA = sp.csc_matrix(
-            (dA_data, self.csc_rows, self.csc_indptr), shape=(self.m, self.n)
+            (dvals[:nnz], self.csc_rows, self.csc_indptr), shape=(m, self.n)
         )
-        return dA, db, dc
-
-    def triplets(self):
-        """Debug dump: (slot kind, row, col, beta index, coefficient)."""
-        out = []
-        coo = self.T.tocoo()
-        for slot, j, val in zip(coo.row, coo.col, coo.data):
-            beta = None if j == self.n_beta else int(j)
-            if slot < self.nnz:
-                k = np.searchsorted(self.csc_indptr, slot, side="right") - 1
-                out.append(("A", int(self.csc_rows[slot]), int(k), beta,
-                            float(val)))
-            elif slot < self.nnz + self.m:
-                out.append(("b", int(slot - self.nnz), None, beta, float(val)))
-            else:
-                out.append(("c", int(slot - self.nnz - self.m), None, beta,
-                            float(val)))
-        return out
+        return dA, dvals[nnz:nnz + m], dvals[nnz + m:]

@@ -63,7 +63,6 @@ class ResidualPoint:
         self.z = np.concatenate([self.x, self.y - self.s, [1.0]])
         self.embedding = Embedding(self.A, self.b, self.c, self.dims)
         self.M, self.DPi, nonsmooth = self.embedding.jacobian(self.z)
-        self.MT = self.M.T.tocsc()
         self.nonsmooth = bool(nonsmooth)
         if self.nonsmooth:
             warnings.warn("projection not differentiable at the solution; "
@@ -118,7 +117,9 @@ def dphi_adjoint(point, dx):
     x, y = point.x, point.y
     A = point.A
     rhs = point.DPi.T @ np.concatenate([dx, np.zeros(m), [-float(x @ dx)]])
-    r = _lsqr(point.MT, rhs)
+    # a CSC copy, not the CSR view M.T: the two sum LSQR's products in a
+    # different order, and LSQR carries that rounding into the result
+    r = _lsqr(point.M.T.tocsc(), rhs)
     rx, ry, rtau = r[:n], r[n:n + m], r[-1]
     dA = A.copy()
     rows = dA.indices

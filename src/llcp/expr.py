@@ -9,6 +9,13 @@ in a nondecreasing slot is log-log convex, every argument in a nonincreasing
 slot is log-log concave, and every argument in an unspecified slot is
 log-log affine; symmetrically for log-log concave.
 
+The rule is written once: ``_slots`` gives an atom's own curvature and the
+slot of each argument (a power's slot follows its exponent), and the table
+``_SLOT_NEED`` says what an argument in each slot must be for each need.
+The verdict (``curvature``, bottom-up through ``_analyze``) and the grammar
+diagnostic (``explain_failure``, top-down through ``_arg_needs``) both read
+them, and both speak in one verdict type, ``Curvature``.
+
 Parameters are atoms too: a positive parameter is log-log affine, a
 parameter without declared sign has unknown curvature everywhere except as
 a power exponent.  ``power(x, a)`` with a parameter exponent is admitted
@@ -19,8 +26,10 @@ is monotonicity-unspecified).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -158,6 +167,8 @@ class Constant(Expr):
         arr = np.atleast_1d(np.asarray(value, dtype=float))
         if arr.ndim != 1:
             raise ShapeError("constants must be scalars or 1-d vectors")
+        if arr.size == 0:
+            raise ShapeError("constants must have at least one entry")
         if not np.all(np.isfinite(arr)):
             raise DomainError("constant entries must be finite")
         if np.any(arr <= 0):
@@ -298,11 +309,6 @@ class AtomSignature:
     curvature: str             # intrinsic: "affine" | "convex" | "concave"
     domain: str = ""
 
-    def mono(self, i: int) -> str:
-        if self.arity is None:
-            return self.monotonicity[0]
-        return self.monotonicity[i]
-
 
 NONDECR = "nondecreasing"
 NONINCR = "nonincreasing"
@@ -405,7 +411,10 @@ def _build_power(base: Expr, exponent) -> Expr:
     if exponent is None:
         raise ExpressionError("power requires an exponent")
     if isinstance(exponent, (int, float)):
-        return AtomApp("power", (base,), exponent=float(exponent))
+        exponent = float(exponent)
+        if not math.isfinite(exponent):
+            raise DomainError(f"power exponent must be finite, got {exponent}")
+        return AtomApp("power", (base,), exponent=exponent)
     if isinstance(exponent, (Parameter, Elem)):
         ref = exponent.base if isinstance(exponent, Elem) else exponent
         if not isinstance(ref, Parameter):
@@ -470,6 +479,11 @@ def one() -> Constant:
 # Curvature analysis
 
 
+_MEETS = {"convex": ("constant", "affine", "convex"),
+          "concave": ("constant", "affine", "concave"),
+          "affine": ("constant", "affine")}
+
+
 @dataclass(frozen=True)
 class Curvature:
     """Log-log curvature verdict plus a parametrization flag."""
@@ -477,114 +491,114 @@ class Curvature:
     kind: str                  # constant | affine | convex | concave | unknown
     parametrized: bool
 
+    def meets(self, need: str) -> bool:
+        """Whether the verdict satisfies ``need`` (convex|concave|affine)."""
+        return self.kind in _MEETS[need]
+
     @property
     def is_convex(self) -> bool:
-        return self.kind in ("constant", "affine", "convex")
+        return self.meets("convex")
 
     @property
     def is_concave(self) -> bool:
-        return self.kind in ("constant", "affine", "concave")
+        return self.meets("concave")
 
     @property
     def is_affine(self) -> bool:
-        return self.kind in ("constant", "affine")
+        return self.meets("affine")
 
 
-@dataclass(frozen=True)
-class _Facts:
-    cvx: bool
-    ccv: bool
-    const: bool
-    parametrized: bool
+_VERDICT = {(kind, par): Curvature(kind, par)
+            for kind in ("constant", "affine", "convex", "concave", "unknown")
+            for par in (False, True)}
+_KIND = {(True, True): "affine", (True, False): "convex",
+         (False, True): "concave", (False, False): "unknown"}
 
-    def as_curvature(self) -> Curvature:
-        if self.const:
-            kind = "constant"
-        elif self.cvx and self.ccv:
-            kind = "affine"
-        elif self.cvx:
-            kind = "convex"
-        elif self.ccv:
-            kind = "concave"
-        else:
-            kind = "unknown"
-        return Curvature(kind, self.parametrized)
+# The composition rule: what an argument in each monotonicity slot must be
+# for the application to meet a need, given that the atom itself does.
+_SLOT_NEED = {
+    NONDECR: {"convex": "convex", "concave": "concave", "affine": "affine"},
+    NONINCR: {"convex": "concave", "concave": "convex", "affine": "affine"},
+    UNSPEC: {"convex": "affine", "concave": "affine", "affine": "affine"},
+}
 
-
-def _analyze(e: Expr, memo=None) -> _Facts:
-    if memo is None:
-        memo = {}
-    got = memo.get(id(e))
-    if got is not None:
-        return got
-    facts = _analyze_node(e, memo)
-    memo[id(e)] = facts
-    return facts
+# (own curvature, per-argument slots); n-ary atoms repeat slot 0 endlessly
+_ATOM_SLOTS = {
+    name: (sig.curvature, itertools.repeat(sig.monotonicity[0])
+           if sig.arity is None else sig.monotonicity)
+    for name, sig in ATOMS.items()
+}
+_POWER_SLOTS = {slot: ("affine", (slot,))
+                for slot in (NONDECR, NONINCR, UNSPEC)}
 
 
-def _analyze_node(e: Expr, memo) -> _Facts:
+def _slots(node: AtomApp):
+    """The atom's own curvature and the monotonicity slot of each argument.
+
+    A power's slot follows its exponent: nondecreasing for a float >= 0,
+    nonincreasing for a float < 0, unspecified for a parameter.
+    """
+    if node.atom != "power":
+        return _ATOM_SLOTS[node.atom]
+    a = node.exponent
+    if not isinstance(a, float):
+        return _POWER_SLOTS[UNSPEC]
+    return _POWER_SLOTS[NONINCR if a < 0 else NONDECR]
+
+
+def _arg_needs(node: AtomApp, need: str):
+    """(argument, need) pairs under which ``node`` meets ``need``, or None
+    when the atom's own curvature rules ``need`` out."""
+    own, slots = _slots(node)
+    if own != "affine" and own != need:
+        return None
+    return [(arg, _SLOT_NEED[slot][need])
+            for arg, slot in zip(node.args, slots)]
+
+
+def _analyze(e: Expr, memo=None) -> Curvature:
+    memo = {} if memo is None else memo
+    verdict = memo.get(id(e))
+    if verdict is None:
+        verdict = memo[id(e)] = _analyze_node(e, memo)
+    return verdict
+
+
+def _analyze_node(e: Expr, memo) -> Curvature:
     if isinstance(e, Constant):
-        return _Facts(True, True, True, False)
+        return _VERDICT["constant", False]
     if isinstance(e, Variable):
-        return _Facts(True, True, False, False)
+        return _VERDICT["affine", False]
     if isinstance(e, Parameter):
-        if e.positive:
-            return _Facts(True, True, False, True)
-        return _Facts(False, False, False, True)
+        return _VERDICT["affine" if e.positive else "unknown", True]
     if isinstance(e, Elem):
         return _analyze_node(e.base, memo)
     if not isinstance(e, AtomApp):
         raise ExpressionError(f"unknown node {e!r}")
 
-    if e.atom == "power":
-        return _analyze_power(e, memo)
-
-    sig = ATOMS[e.atom]
-    facts = [_analyze(a, memo) for a in e.args]
-    const = all(f.const for f in facts)
-    par = any(f.parametrized for f in facts)
-    if const:
-        return _Facts(True, True, True, par)
-
-    intrinsic_cvx = sig.curvature in ("affine", "convex")
-    intrinsic_ccv = sig.curvature in ("affine", "concave")
-    cvx = intrinsic_cvx
-    ccv = intrinsic_ccv
-    for i, f in enumerate(facts):
-        m = sig.mono(i)
-        if m == NONDECR:
-            cvx = cvx and f.cvx
-            ccv = ccv and f.ccv
-        elif m == NONINCR:
-            cvx = cvx and f.ccv
-            ccv = ccv and f.cvx
-        else:
-            both = f.cvx and f.ccv
-            cvx = cvx and both
-            ccv = ccv and both
-    return _Facts(cvx, ccv, False, par)
-
-
-def _analyze_power(e: AtomApp, memo) -> _Facts:
-    base = _analyze(e.args[0], memo)
-    a = e.exponent
-    if isinstance(a, float):
-        if a == 0.0:
-            return _Facts(True, True, True, base.parametrized)
-        if a > 0:
-            cvx, ccv = base.cvx, base.ccv
-        else:
-            cvx, ccv = base.ccv, base.cvx
-        return _Facts(cvx, ccv, base.const, base.parametrized)
-    # parameter exponent: sign unknown, so the base slot is unspecified and
-    # must be log-log affine; the node itself is parametrized
-    both = base.cvx and base.ccv
-    return _Facts(both, both, False, True)
+    own, slots = _slots(e)
+    cvx = own != "concave"
+    ccv = own != "convex"
+    # a parameter exponent is parametrized and never constant: folding it
+    # into a constant would bake the parameter's current value into the data
+    a = e.exponent             # a float, a parameter, or None (not a power)
+    par = isinstance(a, Expr)
+    const = not par
+    for arg, slot in zip(e.args, slots):
+        f = _analyze(arg, memo)
+        need = _SLOT_NEED[slot]
+        cvx = cvx and f.meets(need["convex"])
+        ccv = ccv and f.meets(need["concave"])
+        const = const and f.kind == "constant"
+        par = par or f.parametrized
+    if const or (isinstance(a, float) and a == 0.0):
+        return _VERDICT["constant", par]
+    return _VERDICT[_KIND[cvx, ccv], par]
 
 
 def curvature(e: Expr) -> Curvature:
     """Tightest log-log curvature derivable by the composition rule."""
-    return _analyze(_as_expr(e)).as_curvature()
+    return _analyze(_as_expr(e))
 
 
 # -- diagnostics -------------------------------------------------------------
@@ -601,69 +615,44 @@ def explain_failure(e: Expr, need: str, path: str = "") -> str | None:
     """
     memo: dict = {}
 
-    def ok(node, req):
-        f = _analyze(node, memo)
-        if f.const:
-            return True
-        if req == "convex":
-            return f.cvx
-        if req == "concave":
-            return f.ccv
-        return f.cvx and f.ccv
-
-    def descend(node, req, path):
-        if ok(node, req):
+    def descend(node, need, path):
+        if _analyze(node, memo).meets(need):
             return None
         label = path or "expression"
-        if isinstance(node, Parameter) or (
-            isinstance(node, Elem) and isinstance(node.base, Parameter)
-        ):
-            name = node.base.name if isinstance(node, Elem) else node.name
-            return (f"{label}: parameter {name!r} has no declared sign, so "
-                    f"its log-log curvature is unknown outside power exponents")
+        leaf = node.base if isinstance(node, Elem) else node
+        if isinstance(leaf, Parameter):
+            return (f"{label}: parameter {leaf.name!r} has no declared sign, "
+                    f"so its log-log curvature is unknown outside power "
+                    f"exponents")
         if not isinstance(node, AtomApp):
-            return f"{label}: not {_NEED_WORD[req]}"
-        sig = ATOMS[node.atom]
-        intrinsic_ok = (
-            sig.curvature == "affine"
-            or (req == "convex" and sig.curvature == "convex")
-            or (req == "concave" and sig.curvature == "concave")
-        )
-        if node.atom == "power":
-            sub_req = req
-            a = node.exponent
-            if isinstance(a, float):
-                if a < 0:
-                    sub_req = {"convex": "concave", "concave": "convex",
-                               "affine": "affine"}[req]
-            else:
-                sub_req = "affine"
-            deeper = descend(node.args[0], sub_req, f"{path or 'power'}.arg")
-            return deeper or (f"{label}: power is not {_NEED_WORD[req]} here")
-        if not intrinsic_ok:
-            return (f"{label}: atom {node.atom!r} is log-log {sig.curvature}, "
-                    f"which cannot appear in a {_NEED_WORD[req]} position")
-        for i, arg in enumerate(node.args):
-            m = sig.mono(i)
-            if m == NONDECR:
-                sub_req = req
-            elif m == NONINCR:
-                sub_req = {"convex": "concave", "concave": "convex",
-                           "affine": "affine"}[req]
-            else:
-                sub_req = "affine"
-            if not ok(arg, sub_req):
-                sub_path = f"{path + '.' if path else ''}{node.atom}.args[{i}]"
-                deeper = descend(arg, sub_req, sub_path)
-                if deeper:
-                    return deeper
-        return f"{label}: atom {node.atom!r} is not {_NEED_WORD[req]} here"
+            return f"{label}: not {_NEED_WORD[need]}"
+        pairs = _arg_needs(node, need)
+        if pairs is None:
+            return (f"{label}: atom {node.atom!r} is log-log "
+                    f"{ATOMS[node.atom].curvature}, which cannot appear in a "
+                    f"{_NEED_WORD[need]} position")
+        power = node.atom == "power"
+        for i, (arg, sub_need) in enumerate(pairs):
+            sub_path = (f"{path or 'power'}.arg" if power else
+                        f"{path + '.' if path else ''}{node.atom}.args[{i}]")
+            deeper = descend(arg, sub_need, sub_path)
+            if deeper:
+                return deeper
+        if power:
+            return f"{label}: power is not {_NEED_WORD[need]} here"
+        return f"{label}: atom {node.atom!r} is not {_NEED_WORD[need]} here"
 
     return descend(e, need, path)
 
 
 # ---------------------------------------------------------------------------
 # Numeric evaluation
+
+
+# n-ary atoms fold left to right over their arguments
+_UFUNC = {"mul": np.multiply, "add": np.add, "maximum": np.maximum,
+          "minimum": np.minimum, "ratio": np.divide, "diff_pos": np.subtract,
+          "exp": np.exp, "log": np.log}
 
 
 def evaluate(e: Expr, values: dict | None = None) -> np.ndarray:
@@ -699,40 +688,11 @@ def evaluate(e: Expr, values: dict | None = None) -> np.ndarray:
             a = node.exponent
             if isinstance(a, float) and a == 0.0:
                 return np.ones(node.args[0].size)
-            base = rec(node.args[0])
-            if isinstance(a, float):
-                return base ** a
-            aval = rec(a)
-            return base ** aval
+            return rec(node.args[0]) ** (a if isinstance(a, float) else rec(a))
         args = [rec(a) for a in node.args]
-        if node.atom == "mul":
-            out = args[0].copy()
-            for a in args[1:]:
-                out = out * a
-            return out
-        if node.atom == "add":
-            out = args[0].copy()
-            for a in args[1:]:
-                out = out + a
-            return out
-        if node.atom == "maximum":
-            out = args[0]
-            for a in args[1:]:
-                out = np.maximum(out, a)
-            return out
-        if node.atom == "minimum":
-            out = args[0]
-            for a in args[1:]:
-                out = np.minimum(out, a)
-            return out
-        if node.atom == "ratio":
-            return args[0] / args[1]
-        if node.atom == "diff_pos":
-            return args[0] - args[1]
-        if node.atom == "exp":
-            return np.exp(args[0])
-        if node.atom == "log":
-            return np.log(args[0])
+        ufunc = _UFUNC.get(node.atom)
+        if ufunc is not None:
+            return ufunc(*args) if ufunc.nin == 1 else reduce(ufunc, args)
         raise ExpressionError(f"unknown atom {node.atom!r}")
 
     return np.broadcast_to(rec(e), (e.size,)).astype(float)

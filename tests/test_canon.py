@@ -1,10 +1,13 @@
 """Lowering to the log-space convex program and the parameter map."""
 
+import math
+
 import numpy as np
 import pytest
 
 import llcp
 from llcp.canon import CanonMap, canonicalize, lin_eval, traversal_count
+from llcp import examples
 from llcp.expr import (
     DomainError,
     add,
@@ -143,6 +146,88 @@ def test_eval_C_rejects_nonpositive_log_source():
     _, cmap = canon_hello()
     with pytest.raises(DomainError):
         cmap.eval_C(np.array([2.0, -1.0, 0.5]))
+
+
+def _loop_C(cmap, alpha):
+    """Per-entry reference for eval_C, apply_DC and apply_DC_adjoint."""
+    beta = np.empty(cmap.n_beta)
+    for i, (p, j, tag) in enumerate(cmap.entries):
+        a = alpha[cmap.offsets[id(p)] + j]
+        beta[i] = math.log(a) if tag == "log" else a
+    return beta
+
+
+def _loop_DC(cmap, alpha, dalpha):
+    dbeta = np.empty(cmap.n_beta)
+    for i, (p, j, tag) in enumerate(cmap.entries):
+        k = cmap.offsets[id(p)] + j
+        dbeta[i] = dalpha[k] / alpha[k] if tag == "log" else dalpha[k]
+    return dbeta
+
+
+def _loop_DC_adjoint(cmap, alpha, dbeta):
+    dalpha = np.zeros(cmap.n_alpha)
+    for i, (p, j, tag) in enumerate(cmap.entries):
+        k = cmap.offsets[id(p)] + j
+        dalpha[k] += dbeta[i] / alpha[k] if tag == "log" else dbeta[i]
+    return dalpha
+
+
+def test_parameter_map_matches_per_entry_loop():
+    # p is a factor and an exponent, so one alpha entry feeds two betas
+    x = llcp.Variable("x", 3)
+    p = llcp.Parameter("p", positive=True, value=1.7)
+    w = llcp.Parameter("w", 3, positive=True, value=[0.3, 2.0, 5.5])
+    e = llcp.Parameter("e", 2, value=[-0.4, 1.25])
+    objective = add(p * x[0] ** p, w[2] * x[1] ** e[1], w[0] / x[2])
+    constraints = [x ** e[0] <= w, x[2] ** e[1] <= 4.0]
+    variables = variables_of(objective, *[c.lhs for c in constraints])
+    params = parameters_of(objective, *[c.lhs for c in constraints],
+                           *[c.rhs for c in constraints])
+    _, cmap = canonicalize("minimize", objective, constraints,
+                           variables, params)
+    tags = {(id(q), j): [] for q, j, _ in cmap.entries}
+    for q, j, tag in cmap.entries:
+        tags[(id(q), j)].append(tag)
+    assert sorted(tags[(id(p), 0)]) == ["log", "passthrough"]
+    rng = np.random.default_rng(9)
+    alpha = cmap.pack_alpha()
+    for _ in range(5):
+        da = rng.normal(size=cmap.n_alpha)
+        db = rng.normal(size=cmap.n_beta)
+        for got, want in [
+            (cmap.eval_C(alpha), _loop_C(cmap, alpha)),
+            (cmap.apply_DC(alpha, da), _loop_DC(cmap, alpha, da)),
+            (cmap.apply_DC_adjoint(alpha, db),
+             _loop_DC_adjoint(cmap, alpha, db)),
+        ]:
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+        alpha = alpha * np.exp(rng.normal(scale=0.5, size=cmap.n_alpha))
+
+
+def test_parameter_map_on_benchmark_matches_per_entry_loop():
+    p = examples.benchmark(n=60, m=3, seed=2)
+    _, cmap, _ = p._ensure_compiled()
+    alpha = cmap.pack_alpha()
+    rng = np.random.default_rng(1)
+    da = rng.normal(size=cmap.n_alpha)
+    db = rng.normal(size=cmap.n_beta)
+    assert cmap.eval_C(alpha).tobytes() == _loop_C(cmap, alpha).tobytes()
+    assert (cmap.apply_DC(alpha, da).tobytes()
+            == _loop_DC(cmap, alpha, da).tobytes())
+    assert (cmap.apply_DC_adjoint(alpha, db).tobytes()
+            == _loop_DC_adjoint(cmap, alpha, db).tobytes())
+
+
+def test_eval_C_names_the_first_nonpositive_log_source():
+    _, cmap = canon_hello()
+    assert [p.name for p, _, _ in cmap.entries[:2]] == ["b", "a"]
+    with pytest.raises(DomainError,
+                       match=r"^parameter b\[0\] must be positive, got -1.0$"):
+        cmap.eval_C(np.array([0.0, -1.0, 0.5]))
+    # a passthrough entry may be any finite number
+    cmap.eval_C(np.array([2.0, 1.0, -3.0]))
 
 
 def test_DC_matches_finite_differences():

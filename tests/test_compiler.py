@@ -193,11 +193,3 @@ def test_optimal_point_is_cone_feasible_with_matching_objective(which):
     _cone_feasible(pmap, v)
     dropped = lin_eval(prob.objective, beta, np.zeros(prob.n_vars))
     assert c @ v + dropped == pytest.approx(val, abs=1e-6)
-
-
-def test_triplet_dump_mentions_every_part():
-    _, _, pmap = compile_hello()
-    kinds = {t[0] for t in pmap.triplets()}
-    assert kinds == {"A", "b", "c"}
-    a_rows = [t for t in pmap.triplets() if t[0] == "A"]
-    assert all(0 <= t[1] < pmap.m and 0 <= t[2] < pmap.n for t in a_rows)

@@ -1,14 +1,18 @@
 """Expression construction, curvature analysis, and numeric evaluation."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import llcp
+from llcp import expr as expr_module
 from llcp.expr import (
     ArityError,
     Constant,
     Constraint,
+    Curvature,
     DomainError,
     Elem,
     PowerRuleError,
@@ -70,6 +74,22 @@ def test_constants_must_be_positive():
     with pytest.raises(DomainError):
         Constant(np.inf)
     assert one().value[0] == 1.0
+
+
+def test_empty_constants_are_rejected():
+    with pytest.raises(ShapeError):
+        Constant([])
+    with pytest.raises(ShapeError):
+        llcp.Variable("x") * []
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_exponents_are_rejected(bad):
+    x = llcp.Variable("x")
+    with pytest.raises(DomainError, match="finite"):
+        x ** bad
+    with pytest.raises(DomainError, match="finite"):
+        power(x + x, bad)
 
 
 def test_constant_domain_checks_at_build():
@@ -243,12 +263,194 @@ def test_atom_curvatures():
     assert curvature(maximum(2.0, 3.0)).kind == "constant"
 
 
+# The DGP composition rule, written out independently of llcp.expr: an
+# application is log-log convex when the atom is log-log convex or affine
+# and each argument is convex in a nondecreasing slot, concave in a
+# nonincreasing slot and affine in an unspecified one; symmetrically for
+# concave.  Constant and affine arguments fit every slot.
+_ATOM_RULES = {
+    # name: (own curvature, arity, slot per argument; n-ary repeats one)
+    "mul": ("affine", None, "inc"),
+    "add": ("convex", None, "inc"),
+    "maximum": ("convex", None, "inc"),
+    "minimum": ("concave", None, "inc"),
+    "ratio": ("affine", 2, ("inc", "dec")),
+    "diff_pos": ("concave", 2, ("inc", "dec")),
+    "exp": ("convex", 1, ("inc",)),
+    "log": ("concave", 1, ("inc",)),
+}
+
+
+def _textbook_kind(own, slots, kinds):
+    if all(k == "constant" for k in kinds):
+        return "constant"
+    flat = [k in ("constant", "affine") for k in kinds]
+    cvx = own in ("affine", "convex")
+    ccv = own in ("affine", "concave")
+    for slot, k, f in zip(slots, kinds, flat):
+        if slot == "inc":
+            cvx = cvx and (f or k == "convex")
+            ccv = ccv and (f or k == "concave")
+        elif slot == "dec":
+            cvx = cvx and (f or k == "concave")
+            ccv = ccv and (f or k == "convex")
+        else:
+            cvx = cvx and f
+            ccv = ccv and f
+    if cvx and ccv:
+        return "affine"
+    return "convex" if cvx else "concave" if ccv else "unknown"
+
+
+def _representatives():
+    """One unparametrized expression of each curvature; constants vary by
+    argument position so that diff_pos of two constants stays valid."""
+    x, y = llcp.Variable("x"), llcp.Variable("y")
+    return {
+        "constant": lambda i: Constant(3.0 - i),
+        "affine": lambda i: x / y,
+        "convex": lambda i: x + y,
+        "concave": lambda i: minimum(x, y),
+        "unknown": lambda i: log(x + y),
+    }
+
+
+def test_representatives_have_their_curvature():
+    for kind, make in _representatives().items():
+        assert curvature(make(0)).kind == kind
+
+
+@pytest.mark.parametrize("atom", sorted(_ATOM_RULES))
+def test_every_atom_follows_the_composition_rule(atom):
+    own, arity, slots = _ATOM_RULES[atom]
+    reps = _representatives()
+    for k in (2, 3) if arity is None else (arity,):
+        atom_slots = (slots,) * k if arity is None else slots
+        for kinds in itertools.product(sorted(reps), repeat=k):
+            e = build_atom(atom, [reps[kd](i) for i, kd in enumerate(kinds)])
+            verdict = curvature(e)
+            assert verdict.kind == _textbook_kind(own, atom_slots, kinds), (
+                atom, kinds)
+            assert not verdict.parametrized
+
+
+@pytest.mark.parametrize("exponent, slot", [
+    (3.0, "inc"), (0.5, "inc"), (-0.5, "dec"), (-2.0, "dec"), ("param", "any"),
+])
+def test_every_power_form_follows_the_composition_rule(exponent, slot):
+    a = llcp.Parameter("a")
+    for kind, make in _representatives().items():
+        e = power(make(0), a if exponent == "param" else exponent)
+        verdict = curvature(e)
+        expected = _textbook_kind("affine", (slot,), (kind,))
+        if exponent == "param" and expected == "constant":
+            # parametrized, never constant: folding would freeze a's value
+            expected = "affine"
+        assert verdict.kind == expected, kind
+        assert verdict.parametrized == (exponent == "param")
+
+
+def test_zero_power_is_constant():
+    x = llcp.Variable("x")
+    c = llcp.Parameter("c", positive=True)
+    for make in _representatives().values():
+        assert curvature(make(0) ** 0.0) == Curvature("constant", False)
+    assert curvature((c * x) ** 0.0) == Curvature("constant", True)
+
+
+def test_curvature_meets_needs():
+    table = {
+        "constant": {"convex", "concave", "affine"},
+        "affine": {"convex", "concave", "affine"},
+        "convex": {"convex"},
+        "concave": {"concave"},
+        "unknown": set(),
+    }
+    for kind, met in table.items():
+        v = Curvature(kind, False)
+        for need in ("convex", "concave", "affine"):
+            assert v.meets(need) == (need in met)
+        assert (v.is_convex, v.is_concave, v.is_affine) == (
+            "convex" in met, "concave" in met, "affine" in met)
+
+
 def test_parametrized_flag_propagates():
     x = llcp.Variable("x")
     c = llcp.Parameter("c", positive=True)
     assert not curvature(x + x).parametrized
     assert curvature(x + c).parametrized
     assert curvature((c * x) ** 2.0).parametrized
+
+
+# ---------------------------------------------------------------------------
+# diagnostics: every message form, byte for byte
+
+
+def test_diagnostic_for_signless_parameter():
+    x = llcp.Variable("x")
+    q = llcp.Parameter("q")
+    qv = llcp.Parameter("qv", 2)
+    assert explain_failure(q * x, "convex") == (
+        "mul.args[0]: parameter 'q' has no declared sign, so its log-log "
+        "curvature is unknown outside power exponents")
+    assert explain_failure(exp(x + qv[1]), "convex", "objective") == (
+        "objective.exp.args[0].add.args[1]: parameter 'qv' has no declared "
+        "sign, so its log-log curvature is unknown outside power exponents")
+    assert explain_failure(q, "affine") == (
+        "expression: parameter 'q' has no declared sign, so its log-log "
+        "curvature is unknown outside power exponents")
+
+
+def test_diagnostic_for_atom_in_wrong_position():
+    x, y = llcp.Variable("x"), llcp.Variable("y")
+    assert explain_failure(log(x + y), "concave", "objective") == (
+        "objective.log.args[0]: atom 'add' is log-log convex, which cannot "
+        "appear in a log-log concave position")
+    assert explain_failure(minimum(x, y), "convex") == (
+        "expression: atom 'minimum' is log-log concave, which cannot appear "
+        "in a log-log convex position")
+    assert explain_failure(x + y, "affine", "constraints[0].lhs") == (
+        "constraints[0].lhs: atom 'add' is log-log convex, which cannot "
+        "appear in a log-log affine position")
+    # a power names its argument ".arg" and flips the need for a negative
+    # exponent; without a path it labels itself "power"
+    assert explain_failure((x + y) ** -1.0, "convex") == (
+        "power.arg: atom 'add' is log-log convex, which cannot appear in a "
+        "log-log concave position")
+    assert explain_failure(ratio(x, (x + y) ** -2.0), "concave", "obj") == (
+        "obj.ratio.args[1].arg: atom 'add' is log-log convex, which cannot "
+        "appear in a log-log concave position")
+
+
+def _deny(monkeypatch, target):
+    """Make the verdict of ``target`` unknown while its arguments keep
+    theirs: the descent then finds no failing argument."""
+    real = expr_module._analyze
+
+    def analyze(e, memo=None):
+        if e is target:
+            return Curvature("unknown", False)
+        return real(e, memo)
+
+    monkeypatch.setattr(expr_module, "_analyze", analyze)
+
+
+def test_fallback_diagnostics(monkeypatch):
+    x, y = llcp.Variable("x"), llcp.Variable("y")
+    leaf = llcp.Variable("w")
+    e = exp(leaf)
+    _deny(monkeypatch, leaf)
+    assert explain_failure(e, "convex") == "exp.args[0]: not log-log convex"
+    monkeypatch.undo()
+    mono = x * y
+    _deny(monkeypatch, mono)
+    assert explain_failure(mono, "concave", "objective") == (
+        "objective: atom 'mul' is not log-log concave here")
+    monkeypatch.undo()
+    p = x ** 2.0
+    _deny(monkeypatch, p)
+    assert explain_failure(p, "affine") == (
+        "expression: power is not log-log affine here")
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,24 @@ def test_variable_as_exponent_rejected():
     assert "constraints[1].lhs" in str(info.value)
 
 
+@pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_exponent_rejected(raw, tmp_path):
+    # json reads these literals and the schema's "number" admits them
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"variables": [{"name": "x", "len": 1, "pos": true}],'
+        ' "parameters": [],'
+        ' "objective": {"sense": "minimize", "expr": {"ref": "x"}},'
+        ' "constraints": [{"kind": "leq",'
+        '   "lhs": {"atom": "power", "args": [{"ref": "x"}],'
+        f'          "attrs": {{"exponent": {raw}}}}},'
+        '   "rhs": {"const": 2.0}}]}')
+    validate_document(json.loads(path.read_text()))
+    with pytest.raises(ProblemFileError, match="finite") as info:
+        load_problem(path)
+    assert info.value.path == "constraints[0].lhs"
+
+
 def test_wrong_value_length_rejected():
     doc = hello_doc()
     doc["parameters"][0]["value"] = [2.0, 3.0]

@@ -1,0 +1,17 @@
+"""The README's Python examples run as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    assert namespace["problem"].status == "optimal"
+    assert set(namespace["dx"]) == {"x", "y", "z"}
+    assert set(namespace["grads"]) == {"a", "b", "c"}
