@@ -25,6 +25,8 @@ import warnings
 import numpy as np
 import scipy.sparse.linalg as spla
 
+from .compiler import DimensionError
+
 __all__ = ["LsqrNoConvergence", "NonsmoothWarning", "ResidualPoint",
            "dphi", "dphi_adjoint"]
 
@@ -79,6 +81,11 @@ def dphi(point, dtheta):
     dtheta perturbs theta = (A.data, b, c), A's entries on its CSC
     pattern.  Linear in dtheta.
     """
+    dtheta = np.asarray(dtheta, dtype=float).ravel()
+    size = point.embedding.theta_size
+    if dtheta.size != size:
+        raise DimensionError(
+            f"data direction has size {dtheta.size}, expected {size}")
     dz = _lsqr(point.M, -(point.embedding.Q_of(dtheta) @ point.u))
     du = point.DPi @ dz
     return du[:point.n] - point.x * du[-1]

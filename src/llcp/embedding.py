@@ -65,9 +65,8 @@ class Embedding:
         Qid = sp.bmat([[None, Aid.T, cid], [-Aid, None, bid],
                        [-cid.T, -bid.T, None]], format="csc")
         self._src = np.abs(Qid.data).astype(np.int64) - 1
-        self._sign = np.sign(Qid.data)
+        self._sign = np.sign(Qid.data).astype(np.int8)
         self._rows, self._indptr = Qid.indices, Qid.indptr
-        self._cols = np.repeat(np.arange(n + m + 1), np.diff(Qid.indptr))
         self.Q = self.Q_of(np.concatenate([A.data, b, c]))
 
     def Q_of(self, theta):
@@ -79,8 +78,8 @@ class Embedding:
 
     def Q_of_adjoint(self, r, u):
         """The theta-gradient of r' Q(theta) u, the adjoint of Q_of."""
-        return np.bincount(self._src,
-                           self._sign * r[self._rows] * u[self._cols],
+        u_col = np.repeat(u, np.diff(self._indptr))  # u at each entry's column
+        return np.bincount(self._src, self._sign * r[self._rows] * u_col,
                            minlength=self.theta_size)
 
     def project(self, w, rho=None):

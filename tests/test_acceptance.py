@@ -7,13 +7,13 @@ are marked xfail(strict=True); companion tests pin the implementation
 against independently derived ground truth instead.
 """
 
-import gc
 import time
 
 import numpy as np
 import pytest
 
 import llcp
+from llcp import solver
 from llcp.canon import traversal_count
 from llcp.cones import dproject_expcone, project_cone, project_expcone
 from llcp.examples import benchmark, hello_world, queuing
@@ -299,35 +299,41 @@ def test_cone_projection_derivative_accuracy():
 # re-solve caching
 
 
-def test_resolve_cost_dominated_by_solver():
+def test_resolve_cost_dominated_by_solver(monkeypatch):
     p = benchmark(n=500, m=3, seed=0)
     t0 = time.perf_counter()
     p.solve()
     assert p.status == "optimal"
     first = time.perf_counter() - t0
 
+    # the share is taken in this thread's CPU time: under CPU contention a
+    # preemption of 8-10 ms outside the solver exceeds the ~2 ms budget
+    # alone, and it is not work of the library
+    solve = solver.solve
+    solver_cpu = []
+
+    def timed_solve(*args, **kwargs):
+        c0 = time.thread_time()
+        out = solve(*args, **kwargs)
+        solver_cpu.append(time.thread_time() - c0)
+        return out
+
+    monkeypatch.setattr(solver, "solve", timed_solve)
     c = named(p, "parameters")["c"]
+    c.set_value(1.01 * c.value)
     before = traversal_count()
-    # the budget outside the solver is about 2 ms; a cyclic-GC pass over
-    # the garbage of earlier tests (40-90 ms) or a preemption by another
-    # process exceeds it alone, so GC is off and the best of three counts
-    gc.collect()
-    gc.disable()
-    try:
-        shares = []
-        for _ in range(3):
-            c.set_value(1.01 * c.value)
-            t1 = time.perf_counter()
-            p.solve()
-            wall = time.perf_counter() - t1
-            assert p.status == "optimal"
-            outside = wall - p.stats["solver_time"]
-            shares.append(outside / wall)
-    finally:
-        gc.enable()
+    t1, cpu1 = time.perf_counter(), time.thread_time()
+    p.solve()
+    cpu = time.thread_time() - cpu1
+    wall = time.perf_counter() - t1
+    assert p.status == "optimal"
 
     assert traversal_count() == before  # no expression re-traversal
-    assert min(shares) < 0.10
+    assert 0.0 < p.stats["solver_time"] <= wall
+    outside = cpu - solver_cpu[-1]
+    assert outside < 0.10 * cpu, (
+        f"outside {outside * 1e3:.2f} ms of {cpu * 1e3:.2f} ms CPU "
+        f"({wall * 1e3:.2f} ms wall)")
     assert first + wall < 30.0
 
 

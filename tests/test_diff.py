@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from llcp import diff
-from llcp.compiler import compile_problem
+from llcp.compiler import DimensionError, compile_problem
 from llcp.diff import NonsmoothWarning, ResidualPoint, dphi, dphi_adjoint
 from llcp.embedding import Embedding
 from llcp.solver import solve
@@ -54,6 +54,17 @@ def test_zero_direction():
     pt = point(sol)
     dx = dphi(pt, np.zeros(A.nnz + pt.m + pt.n))
     assert np.array_equal(dx, np.zeros(pt.n))
+
+
+def test_direction_size_is_checked():
+    rng = np.random.default_rng(2)
+    A, b, c, dims, sol = solved_point(rng)
+    pt = point(sol)
+    dtheta = random_direction(rng, A)
+    for bad in (np.append(dtheta, 0.0), dtheta[:-1]):
+        with pytest.raises(DimensionError):
+            dphi(pt, bad)
+    assert np.array_equal(dphi(pt, list(dtheta)), dphi(pt, dtheta))
 
 
 def test_zero_adjoint_direction():
