@@ -66,9 +66,8 @@ class ResidualPoint:
 
 
 def _lsqr(op, rhs):
-    N = rhs.size
-    out = spla.lsqr(op, rhs, atol=_LSQR_TOL, btol=_LSQR_TOL, iter_lim=10 * N)
-    dz, istop, itn = out[0], out[1], out[2]
+    dz, istop, itn = spla.lsqr(op, rhs, atol=_LSQR_TOL, btol=_LSQR_TOL,
+                               iter_lim=10 * rhs.size)[:3]
     if istop == 7:
         raise LsqrNoConvergence(
             f"least-squares solve stopped at the {itn}-iteration cap")
@@ -82,10 +81,9 @@ def dphi(point, dtheta):
     pattern.  Linear in dtheta.
     """
     dtheta = np.asarray(dtheta, dtype=float).ravel()
-    size = point.embedding.theta_size
-    if dtheta.size != size:
-        raise DimensionError(
-            f"data direction has size {dtheta.size}, expected {size}")
+    if dtheta.size != point.embedding.theta_size:
+        raise DimensionError(f"data direction has size {dtheta.size}, "
+                             f"expected {point.embedding.theta_size}")
     dz = _lsqr(point.M, -(point.embedding.Q_of(dtheta) @ point.u))
     du = point.DPi @ dz
     return du[:point.n] - point.x * du[-1]

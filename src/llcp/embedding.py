@@ -67,14 +67,13 @@ class Embedding:
         self._src = np.abs(Qid.data).astype(np.int64) - 1
         self._sign = np.sign(Qid.data).astype(np.int8)
         self._rows, self._indptr = Qid.indices, Qid.indptr
+        self._shape = Qid.shape
         self.Q = self.Q_of(np.concatenate([A.data, b, c]))
 
     def Q_of(self, theta):
         """Q at the data vector theta = (A.data, b, c); linear in theta."""
-        N = self.n + self.m + 1
-        return sp.csc_matrix(
-            (self._sign * theta[self._src], self._rows, self._indptr),
-            shape=(N, N))
+        return sp.csc_matrix((self._sign * theta[self._src], self._rows,
+                              self._indptr), shape=self._shape)
 
     def Q_of_adjoint(self, r, u):
         """The theta-gradient of r' Q(theta) u, the adjoint of Q_of."""
