@@ -13,6 +13,11 @@ coefficient, at most one beta entry, and at most one variable.  Keeping at
 most one beta entry per term is what makes the downstream cone data an
 affine function of beta.
 
+The lowering is written once for both senses (value <= bound and >=) and
+reads the composition rule from ``expr._slots``: an argument in a
+nondecreasing slot is bounded in the same sense, one in a nonincreasing
+slot in the opposite sense.
+
 Auxiliary (epigraph or hypograph) variables are introduced only for
 non-affine subexpressions nested inside another atom.  An atom sitting
 directly against a bound is lowered against that bound in place, which
@@ -28,6 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from llcp.expr import (
+    NONDECR,
+    NONINCR,
     AtomApp,
     Constant,
     Constraint,
@@ -37,6 +44,7 @@ from llcp.expr import (
     Parameter,
     Variable,
     _analyze,
+    _slots,
     evaluate,
 )
 
@@ -204,6 +212,10 @@ class CanonMap:
         return dalpha.astype(float, copy=False)
 
 
+# the sense an argument is bounded in, relative to its application's
+_DIRECTION = {NONDECR: 1, NONINCR: -1}
+
+
 class _Canonicalizer:
     def __init__(self, variables, parameters):
         self.var_slices = []
@@ -264,11 +276,8 @@ class _Canonicalizer:
                 return lin_var(self.var_index[(id(e.base), e.index)])
             return [(self.beta(e.base, e.index, LOG), None, 1.0)]
         assert isinstance(e, AtomApp)
-        if e.atom == "mul":
-            return lin_add(*[self.affine(a, elem) for a in e.args])
-        if e.atom == "ratio":
-            return lin_sub(self.affine(e.args[0], elem),
-                           self.affine(e.args[1], elem))
+        if e.atom in ("mul", "ratio"):
+            return self.log_sum(e, lambda a, d: self.affine(a, elem))
         if e.atom == "power":
             base = e.args[0]
             a = e.exponent
@@ -286,108 +295,68 @@ class _Canonicalizer:
             return out
         return None
 
-    # -- bounds ----------------------------------------------------------
-
-    def upper(self, e: Expr, elem: int) -> LinExpr:
-        """An affine expression t with value(e) <= t, tight at optimality
-        pressure; affine expressions pass through unchanged."""
-        aff = self.affine(e, elem)
-        if aff is not None:
-            return aff
-        t = lin_var(self.new_aux())
-        self.lower_leq(e, elem, t)
-        return t
-
-    def lower(self, e: Expr, elem: int) -> LinExpr:
-        aff = self.affine(e, elem)
-        if aff is not None:
-            return aff
-        t = lin_var(self.new_aux())
-        self.lower_geq(e, elem, t)
-        return t
+    def log_sum(self, e: AtomApp, form) -> LinExpr:
+        """Log of a mul or ratio from ``form(arg, direction)`` per argument;
+        an argument in a nonincreasing slot enters negated."""
+        parts = []
+        for a, slot in zip(e.args, _slots(e)[1]):
+            d = _DIRECTION[slot]
+            part = form(a, d)
+            parts.append(part if d > 0 else lin_scale(part, -1.0))
+        return lin_add(*parts)
 
     # -- recursive lowering ----------------------------------------------
 
-    def lower_leq(self, e: Expr, elem: int, bound: LinExpr):
-        """Emit constraints equivalent to log-space value(e) <= bound."""
-        if e.size == 1:
-            elem = 0
+    def bound(self, e: Expr, elem: int, sense: int) -> LinExpr:
+        """An affine t with value(e) <= t (sense 1) or >= t (sense -1),
+        tight under optimality pressure; an affine ``e`` is its own bound."""
         aff = self.affine(e, elem)
         if aff is not None:
-            self.emit("nonneg", (lin_sub(aff, bound),))
-            return
-        assert isinstance(e, AtomApp), f"cannot lower {e!r}"
-        if e.atom == "add":
-            args = [self.upper(a, elem) for a in e.args]
-            self.emit("lse", args, bound)
-            return
-        if e.atom == "mul":
-            total = lin_add(*[self.upper(a, elem) for a in e.args])
-            self.emit("nonneg", (lin_sub(total, bound),))
-            return
-        if e.atom == "maximum":
-            for a in e.args:
-                self.lower_leq(a, elem, bound)
-            return
-        if e.atom == "power":
-            a = e.exponent
-            assert isinstance(a, float) and a != 0.0
-            if a > 0:
-                self.lower_leq(e.args[0], elem, lin_scale(bound, 1.0 / a))
-            else:
-                self.lower_geq(e.args[0], elem, lin_scale(bound, 1.0 / a))
-            return
-        if e.atom == "ratio":
-            num = self.upper(e.args[0], elem)
-            den = self.lower(e.args[1], elem)
-            self.emit("nonneg", (lin_sub(lin_sub(num, den), bound),))
-            return
-        if e.atom == "exp":
-            self.emit("expleq", (self.upper(e.args[0], elem),), bound)
-            return
-        raise AssertionError(f"{e.atom} cannot appear on the convex side")
+            return aff
+        t = lin_var(self.new_aux())
+        self.lower(e, elem, t, sense)
+        return t
 
-    def lower_geq(self, e: Expr, elem: int, bound: LinExpr):
-        """Emit constraints equivalent to log-space value(e) >= bound."""
-        if e.size == 1:
-            elem = 0
-        aff = self.affine(e, elem)
-        if aff is not None:
-            self.emit("nonneg", (lin_sub(bound, aff),))
-            return
-        assert isinstance(e, AtomApp), f"cannot lower {e!r}"
-        if e.atom == "minimum":
+    def lower(self, e: Expr, elem: int, bound: LinExpr, sense: int):
+        """Emit constraints equivalent to log-space value(e) <= bound for
+        sense 1 and value(e) >= bound for sense -1.
+
+        One rule serves both senses: an argument in a nondecreasing slot of
+        ``expr._slots`` is bounded in the same sense, one in a nonincreasing
+        slot (a power with a negative exponent) in the opposite sense.  Only
+        add and exp (sense 1) and diff_pos and log (sense -1) have recipes
+        of their own, each valid on the one side the grammar admits.
+        """
+        value = self.affine(e, elem)
+        if value is None:
+            assert isinstance(e, AtomApp), f"cannot lower {e!r}"
+            if e.atom in ("mul", "ratio"):
+                value = self.log_sum(
+                    e, lambda a, d: self.bound(a, elem, sense * d))
+        if value is not None:
+            lo, hi = (value, bound) if sense > 0 else (bound, value)
+            self.emit("nonneg", (lin_sub(lo, hi),))
+        elif e.atom == ("maximum" if sense > 0 else "minimum"):
             for a in e.args:
-                self.lower_geq(a, elem, bound)
-            return
-        if e.atom == "mul":
-            total = lin_add(*[self.lower(a, elem) for a in e.args])
-            self.emit("nonneg", (lin_sub(bound, total),))
-            return
-        if e.atom == "power":
+                self.lower(a, elem, bound, sense)
+        elif e.atom == "power":
             a = e.exponent
             assert isinstance(a, float) and a != 0.0
-            if a > 0:
-                self.lower_geq(e.args[0], elem, lin_scale(bound, 1.0 / a))
-            else:
-                self.lower_leq(e.args[0], elem, lin_scale(bound, 1.0 / a))
-            return
-        if e.atom == "ratio":
-            num = self.lower(e.args[0], elem)
-            den = self.upper(e.args[1], elem)
-            self.emit("nonneg", (lin_sub(bound, lin_sub(num, den)),))
-            return
-        if e.atom == "diff_pos":
+            d = _DIRECTION[_slots(e)[1][0]]
+            self.lower(e.args[0], elem, lin_scale(bound, 1.0 / a), sense * d)
+        elif e.atom == "add" and sense > 0:
+            self.emit("lse", [self.bound(a, elem, 1) for a in e.args], bound)
+        elif e.atom == "exp" and sense > 0:
+            self.emit("expleq", (self.bound(e.args[0], elem, 1),), bound)
+        elif e.atom == "diff_pos" and sense < 0:
             y, x = e.args
-            ex = self.upper(x, elem)
-            ey = self.lower(y, elem)
+            ex = self.bound(x, elem, 1)
+            ey = self.bound(y, elem, -1)
             self.emit("lse", (bound, ex), ey)
-            return
-        if e.atom == "log":
-            arg = self.lower(e.args[0], elem)
-            self.emit("expleq", (bound,), arg)
-            return
-        raise AssertionError(f"{e.atom} cannot appear on the concave side")
+        elif e.atom == "log" and sense < 0:
+            self.emit("expleq", (bound,), self.bound(e.args[0], elem, -1))
+        else:
+            raise AssertionError(f"{e.atom} has no recipe for sense {sense}")
 
 
 def canonicalize(sense: str, objective: Expr, constraints,
@@ -402,20 +371,10 @@ def canonicalize(sense: str, objective: Expr, constraints,
 
     canon = _Canonicalizer(variables, parameters)
 
-    if sense not in ("minimize", "maximize"):
+    sign = {"minimize": 1, "maximize": -1}.get(sense)
+    if sign is None:
         raise ValueError(f"unknown sense {sense!r}")
-    aff = canon.affine(objective, 0)
-    if aff is not None:
-        obj = aff
-    else:
-        t0 = canon.new_aux()
-        if sense == "minimize":
-            canon.lower_leq(objective, 0, lin_var(t0))
-        else:
-            canon.lower_geq(objective, 0, lin_var(t0))
-        obj = lin_var(t0)
-    if sense == "maximize":
-        obj = lin_scale(obj, -1.0)
+    obj = lin_scale(canon.bound(objective, 0, sign), sign)
 
     for con in constraints:
         for elem in range(con.size):
@@ -427,13 +386,13 @@ def canonicalize(sense: str, objective: Expr, constraints,
                 continue
             rhs = canon.affine(con.rhs, elem)
             if rhs is not None:
-                canon.lower_leq(con.lhs, elem, rhs)
+                canon.lower(con.lhs, elem, rhs, 1)
                 continue
             lhs = canon.affine(con.lhs, elem)
             if lhs is not None:
-                canon.lower_geq(con.rhs, elem, lhs)
+                canon.lower(con.rhs, elem, lhs, -1)
                 continue
-            canon.lower_leq(con.lhs, elem, canon.lower(con.rhs, elem))
+            canon.lower(con.lhs, elem, canon.bound(con.rhs, elem, -1), 1)
 
     prob = ConvexProblem(
         n_vars=canon.n_vars,

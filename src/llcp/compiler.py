@@ -58,21 +58,14 @@ class _Assembler:
     def add_b(self, row, beta, coef):
         self.b_entries.setdefault(row, []).append((beta, coef))
 
-    def put_leq0(self, row, linexpr):
-        """Install row for expr <= 0, as slack = b - A v = -expr."""
+    def put(self, row, linexpr, sign):
+        """Install row whose slack b - A v is sign * expr: sign -1 for
+        expr <= 0 (or == 0), sign 1 for a cone entry equal to expr."""
         for b, v, c in linexpr:
             if v is not None:
-                self.add_A(row, v, b, c)
+                self.add_A(row, v, b, -sign * c)
             else:
-                self.add_b(row, b, -c)
-
-    def put_value(self, row, linexpr):
-        """Install row whose slack equals the expression value."""
-        for b, v, c in linexpr:
-            if v is not None:
-                self.add_A(row, v, b, -c)
-            else:
-                self.add_b(row, b, c)
+                self.add_b(row, b, sign * c)
 
 
 def compile_problem(prob: ConvexProblem) -> "ParamToDataMap":
@@ -108,11 +101,11 @@ def compile_problem(prob: ConvexProblem) -> "ParamToDataMap":
 
     asm = _Assembler(prob.n_beta)
     for le in zero_rows:
-        asm.put_leq0(asm.new_row(), le)
+        asm.put(asm.new_row(), le, -1)
     for kind, payload in nonneg_rows:
         r = asm.new_row()
         if kind == "row":
-            asm.put_leq0(r, payload)
+            asm.put(r, payload, -1)
         else:
             for qi in payload:
                 asm.add_A(r, qi, None, 1.0)
@@ -120,12 +113,12 @@ def compile_problem(prob: ConvexProblem) -> "ParamToDataMap":
 
     def emit_triple(arg_le, rhs_le, q_col=None):
         r1 = asm.new_row()
-        asm.put_value(r1, arg_le)
+        asm.put(r1, arg_le, 1)
         r2 = asm.new_row()
         asm.add_b(r2, None, 1.0)
         r3 = asm.new_row()
         if q_col is None:
-            asm.put_value(r3, rhs_le)
+            asm.put(r3, rhs_le, 1)
         else:
             asm.add_A(r3, q_col, None, -1.0)
 
@@ -163,18 +156,18 @@ def compile_problem(prob: ConvexProblem) -> "ParamToDataMap":
     p = prob.n_beta
     T_rows, T_cols, T_vals = [], [], []
 
-    def put(slot, contribs):
+    def put_T(slot, contribs):
         for b, coef in contribs:
             T_rows.append(slot)
             T_cols.append(p if b is None else b)
             T_vals.append(coef)
 
     for slot, rc in enumerate(keys):
-        put(slot, asm.A_entries[rc])
+        put_T(slot, asm.A_entries[rc])
     for r, contribs in asm.b_entries.items():
-        put(nnz + r, contribs)
+        put_T(nnz + r, contribs)
     for v, contribs in c_entries.items():
-        put(nnz + m + v, contribs)
+        put_T(nnz + m + v, contribs)
 
     T = sp.csr_matrix(
         (T_vals, (T_rows, T_cols)),

@@ -91,7 +91,10 @@ def dphi(point, dtheta):
 
 def dphi_adjoint(point, dx):
     """Adjoint of dphi: map dx to the gradient over theta = (A.data, b, c)."""
-    dx = np.asarray(dx, dtype=float)
+    dx = np.asarray(dx, dtype=float).ravel()
+    if dx.size != point.n:
+        raise DimensionError(
+            f"solution direction has size {dx.size}, expected {point.n}")
     rhs = point.DPi.T @ np.concatenate([dx, np.zeros(point.m),
                                         [-float(point.x @ dx)]])
     # a CSC copy, not the CSR view M.T: the two sum LSQR's products in a

@@ -190,14 +190,18 @@ def parse_problem(doc: dict) -> Problem:
 
 
 def load_problem(path) -> Problem:
-    """Parse a problem from a JSON file on disk."""
+    """Parse a problem from a JSON (UTF-8) file on disk."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as e:
         raise ProblemFileError(
             "", f"{path}: invalid JSON at line {e.lineno} column {e.colno}: "
             f"{e.msg}") from e
+    except OSError as e:
+        raise ProblemFileError("", f"{path}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise ProblemFileError("", f"{path}: not UTF-8: {e.reason}") from e
     return parse_problem(doc)
 
 

@@ -363,6 +363,61 @@ def test_random_programs_preserved_by_lowering(seed):
     assert got == pytest.approx(ref, rel=1e-4, abs=1e-7)
 
 
+# Each program sends mul or ratio to the >= side, or a power of a non-affine
+# base to either side, in the objective or in a constraint, over the box
+# x, y in [0.5, 2].  Optima in closed form.
+BRANCH_PROGRAMS = {
+    "mul>=/objective": (
+        "maximize", lambda x, y: x * minimum(x, y),
+        lambda x, y: [x + y <= 3.0], 2.25),
+    "ratio>=/objective": (
+        "maximize", lambda x, y: minimum(x, y) / (x + y), lambda x, y: [],
+        0.5),
+    "power+<=/objective": (
+        "minimize", lambda x, y: (x + y) ** 2.0 / (x * y), lambda x, y: [],
+        4.0),
+    "power->=/objective": (
+        "maximize", lambda x, y: x * (x + y) ** -1.0,
+        lambda x, y: [x * y >= 1.0], 0.8),
+    "power-<=/objective": (
+        "minimize", lambda x, y: minimum(x, y) ** -1.0,
+        lambda x, y: [x * y <= 1.0], 1.0),
+    "power+>=/objective": (
+        "maximize", lambda x, y: minimum(x, y) ** 2.0,
+        lambda x, y: [x + y <= 3.0], 2.25),
+    "mul>=/constraint": (
+        "minimize", lambda x, y: x + y,
+        lambda x, y: [x * minimum(x, y) >= 1.0], 2.0),
+    "ratio>=/constraint": (
+        "maximize", lambda x, y: x,
+        lambda x, y: [minimum(x, y) / (x + y) >= 0.4, y <= 1.0], 1.5),
+    "power+<=/constraint": (
+        "maximize", lambda x, y: y,
+        lambda x, y: [(x + y) ** 2.0 <= 4.0 * x], 1.0),
+    "power+>=/constraint": (
+        "minimize", lambda x, y: x * y,
+        lambda x, y: [minimum(x, y) ** 2.0 >= 1.0], 1.0),
+    "power-<=/constraint": (
+        "minimize", lambda x, y: x * y,
+        lambda x, y: [minimum(x, y) ** -1.0 <= 2.0 / 3.0], 2.25),
+    "power->=/constraint": (
+        "maximize", lambda x, y: x * y,
+        lambda x, y: [(x + y) ** -1.0 >= 0.4], 1.5625),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BRANCH_PROGRAMS))
+def test_slot_directed_branches_keep_the_optimum(case):
+    sense, objective, extra, expected = BRANCH_PROGRAMS[case]
+    x, y = llcp.Variable("x"), llcp.Variable("y")
+    constraints = [x >= 0.5, x <= 2.0, y >= 0.5, y <= 2.0] + extra(x, y)
+    got, _ = lowered_value(sense, objective(x, y), constraints)
+    assert got == pytest.approx(expected, rel=1e-5)
+    wrap = llcp.Minimize if sense == "minimize" else llcp.Maximize
+    value = llcp.Problem(wrap(objective(x, y)), constraints).solve()
+    assert value == pytest.approx(expected, rel=1e-5)
+
+
 def test_lin_eval():
     le = [(None, None, 2.0), (0, None, 3.0), (None, 1, -1.0), (0, 0, 0.5)]
     beta = np.array([2.0])

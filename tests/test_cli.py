@@ -9,6 +9,8 @@ from llcp.cli import main
 from llcp.probfile import save_problem, validate_result
 from llcp.examples import hello_world
 
+from test_probfile import unreadable_path
+
 HELLO_OPT = np.array([0.5612147, 0.3149620, 0.3689206])
 
 
@@ -81,6 +83,20 @@ def test_check_reports_parse_errors(capsys, tmp_path):
     path.write_text("{")
     code, out, _ = run(capsys, "check", str(path))
     assert code == 1 and "line 1" in out
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
+@pytest.mark.parametrize("command",
+                         ["check", "solve", "sensitivity", "backward"])
+def test_unreadable_file_exits_1(capsys, tmp_path, command, case):
+    path = str(unreadable_path(tmp_path, case))
+    code, out, err = run(capsys, command, path)
+    assert code == 1
+    if command == "check":
+        assert out.startswith("not solvable as given: ") and path in out
+    else:
+        assert err.startswith("error: ") and path in err
+        assert "Traceback" not in err
 
 
 # -- solve ---------------------------------------------------------------

@@ -67,6 +67,17 @@ def test_direction_size_is_checked():
     assert np.array_equal(dphi(pt, list(dtheta)), dphi(pt, dtheta))
 
 
+def test_adjoint_direction_size_is_checked():
+    rng = np.random.default_rng(2)
+    A, b, c, dims, sol = solved_point(rng)
+    pt = point(sol)
+    dx = rng.normal(size=pt.n)
+    for bad in (dx[:-1], np.append(dx, 0.0), np.stack([dx, dx], axis=1)):
+        with pytest.raises(DimensionError):
+            dphi_adjoint(pt, bad)
+    assert np.array_equal(dphi_adjoint(pt, list(dx)), dphi_adjoint(pt, dx))
+
+
 def test_zero_adjoint_direction():
     rng = np.random.default_rng(3)
     A, b, c, dims, sol = solved_point(rng)

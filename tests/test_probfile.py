@@ -104,6 +104,29 @@ def test_invalid_json_reports_position(tmp_path):
         load_problem(path)
 
 
+def unreadable_path(tmp_path, case):
+    """A path load_problem cannot read: missing, a directory, not UTF-8."""
+    if case == "missing":
+        return tmp_path / "missing.json"
+    if case == "directory":
+        return tmp_path
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"variables": ["\u00e9"]}'.encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize("case, message", [
+    ("missing", "No such file"),
+    ("directory", "Is a directory"),
+    ("not_utf8", "not UTF-8"),
+])
+def test_unreadable_file_raises_problem_file_error(tmp_path, case, message):
+    path = unreadable_path(tmp_path, case)
+    with pytest.raises(ProblemFileError, match=message) as info:
+        load_problem(path)
+    assert info.value.path == "" and str(path) in str(info.value)
+
+
 def test_schema_violations_carry_paths():
     doc = hello_doc()
     del doc["objective"]
