@@ -178,13 +178,17 @@ class CanonMap:
             out[self.offsets[id(p)]:self.offsets[id(p)] + p.size] = p.value
         return out
 
-    def eval_C(self, alpha: np.ndarray) -> np.ndarray:
-        alpha = np.asarray(alpha, dtype=float)
-        if alpha.shape != (self.n_alpha,):
+    @staticmethod
+    def _sized(vec, size: int, name: str) -> np.ndarray:
+        vec = np.asarray(vec, dtype=float)
+        if vec.shape != (size,):
             raise DomainError(
-                f"alpha has shape {alpha.shape}, expected ({self.n_alpha},)"
+                f"{name} has shape {vec.shape}, expected ({size},)"
             )
-        beta = alpha[self.index]
+        return vec
+
+    def eval_C(self, alpha: np.ndarray) -> np.ndarray:
+        beta = self._sized(alpha, self.n_alpha, "alpha")[self.index]
         sources = beta[self.logged]
         bad = np.flatnonzero(sources <= 0)
         if bad.size:
@@ -198,14 +202,16 @@ class CanonMap:
         return beta
 
     def apply_DC(self, alpha: np.ndarray, dalpha: np.ndarray) -> np.ndarray:
-        dbeta = np.asarray(dalpha, dtype=float)[self.index]
-        dbeta[self.logged] /= np.asarray(alpha)[self.index[self.logged]]
+        alpha = self._sized(alpha, self.n_alpha, "alpha")
+        dbeta = self._sized(dalpha, self.n_alpha, "dalpha")[self.index]
+        dbeta[self.logged] /= alpha[self.index[self.logged]]
         return dbeta
 
     def apply_DC_adjoint(self, alpha: np.ndarray,
                          dbeta: np.ndarray) -> np.ndarray:
-        w = np.array(dbeta, dtype=float)
-        w[self.logged] /= np.asarray(alpha)[self.index[self.logged]]
+        alpha = self._sized(alpha, self.n_alpha, "alpha")
+        w = self._sized(dbeta, self.n_beta, "dbeta").copy()
+        w[self.logged] /= alpha[self.index[self.logged]]
         # bincount sums each bin in entry order, starting from zero; with no
         # entries it returns integers, hence the cast
         dalpha = np.bincount(self.index, weights=w, minlength=self.n_alpha)

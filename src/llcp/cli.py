@@ -76,7 +76,10 @@ def _get_problem(args):
         elif args.example == "queuing":
             problem = queuing()
         else:
-            problem = benchmark(n=args.n, m=args.m, seed=args.seed)
+            try:
+                problem = benchmark(n=args.n, m=args.m, seed=args.seed)
+            except ValueError as e:
+                raise CliError(str(e))
     elif args.file:
         problem = load_problem(args.file)
     else:
@@ -281,6 +284,18 @@ def cmd_backward(args) -> int:
 
 
 def cmd_fit_regression(args) -> int:
+    if not args.csv:
+        return _fit_regression(args, None)
+    # open the output before training, so a bad path costs no solves
+    try:
+        csv = open(args.csv, "w")
+    except OSError as e:
+        raise CliError(f"--csv: {e}")
+    with csv:
+        return _fit_regression(args, csv)
+
+
+def _fit_regression(args, csv) -> int:
     import warnings
 
     from .diff import NonsmoothWarning
@@ -316,15 +331,14 @@ def cmd_fit_regression(args) -> int:
                  f"{result.final_train_mse:.6g} after {args.iters} steps")
     if result.skipped_solves:
         lines.append(f"skipped {result.skipped_solves} non-optimal solves")
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            m = Y_val.shape[1]
-            head = [f"y_true_{i}" for i in range(m)]
-            head += [f"y_pred_{i}" for i in range(m)]
-            fh.write(",".join(head) + "\n")
-            for rec in predictions:
-                fh.write(",".join(f"{v:.10g}" for v in
-                                  rec["y_true"] + rec["y_pred"]) + "\n")
+    if csv is not None:
+        m = Y_val.shape[1]
+        head = [f"y_true_{i}" for i in range(m)]
+        head += [f"y_pred_{i}" for i in range(m)]
+        csv.write(",".join(head) + "\n")
+        for rec in predictions:
+            csv.write(",".join(f"{v:.10g}" for v in
+                               rec["y_true"] + rec["y_pred"]) + "\n")
         lines.append(f"validation predictions written to {args.csv}")
     _emit(args, doc, lines)
     return 0

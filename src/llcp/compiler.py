@@ -10,6 +10,11 @@ variable per log-sum-exp term.  A log-sum-exp constraint lse(w_1..w_r) <= t
 becomes sum_i q_i <= 1 plus r exponential-cone triples exp(w_i - t) <= q_i;
 a plain exponential bound uses one triple with middle entry fixed to one.
 
+Rows come in cone order: the zero rows, then the nonnegative rows in
+constraint order (a log-sum-exp's sum_i q_i <= 1 in its constraint's
+place), then the exponential-cone triples in constraint order.  The q
+variables are numbered in constraint order after the u variables.
+
 Every entry of (A, b, c) is an affine function of the transformed parameter
 vector beta, so the whole data vector is T [beta; 1] for a sparse matrix T
 built once per problem structure.  The sparsity pattern of A is fixed at
@@ -21,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from llcp.canon import ConvexProblem
+from llcp.canon import ConvexProblem, lin_const, lin_scale, lin_var
 
 __all__ = [
     "ParamToDataMap",
@@ -39,144 +44,72 @@ class DimensionError(ValueError):
     """Vector length does not match the compiled layout."""
 
 
-class _Assembler:
-    def __init__(self, n_beta):
-        self.n_beta = n_beta
-        # (row, col) -> list of (beta index | None, coefficient)
-        self.A_entries: dict = {}
-        self.b_entries: dict = {}
-        self.row = 0
-
-    def new_row(self):
-        r = self.row
-        self.row += 1
-        return r
-
-    def add_A(self, row, col, beta, coef):
-        self.A_entries.setdefault((row, col), []).append((beta, coef))
-
-    def add_b(self, row, beta, coef):
-        self.b_entries.setdefault(row, []).append((beta, coef))
-
-    def put(self, row, linexpr, sign):
-        """Install row whose slack b - A v is sign * expr: sign -1 for
-        expr <= 0 (or == 0), sign 1 for a cone entry equal to expr."""
-        for b, v, c in linexpr:
-            if v is not None:
-                self.add_A(row, v, b, -sign * c)
-            else:
-                self.add_b(row, b, sign * c)
-
-
 def compile_problem(prob: ConvexProblem) -> "ParamToDataMap":
-    """Compile the lowered problem into the sparse parameter-to-data map."""
-    zero_rows, nonneg_rows, exp_cons = [], [], []
-    n_q = 0
+    """Compile the lowered problem into the sparse parameter-to-data map.
+
+    Every cone row is one pair (expr, sign) of a LinExpr and a sign, with
+    the row's slack b - A v equal to sign * expr: sign -1 states
+    expr <= 0 (or == 0), sign 1 makes the cone entry expr itself.  A
+    term's variable part goes to A with coefficient -sign * c, its
+    constant or parameter part to b with sign * c.
+    """
+    zero, nonneg, exp = [], [], []
+    n_cone = prob.n_vars
     for con in prob.constraints:
         if con.kind == "zero":
-            zero_rows.append(con.args[0])
+            zero.append((con.args[0], -1))
         elif con.kind == "nonneg":
-            nonneg_rows.append(("row", con.args[0]))
+            nonneg.append((con.args[0], -1))
         elif con.kind == "expleq":
-            exp_cons.append(("expleq", con.args[0], con.rhs))
+            exp += [(con.args[0], 1), (lin_const(1.0), 1), (con.rhs, 1)]
         elif con.kind == "lse":
+            # the argument and the negated rhs stay concatenated: merging
+            # them would drop terms that cancel and change A's pattern
+            neg_rhs = lin_scale(con.rhs, -1.0)
             if len(con.args) == 1:
                 # a one-term log-sum-exp is just an affine bound
-                nonneg_rows.append(
-                    ("row", con.args[0] + [(b, v, -c) for b, v, c in con.rhs])
-                )
-            else:
-                qs = list(range(prob.n_vars + n_q,
-                                prob.n_vars + n_q + len(con.args)))
-                n_q += len(con.args)
-                nonneg_rows.append(("sum_q", qs))
-                exp_cons.append(("lse", con.args, con.rhs, qs))
+                nonneg.append((con.args[0] + neg_rhs, -1))
+                continue
+            qs = range(n_cone, n_cone + len(con.args))
+            n_cone += len(con.args)
+            nonneg.append(([(None, q, 1.0) for q in qs] + lin_const(-1.0),
+                           -1))
+            for arg, q in zip(con.args, qs):
+                exp += [(arg + neg_rhs, 1), (lin_const(1.0), 1),
+                        (lin_var(q), 1)]
         else:
             raise UnsupportedPrimitiveError(
                 f"no cone recipe for constraint kind {con.kind!r}"
             )
+    rows = zero + nonneg + exp
+    m, p = len(rows), prob.n_beta
 
-    n_cone = prob.n_vars + n_q
-    nz, nl, ne = len(zero_rows), len(nonneg_rows), 0
+    # one (row, var, beta column, coefficient) entry per term, var -1 for a
+    # term of b; the objective's variable terms follow as row m.  Its
+    # constant and parameter-only terms shift the value, not the minimizer.
+    table = [(r, -1 if v is None else v, p if b is None else b,
+              sign * c if v is None else -sign * c)
+             for r, (le, sign) in enumerate(rows) for b, v, c in le]
+    table += [(m, v, p if b is None else b, c)
+              for b, v, c in prob.objective if v is not None]
+    terms = np.array(table, dtype=float).reshape(-1, 4)
+    row, var, col = terms[:, :3].astype(np.int64).T
 
-    asm = _Assembler(prob.n_beta)
-    for le in zero_rows:
-        asm.put(asm.new_row(), le, -1)
-    for kind, payload in nonneg_rows:
-        r = asm.new_row()
-        if kind == "row":
-            asm.put(r, payload, -1)
-        else:
-            for qi in payload:
-                asm.add_A(r, qi, None, 1.0)
-            asm.add_b(r, None, 1.0)
-
-    def emit_triple(arg_le, rhs_le, q_col=None):
-        r1 = asm.new_row()
-        asm.put(r1, arg_le, 1)
-        r2 = asm.new_row()
-        asm.add_b(r2, None, 1.0)
-        r3 = asm.new_row()
-        if q_col is None:
-            asm.put(r3, rhs_le, 1)
-        else:
-            asm.add_A(r3, q_col, None, -1.0)
-
-    for item in exp_cons:
-        if item[0] == "expleq":
-            _, arg, rhs = item
-            emit_triple(arg, rhs)
-            ne += 1
-        else:
-            _, args, rhs, qs = item
-            neg_rhs = [(b, v, -c) for b, v, c in rhs]
-            for arg, qi in zip(args, qs):
-                emit_triple(arg + neg_rhs, None, q_col=qi)
-                ne += 1
-
-    m = asm.row
-    assert m == nz + nl + 3 * ne
-
-    # objective: variable terms only; constant and parameter-only terms
-    # shift the value but not the minimizer
-    c_entries: dict = {}
-    for b, v, coef in prob.objective:
-        if v is not None:
-            c_entries.setdefault(v, []).append((b, coef))
-
-    # CSC pattern of A, slots ordered by (column, row)
-    keys = sorted(asm.A_entries.keys(), key=lambda rc: (rc[1], rc[0]))
-    nnz = len(keys)
-    indptr = np.zeros(n_cone + 1, dtype=np.int64)
-    for _, col in keys:
-        indptr[col + 1] += 1
-    indptr = np.cumsum(indptr)
-    row_idx = np.array([r for r, _ in keys], dtype=np.int64)
-
-    p = prob.n_beta
-    T_rows, T_cols, T_vals = [], [], []
-
-    def put_T(slot, contribs):
-        for b, coef in contribs:
-            T_rows.append(slot)
-            T_cols.append(p if b is None else b)
-            T_vals.append(coef)
-
-    for slot, rc in enumerate(keys):
-        put_T(slot, asm.A_entries[rc])
-    for r, contribs in asm.b_entries.items():
-        put_T(nnz + r, contribs)
-    for v, contribs in c_entries.items():
-        put_T(nnz + m + v, contribs)
-
-    T = sp.csr_matrix(
-        (T_vals, (T_rows, T_cols)),
-        shape=(nnz + m + n_cone, p + 1),
-    )
-    dims = {"zero": nz, "nonneg": nl, "exp": ne}
+    # A's CSC pattern: slots ordered by (column, row)
+    in_A = (var >= 0) & (row < m)
+    keys, slot = np.unique(var[in_A] * m + row[in_A], return_inverse=True)
+    nnz = keys.size
+    indptr = np.cumsum(np.bincount(keys // m + 1, minlength=n_cone + 1))
+    # T's rows: A's slots, then b's rows, then c's entries; the CSR
+    # constructor sums each row's duplicate terms
+    t_row = np.where(var < 0, nnz + row, nnz + m + var)
+    t_row[in_A] = slot
+    T = sp.csr_matrix((terms[:, 3], (t_row, col)),
+                      shape=(nnz + m + n_cone, p + 1))
+    dims = {"zero": len(zero), "nonneg": len(nonneg), "exp": len(exp) // 3}
     return ParamToDataMap(
         T=T, nnz=nnz, m=m, n=n_cone, n_beta=p, dims=dims,
-        csc_indptr=indptr, csc_rows=row_idx, n_x=prob.n_x,
+        csc_indptr=indptr, csc_rows=keys % m, n_x=prob.n_x,
     )
 
 

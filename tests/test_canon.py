@@ -220,6 +220,24 @@ def test_parameter_map_on_benchmark_matches_per_entry_loop():
             == _loop_DC_adjoint(cmap, alpha, db).tobytes())
 
 
+_MAP_ARGS = {"eval_C": ("alpha",), "apply_DC": ("alpha", "dalpha"),
+             "apply_DC_adjoint": ("alpha", "dbeta")}
+
+
+@pytest.mark.parametrize("size", [2, 5])
+@pytest.mark.parametrize("method, bad", [
+    (method, name) for method, names in _MAP_ARGS.items() for name in names
+])
+def test_parameter_map_rejects_wrong_sizes(method, bad, size):
+    _, cmap = canon_hello()
+    assert cmap.n_alpha == cmap.n_beta == 3
+    args = {"alpha": cmap.pack_alpha(), "dalpha": np.ones(3),
+            "dbeta": np.ones(3), bad: np.full(size, 0.5)}
+    with pytest.raises(DomainError, match=rf"^{bad} has shape "
+                       rf"\({size},\), expected \(3,\)$"):
+        getattr(cmap, method)(*[args[n] for n in _MAP_ARGS[method]])
+
+
 def test_eval_C_names_the_first_nonpositive_log_source():
     _, cmap = canon_hello()
     assert [p.name for p, _, _ in cmap.entries[:2]] == ["b", "a"]

@@ -295,3 +295,33 @@ def test_rejects_file_and_example(capsys, tmp_path):
     path = write_problem(tmp_path, hello_world())
     code, _, err = run(capsys, "solve", path, "--example", "hello")
     assert code == 1 and "not both" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "sensitivity", "backward"])
+@pytest.mark.parametrize("flag", ["--n", "--m"])
+def test_bad_benchmark_size_is_an_error(capsys, command, flag):
+    code, out, err = run(capsys, command, "--example", "benchmark", flag, "0")
+    assert code == 1 and out == ""
+    assert err == "error: benchmark needs n >= 1 and m >= 1\n"
+
+
+@pytest.mark.parametrize("flag", ["--n", "--m"])
+def test_check_reports_bad_benchmark_size(capsys, flag):
+    code, doc, _ = run_json(capsys, "check", "--example", "benchmark",
+                            flag, "0")
+    assert code == 1 and not doc["ok"]
+    assert doc["diagnostic"] == "benchmark needs n >= 1 and m >= 1"
+
+
+def test_unwritable_csv_fails_before_training(capsys, tmp_path, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained despite an unwritable --csv")
+
+    monkeypatch.setattr("llcp.cli.fit", no_training)
+    path = tmp_path / "missing" / "preds.csv"
+    code, out, err = run(capsys, "--json", "fit-regression", "--N", "6",
+                         "--n", "3", "--m", "2", "--iters", "0",
+                         "--csv", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: --csv: ") and str(path) in err
+    assert not path.parent.exists()

@@ -1,19 +1,31 @@
 """Cone-data assembly: layout, the affine parameter map, and feasibility."""
 
+import functools
+
 import numpy as np
 import pytest
 
 import llcp
-from llcp.canon import ConeConstraint, ConvexProblem, canonicalize, lin_eval
+from llcp import examples
+from llcp.canon import (
+    ConeConstraint,
+    ConvexProblem,
+    canonicalize,
+    lin_add,
+    lin_const,
+    lin_eval,
+    lin_sub,
+    lin_var,
+)
 from llcp.compiler import (
     DimensionError,
     UnsupportedPrimitiveError,
     compile_problem,
 )
-from llcp.expr import add, parameters_of, variables_of
+from llcp.expr import add, exp, parameters_of, variables_of
 
 from oracles import solve_ir_scipy
-from test_canon import canon_hello, make_hello
+from test_canon import _random_program, canon_hello, make_hello
 
 
 def compile_hello():
@@ -177,7 +189,6 @@ def test_optimal_point_is_cone_feasible_with_matching_objective(which):
     if which == "hello":
         objective, constraints, variables, params = make_hello()
     else:
-        from test_canon import _random_program
         rng = np.random.default_rng(300 + int(which[-1]))
         objective, constraints, variables = _random_program(rng)
         params = parameters_of(objective, *[c.lhs for c in constraints],
@@ -193,3 +204,102 @@ def test_optimal_point_is_cone_feasible_with_matching_objective(which):
     _cone_feasible(pmap, v)
     dropped = lin_eval(prob.objective, beta, np.zeros(prob.n_vars))
     assert c @ v + dropped == pytest.approx(val, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# every lowered row reaches (A, b) with its sign
+
+
+def _shared_lse_program():
+    # each lse's argument and rhs share x, and the second's also share the
+    # parameter a, so their terms meet in one slot of A and one column of T
+    x, y, z = (llcp.Variable(n) for n in "xyz")
+    a = llcp.Parameter("a", positive=True, value=2.0)
+    constraints = [add(x, y) <= x * z, add(a * x, y) <= a * x * z,
+                   x * y == 1.5, exp(x) <= 12.0, x <= 3.0]
+    return canonicalize("minimize", a / (x * y * z), constraints,
+                        [x, y, z], [a])[0]
+
+
+def _lowered(problem):
+    return canonicalize(problem.objective.sense, problem.objective.expr,
+                        problem.constraints, problem.variables,
+                        problem.parameters)[0]
+
+
+def _random_lowered(seed):
+    objective, constraints, variables = _random_program(
+        np.random.default_rng(seed))
+    params = parameters_of(objective, *[c.lhs for c in constraints],
+                           *[c.rhs for c in constraints])
+    return canonicalize("minimize", objective, constraints, variables,
+                        params)[0]
+
+
+@functools.cache
+def assembly_programs():
+    """Lowered programs covering every constraint kind, by name."""
+    programs = {"hello": canon_hello()[0],
+                "queuing": _lowered(examples.queuing()),
+                "shared_lse": _shared_lse_program()}
+    for seed in range(100, 140):
+        programs[f"random{seed}"] = _random_lowered(seed)
+    return programs
+
+
+def _reference_rows(prob):
+    """(expr, sign) per cone row, with slack b - A v = sign * expr, in the
+    documented order: zero, nonneg, then exponential-cone triples."""
+    zero, nonneg, exp_rows = [], [], []
+    n_q = prob.n_vars
+    for con in prob.constraints:
+        if con.kind == "zero":
+            zero.append((con.args[0], -1))
+        elif con.kind == "nonneg":
+            nonneg.append((con.args[0], -1))
+        elif con.kind == "expleq":
+            exp_rows += [(con.args[0], 1), (lin_const(1.0), 1), (con.rhs, 1)]
+        elif len(con.args) == 1:
+            nonneg.append((lin_sub(con.args[0], con.rhs), -1))
+        else:
+            qs = range(n_q, n_q + len(con.args))
+            n_q += len(con.args)
+            nonneg.append((lin_add(*map(lin_var, qs), lin_const(-1.0)), -1))
+            for arg, q in zip(con.args, qs):
+                exp_rows += [(lin_sub(arg, con.rhs), 1),
+                             (lin_const(1.0), 1), (lin_var(q), 1)]
+    return zero, nonneg, exp_rows, n_q
+
+
+@pytest.mark.parametrize("name", list(assembly_programs()))
+def test_rows_reach_the_data_with_their_sign(name):
+    prob = assembly_programs()[name]
+    pmap = compile_problem(prob)
+    zero, nonneg, exp_rows, n = _reference_rows(prob)
+    rows = zero + nonneg + exp_rows
+    assert pmap.dims == {"zero": len(zero), "nonneg": len(nonneg),
+                         "exp": len(exp_rows) // 3}
+    assert (pmap.m, pmap.n) == (len(rows), n)
+    objective = [t for t in prob.objective if t[1] is not None]
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        beta = rng.normal(size=pmap.n_beta)
+        v = rng.normal(size=pmap.n)
+        A, b, c = pmap.instantiate(beta)
+        want = [sign * lin_eval(row, beta, v) for row, sign in rows]
+        assert np.allclose(b - A @ v, want, rtol=1e-12, atol=1e-12)
+        assert c @ v == pytest.approx(lin_eval(objective, beta, v),
+                                      rel=1e-12, abs=1e-12)
+
+
+def test_shared_lse_terms_sum_in_one_slot():
+    pmap = compile_problem(_shared_lse_program())
+    A, b, _ = pmap.instantiate([0.7])
+    # the first triple's top row is u_x - (u_x + u_z): x's slot stays in
+    # the pattern with value zero
+    r, x = pmap.dims["zero"] + pmap.dims["nonneg"], 0
+    start, stop = pmap.csc_indptr[x], pmap.csc_indptr[x + 1]
+    assert r in pmap.csc_rows[start:stop]
+    assert A[r, x] == 0.0
+    # the second lse's beta_a terms cancel in b
+    assert b[r + 3 * 2] == 0.0
