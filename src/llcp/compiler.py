@@ -70,6 +70,7 @@ def compile_problem(prob: ConvexProblem) -> "ParamToDataMap":
                 # a one-term log-sum-exp is just an affine bound
                 nonneg.append((con.args[0] + neg_rhs, -1))
                 continue
+            # sum_i q_i - 1 <= 0, and the triple (arg_i - rhs, 1, q_i)
             qs = range(n_cone, n_cone + len(con.args))
             n_cone += len(con.args)
             nonneg.append(([(None, q, 1.0) for q in qs] + lin_const(-1.0),
