@@ -123,20 +123,23 @@ def _solved(problem, args, derivatives: bool):
     return value is not None
 
 
-def _solution_doc(problem, command: str) -> dict:
-    return {
+def _solution_doc(problem, command: str, derivatives: bool = True) -> dict:
+    doc = {
         "command": command,
         "status": problem.status,
         "value": problem.value,
         "variables": {v.name: [float(t) for t in v.value]
                       for v in problem.variables},
-        "nonsmooth": bool(problem.nonsmooth),
         "stats": {
             "iterations": problem.stats["iterations"],
             "solver_time": problem.stats["solver_time"],
             "total_time": problem.stats["total_time"],
         },
     }
+    # only a derivative-enabled solve looks for a kink at the solution
+    if derivatives:
+        doc["nonsmooth"] = bool(problem.nonsmooth)
+    return doc
 
 
 def _failure(problem, args, command: str) -> int:
@@ -166,15 +169,12 @@ def cmd_solve(args) -> int:
     problem = _get_problem(args)
     if not _solved(problem, args, derivatives=False):
         return _failure(problem, args, "solve")
-    doc = _solution_doc(problem, "solve")
+    doc = _solution_doc(problem, "solve", derivatives=False)
     lines = [f"status: {problem.status}", f"value: {problem.value:.9g}"]
     lines += [f"{v.name} = [{_fmt(v.value)}]" for v in problem.variables]
     lines.append(f"iterations: {problem.stats['iterations']}, "
                  f"solver {problem.stats['solver_time']:.4g}s of "
                  f"{problem.stats['total_time']:.4g}s total")
-    if problem.nonsmooth:
-        lines.append("note: solution at a nonsmooth point; derivatives "
-                     "would be heuristic")
     _emit(args, doc, lines)
     return 0
 
@@ -284,6 +284,9 @@ def cmd_backward(args) -> int:
 
 
 def cmd_fit_regression(args) -> int:
+    if args.iters < 0:
+        # fit rejects it too, but only after the data's solves
+        raise CliError(f"--iters must be at least 0, got {args.iters}")
     if not args.csv:
         return _fit_regression(args, None)
     # open the output before training, so a bad path costs no solves
@@ -301,8 +304,11 @@ def _fit_regression(args, csv) -> int:
     from .diff import NonsmoothWarning
     from .fitting import predict
 
-    X, Y, X_val, Y_val, _, _ = synthetic_data(args.N, args.n, args.m,
-                                              seed=args.seed)
+    try:
+        X, Y, X_val, Y_val, _, _ = synthetic_data(args.N, args.n, args.m,
+                                                  seed=args.seed)
+    except ValueError as e:
+        raise CliError(str(e))
     # tied outputs put solutions at nonsmooth points as a matter of course;
     # summarize instead of echoing a warning per solve
     with warnings.catch_warnings(record=True) as caught:

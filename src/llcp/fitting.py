@@ -87,10 +87,14 @@ def synthetic_data(N: int, n: int, m: int, seed: int = 0,
     Inputs are log-normal.  Each output is the hidden model's prediction
     on a noisy copy of the input (the noise makes the dataset merely
     close to the model family, not exactly realizable).  Returns
-    (X_train, Y_train, X_val, Y_val, A_star, c_star).
+    (X_train, Y_train, X_val, Y_val, A_star, c_star).  Raises ValueError,
+    before any solve, if either split would be empty.
     """
     if n_val is None:
         n_val = N // 2
+    if N < 1 or n_val < 1:
+        raise ValueError(f"need at least one training and one validation "
+                         f"sample, got N={N} and n_val={n_val}")
     rng = np.random.default_rng(seed)
     A_star = rng.normal(0.0, 0.1, size=(m, n))
     c_star = np.abs(rng.standard_normal(m))
@@ -186,8 +190,14 @@ def fit(X_train, Y_train, X_val, Y_val, *, iters: int = 10,
     Each iteration records the train and validation mean squared error
     at the current weights, then takes one descent step; the final row
     of ``history`` reflects the returned weights.  ``iters=0`` returns
-    the least-squares initialization itself.
+    the least-squares initialization itself.  Raises ValueError, before
+    any solve, for iters < 0 or an empty training or validation set.
     """
+    if iters < 0:
+        raise ValueError(f"iters must be at least 0, got {iters}")
+    if len(X_train) == 0 or len(X_val) == 0:
+        raise ValueError(f"need at least one training and one validation "
+                         f"sample, got {len(X_train)} and {len(X_val)}")
     Y_train = np.asarray(Y_train, dtype=float)
     Y_val = np.asarray(Y_val, dtype=float)
     A_mat, c_vec = least_squares_monomials(X_train, Y_train)

@@ -46,10 +46,14 @@ class ConeSolution:
     On status "optimal" the triple (x, y, s) satisfies the primal and
     dual residual bounds and the duality gap at the reported values, s
     lies in the cone and y in its dual, and complementarity holds by
-    construction.  On "infeasible" y is a Farkas certificate scaled to
-    b'y = -1; on "unbounded" x is a ray scaled to c'x = -1; residual
-    fields are NaN for certificates.  Pass (x, y, s) of a previous
-    solution as warm_start when re-solving with nearby data.
+    construction.  On "max_iters" (x, y, s) is the best point the checks
+    saw, with its residuals, or NaN if tau collapsed.  On "infeasible" y
+    is a Farkas certificate scaled to b'y = -1; on "unbounded" x is a ray
+    scaled to c'x = -1; residual fields are NaN for certificates.  This
+    holds for every shape, including programs without variables or
+    constraints.  iterations counts the ADMM steps taken before the check
+    that ended the solve.  Pass (x, y, s) of a previous solution as
+    warm_start when re-solving with nearby data.
 
     embedding is the Embedding of the unscaled (A, b, c) that the solve
     polished with; diff.ResidualPoint reuses it.
@@ -219,51 +223,13 @@ def _refine(emb, z, eps, iters=10):
     return z
 
 
-def _solve_unconstrained(c, emb):
-    n = c.size
-    if np.linalg.norm(c) == 0.0:
-        return ConeSolution(np.zeros(n), np.zeros(0), np.zeros(0),
-                            "optimal", 0, 0.0, 0.0, 0.0, emb)
-    return ConeSolution(-c / np.linalg.norm(c), np.zeros(0), np.zeros(0),
-                        "unbounded", 0, np.nan, np.nan, np.nan, emb)
-
-
-def _solve_fixed_slack(b, dims, eps, emb):
-    """No variables: feasible iff b itself lies in the cone."""
-    s = project_cone(b, dims, dual=False)
-    m = b.size
-    gap2 = float((s - b) @ (s - b))
-    if np.sqrt(gap2) <= eps * (1.0 + np.linalg.norm(b)):
-        return ConeSolution(np.zeros(0), np.zeros(m), s,
-                            "optimal", 0, 0.0, 0.0, 0.0, emb)
-    # s - b is in K* and b'(s - b) = -|s - b|^2 < 0: a Farkas certificate
-    return ConeSolution(np.zeros(0), (s - b) / gap2, np.full(m, np.nan),
-                        "infeasible", 0, np.nan, np.nan, np.nan, emb)
-
-
-def _finish(emb, A, b, c, u, v, eps, polish_tol=np.inf):
-    """Polish the unscaled iterate (u, v) and measure true residuals.
-
-    The polish runs only when the raw candidate's residuals are finite
-    and at most polish_tol: Gauss-Newton from an iterate far from
-    convergence overflows.  Returns the better of the raw and polished
-    candidates as a tuple (x, y, s, pres, dres, gap), or None if tau has
-    collapsed.
-    """
-    cands = []
+def _candidate(emb, A, b, c, u, v):
+    """(x, y, s, pres, dres, gap) of an unscaled pair (u, v), or None if
+    tau is not positive."""
     pair = emb.split(u, v)
-    if pair is not None:
-        cands.append(pair + _residuals(A, b, c, *pair))
-    near = bool(cands) and np.all(np.asarray(cands[0][3:]) <= polish_tol)
-    if near and u[-1] > 1e-12 * (1.0 + np.linalg.norm(u)):
-        z = _refine(emb, u - v, eps)
-        u_ref = emb.project(z)
-        pair = emb.split(u_ref, u_ref - z)
-        if pair is not None:
-            cands.append(pair + _residuals(A, b, c, *pair))
-    if not cands:
+    if pair is None:
         return None
-    return min(cands, key=lambda t: max(t[3], t[4], t[5]))
+    return pair + _residuals(A, b, c, *pair)
 
 
 def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
@@ -274,6 +240,17 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
     Returns a ConeSolution; infeasibility and iteration exhaustion are
     reported through its status, while non-finite numeric data raises
     DataError.  warm_start takes (x, y, s) from a previous solution.
+
+    One stop rule serves every check: every _CHECK_EVERY iterations, and
+    once more at max_iters (also max_iters = 0), the unscaled iterate is
+    a candidate, and so is its polish when the iterate is within the
+    ADMM tolerance (at first max(eps, 1e-6)).  The solve ends "optimal"
+    at the first check whose best candidate so far has max(pres, dres,
+    gap) <= eps.  A polish that falls short tightens the ADMM tolerance
+    100-fold, not below eps.  Every _CERT_EVERY iterations, after the
+    check, a certificate confirmed on the unscaled data ends the solve.
+    At the cap the last iterate counts however far off it is, and the
+    best candidate is returned as "max_iters".
     """
     A = sp.csc_matrix(A)
     b = np.asarray(b, dtype=float)
@@ -284,11 +261,6 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
         raise ValueError(f"cone dims {dims} do not sum to {m} rows")
     # the iterates are scaled, but Pi does not depend on the data
     emb = Embedding(A, b, c, dims)
-    if m == 0:
-        return _solve_unconstrained(c, emb)
-    if n == 0:
-        return _solve_fixed_slack(b, dims, eps, emb)
-
     As, bs, cs, d, e = _equilibrate(A, b, c, dims)
     step = _HsdStep(_factor_kkt(As), bs, cs)
     N = n + m + 1
@@ -313,30 +285,28 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
     admm_tol = max(eps, 1e-6)
     best = None
     it = 0
-    while it < max_iters:
-        it += 1
-        ut = step.solve(u + v)
-        rel = _ALPHA * ut + (1.0 - _ALPHA) * u
-        u_next = emb.project(rel - v, rho)
-        v = v - rel + u_next
-        u = u_next
-
-        if it % _CHECK_EVERY == 0:
-            pair = emb.split(u, v)
-            if pair is not None:
-                xs, ys, ss = pair
-                pres, dres, gap = _residuals(A, b, c, xs * e, ys * d, ss / d)
-                if max(pres, dres, gap) <= admm_tol:
-                    cand = _finish(emb, A, b, c, *unscaled(u, v), eps)
-                    if cand is not None and (best is None
-                                             or max(cand[3:]) < max(best[3:])):
-                        best = cand
-                    if best is not None and max(best[3:]) <= eps:
-                        return ConeSolution(best[0], best[1], best[2],
-                                            "optimal", it, *best[3:], emb)
-                    # polish fell short: drive the splitting further
-                    admm_tol = max(eps, admm_tol / 100.0)
-        if it % _CERT_EVERY == 0:
+    while True:
+        capped = it >= max_iters
+        if capped or (it > 0 and it % _CHECK_EVERY == 0):
+            uu, vv = unscaled(u, v)
+            raw = _candidate(emb, A, b, c, uu, vv)
+            near = raw is not None and max(raw[3:]) <= admm_tol
+            # the cap keeps its raw point however far off; the polish runs
+            # only near convergence, where Gauss-Newton does not overflow
+            cands = [best, raw] if near or capped else [best]
+            if near and uu[-1] > 1e-12 * (1.0 + np.linalg.norm(uu)):
+                z = _refine(emb, uu - vv, eps)
+                ur = emb.project(z)
+                cands.append(_candidate(emb, A, b, c, ur, ur - z))
+            # the smallest worst residual wins; a tie keeps the earlier one
+            best = min((t for t in cands if t is not None),
+                       key=lambda t: max(t[3:]), default=None)
+            if best is not None and max(best[3:]) <= eps:
+                break
+            if near:
+                # polish fell short: drive the splitting further
+                admm_tol = max(eps, admm_tol / 100.0)
+        if it > 0 and it % _CERT_EVERY == 0:
             kind, _ = _certificates(As, bs, cs, u, v, max(eps, 1e-9))
             if kind is not None:
                 kind2, cert = _certificates(A, b, c, *unscaled(u, v), 1e-6)
@@ -349,13 +319,17 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
                     return ConeSolution(cert, np.full(m, np.nan), shat,
                                         "unbounded", it,
                                         np.nan, np.nan, np.nan, emb)
+        if capped:
+            break
+        it += 1
+        ut = step.solve(u + v)
+        rel = _ALPHA * ut + (1.0 - _ALPHA) * u
+        u_next = emb.project(rel - v, rho)
+        v = v - rel + u_next
+        u = u_next
 
-    cand = _finish(emb, A, b, c, *unscaled(u, v), eps, admm_tol)
-    if cand is not None and (best is None or max(cand[3:]) < max(best[3:])):
-        best = cand
     if best is None:
-        return ConeSolution(np.full(n, np.nan), np.full(m, np.nan),
-                            np.full(m, np.nan), "max_iters", it,
-                            np.nan, np.nan, np.nan, emb)
+        best = (np.full(n, np.nan), np.full(m, np.nan), np.full(m, np.nan),
+                np.nan, np.nan, np.nan)
     status = "optimal" if max(best[3:]) <= eps else "max_iters"
-    return ConeSolution(best[0], best[1], best[2], status, it, *best[3:], emb)
+    return ConeSolution(*best[:3], status, it, *best[3:], emb)

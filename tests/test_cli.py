@@ -5,7 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from llcp import solver
 from llcp.cli import main
+from llcp.diff import NonsmoothWarning
+from llcp.expr import Parameter
+from llcp.fitting import model_problem
 from llcp.probfile import save_problem, validate_result
 from llcp.examples import hello_world
 
@@ -281,6 +285,38 @@ def test_fit_regression_deterministic(capsys):
     code2, doc2, _ = run_json(capsys, *argv)
     assert code1 == code2 == 0
     assert doc1 == doc2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--iters", "-1"], ["--N", "1"], ["--N", "0"], ["--N", "-3"]])
+def test_fit_regression_bad_size_fails_before_any_solve(capsys, monkeypatch,
+                                                         argv):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved despite a bad size")
+
+    monkeypatch.setattr(solver, "solve", no_solve)
+    code, out, err = run(capsys, "--json", "fit-regression", "--n", "3",
+                         "--m", "2", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and argv[1] in err
+
+
+# -- nonsmooth flag ----------------------------------------------------------
+
+
+def test_only_derivative_commands_report_nonsmooth(capsys, tmp_path):
+    # tied monomial features put the sorted output at a kink
+    A = Parameter("A", 2, value=np.zeros(2))
+    c = Parameter("c", 2, positive=True, value=np.ones(2))
+    path = write_problem(tmp_path, model_problem([2.0], A, c))
+    for command in ("backward", "sensitivity"):
+        with pytest.warns(NonsmoothWarning):
+            code, doc, _ = run_json(capsys, command, path)
+        assert code == 0 and doc["nonsmooth"] is True
+    # a solve without derivatives has not looked, so it does not say
+    code, doc, _ = run_json(capsys, "solve", path)
+    assert code == 0 and doc["status"] == "optimal"
+    assert "nonsmooth" not in doc
 
 
 # -- argument handling -------------------------------------------------------

@@ -139,3 +139,21 @@ def test_failed_sample_is_skipped_and_counted(monkeypatch, caplog):
         res = fit(X, Y, Xv, Yv, iters=1)
     assert res.skipped_solves == 2  # once per evaluation pass
     assert any("skipping" in rec.message for rec in caplog.records)
+
+
+def test_bad_sizes_raise_before_any_solve(monkeypatch):
+    X, Y, Xv, Yv, *_ = synthetic_data(4, 3, 2, seed=3)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved despite a bad size")
+
+    monkeypatch.setattr("llcp.solver.solve", no_solve)
+    with pytest.raises(ValueError, match="iters"):
+        fit(X, Y, Xv, Yv, iters=-1)
+    with pytest.raises(ValueError, match="validation"):
+        fit(X, Y, Xv[:0], Yv[:0], iters=0)
+    with pytest.raises(ValueError, match="training"):
+        fit(X[:0], Y[:0], Xv, Yv, iters=0)
+    # N // 2 = 0 validation samples
+    with pytest.raises(ValueError, match="n_val=0"):
+        synthetic_data(1, 3, 2)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from llcp import cones, examples
+from llcp import cones, examples, solver
 from llcp.canon import canonicalize
 from llcp.cones import in_dual_expcone, in_expcone
 from llcp.compiler import compile_problem
@@ -81,6 +81,8 @@ def test_no_constraints_unbounded():
     sol = solve(sp.csc_matrix((0, 1)), np.zeros(0), np.array([2.0]),
                 {"zero": 0, "nonneg": 0, "exp": 0})
     assert sol.status == "unbounded"
+    # the ray is scaled like every unbounded certificate
+    assert 2.0 * sol.x[0] == pytest.approx(-1.0, rel=1e-9)
 
 
 def test_no_variables():
@@ -89,7 +91,39 @@ def test_no_variables():
     assert sol.status == "optimal"
     sol = solve(sp.csc_matrix((2, 0)), np.array([-1.0, 2.0]), np.zeros(0), dims)
     assert sol.status == "infeasible"
-    assert np.array([-1.0, 2.0]) @ sol.y < 0.0
+    assert np.array([-1.0, 2.0]) @ sol.y == pytest.approx(-1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("shape, b, c, dims, status", [
+    ((0, 0), [], [], {}, "optimal"),
+    ((0, 1), [], [2.0], {}, "unbounded"),
+    ((0, 2), [], [0.0, 0.0], {}, "optimal"),
+    ((0, 2), [], [1.0, -3.0], {}, "unbounded"),
+    ((2, 0), [1.0, 2.0], [], {"nonneg": 2}, "optimal"),
+    ((2, 0), [-1.0, 2.0], [], {"nonneg": 2}, "infeasible"),
+    ((3, 0), [1.0, 1.0, 3.0], [], {"exp": 1}, "optimal"),
+    ((3, 0), [1.0, 1.0, 2.0], [], {"exp": 1}, "infeasible"),
+    ((1, 0), [0.0], [], {"zero": 1}, "optimal"),
+    ((1, 0), [1.0], [], {"zero": 1}, "infeasible"),
+], ids=["0x0", "0x1", "0x2-zero-c", "0x2", "2x0-nonneg", "2x0-nonneg-infeas",
+        "3x0-exp", "3x0-exp-infeas", "1x0-zero", "1x0-zero-infeas"])
+def test_empty_shapes(shape, b, c, dims, status):
+    # no variables or no constraints: the main loop, not a special case
+    b, c = np.array(b), np.array(c)
+    dims = {"zero": 0, "nonneg": 0, "exp": 0, **dims}
+    sol = solve(sp.csc_matrix(shape), b, c, dims)
+    assert sol.status == status
+    assert (sol.x.shape, sol.y.shape, sol.s.shape) == (
+        (shape[1],), (shape[0],), (shape[0],))
+    if status == "optimal":
+        assert max(sol.pres, sol.dres, sol.gap) <= 1e-8
+        assert np.allclose(sol.s, b, atol=1e-8)
+    elif status == "unbounded":
+        assert c @ sol.x == pytest.approx(-1.0, rel=1e-9)
+    else:
+        assert b @ sol.y == pytest.approx(-1.0, rel=1e-9)
+        y_dual = cones.project_cone(sol.y, dims, dual=True)
+        assert np.linalg.norm(y_dual - sol.y) <= 1e-9 * np.linalg.norm(sol.y)
 
 
 def test_nonfinite_data_raises():
@@ -172,6 +206,30 @@ def test_max_iters_reported():
         sol = solve(A, b, c, dims, max_iters=10)
     assert sol.status == "max_iters"
     assert sol.iterations == 10
+
+
+def test_max_iters_zero_returns_the_start():
+    A, b, c, dims = lp_geq_one()
+    sol = solve(A, b, c, dims, max_iters=0)
+    # the cold start (x, y, s) = 0 is the capped answer
+    assert sol.status == "max_iters"
+    assert sol.iterations == 0
+    assert np.array_equal(sol.x, [0.0]) and np.array_equal(sol.s, [0.0])
+
+
+def test_polish_that_falls_short_tightens_the_splitting(monkeypatch):
+    prob, cmap = canon_hello()
+    pmap = compile_problem(prob)
+    A, b, c = pmap.instantiate(cmap.eval_C(cmap.pack_alpha()))
+    polished = solve(A, b, c, pmap.dims)
+    # a polish that never moves: the first check within the ADMM
+    # tolerance falls short of eps, so the tolerance tightens and the
+    # splitting alone must reach eps
+    monkeypatch.setattr(solver, "_refine", lambda emb, z, eps: z)
+    sol = solve(A, b, c, pmap.dims)
+    assert sol.status == "optimal"
+    assert max(sol.pres, sol.dres, sol.gap) <= 1e-8
+    assert sol.iterations > polished.iterations
 
 
 def test_hello_world_through_solver():
