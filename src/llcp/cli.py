@@ -360,6 +360,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _tolerance(text: str) -> float:
+    # checked while parsing, so a bad --eps costs no solve
+    try:
+        eps = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not 0.0 < eps < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and positive, got {text!r}")
+    return eps
+
+
 def _add_problem_source(sub):
     sub.add_argument("file", nargs="?", help="problem file (JSON)")
     sub.add_argument("--example", choices=["hello", "queuing", "benchmark"],
@@ -374,7 +386,7 @@ def _add_problem_source(sub):
 
 
 def _add_solver_flags(sub):
-    sub.add_argument("--eps", type=float, default=1e-8,
+    sub.add_argument("--eps", type=_tolerance, default=1e-8,
                      help="solver tolerance")
     sub.add_argument("--max-iters", type=int, default=100000)
     sub.add_argument("--warm-start", action=argparse.BooleanOptionalAction,
@@ -430,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit_cmd.add_argument("--iters", type=int, default=10)
     fit_cmd.add_argument("--step", type=float, default=0.1)
     fit_cmd.add_argument("--seed", type=int, default=0)
-    fit_cmd.add_argument("--eps", type=float, default=1e-8)
+    fit_cmd.add_argument("--eps", type=_tolerance, default=1e-8)
     fit_cmd.add_argument("--max-iters", type=int, default=100000)
     fit_cmd.add_argument("--csv", metavar="PATH",
                          help="write validation predictions as CSV")

@@ -33,6 +33,10 @@ _ALPHA = 1.5
 _RUIZ_ITERS = 10
 _CHECK_EVERY = 25
 _CERT_EVERY = 100
+# the polish starts from iterates within this residual, however loose eps
+# is: from farther away Gauss-Newton can overflow without helping
+_POLISH_FROM = 1e-6
+_POLISH_STEPS = 10
 
 
 class DataError(ValueError):
@@ -46,14 +50,15 @@ class ConeSolution:
     On status "optimal" the triple (x, y, s) satisfies the primal and
     dual residual bounds and the duality gap at the reported values, s
     lies in the cone and y in its dual, and complementarity holds by
-    construction.  On "max_iters" (x, y, s) is the best point the checks
-    saw, with its residuals, or NaN if tau collapsed.  On "infeasible" y
-    is a Farkas certificate scaled to b'y = -1; on "unbounded" x is a ray
-    scaled to c'x = -1; residual fields are NaN for certificates.  This
-    holds for every shape, including programs without variables or
-    constraints.  iterations counts the ADMM steps taken before the check
-    that ended the solve.  Pass (x, y, s) of a previous solution as
-    warm_start when re-solving with nearby data.
+    construction.  On "max_iters" (x, y, s) is the best candidate of all
+    checks, raw iterate or polish, with its residuals, or NaN if tau
+    collapsed at every check.  On "infeasible" y is a Farkas certificate
+    scaled to b'y = -1; on "unbounded" x is a ray scaled to c'x = -1;
+    residual fields are NaN for certificates.  This holds for every
+    shape, including programs without variables or constraints.
+    iterations counts the ADMM steps taken before the check that ended
+    the solve.  Pass (x, y, s) of a previous solution as warm_start when
+    re-solving with nearby data.
 
     embedding is the Embedding of the unscaled (A, b, c) that the solve
     polished with; diff.ResidualPoint reuses it.
@@ -189,37 +194,32 @@ def _certificates(A, b, c, u, v, tol):
     return None, None
 
 
-def _refine(emb, z, eps, iters=10):
+def _refine(emb, z, eps):
     """Gauss-Newton on the residual map F of emb with tau pinned to one.
 
-    F is positively homogeneous, so z is renormalized after every step.
-    Returns the polished z; gives back the input if no step helps.
+    Takes full steps while each one lowers ||F||, at most _POLISH_STEPS,
+    until ||F|| <= eps * 1e-3.  F is positively homogeneous, so z is
+    renormalized after every step.  Returns the polished z, which is the
+    input with tau pinned to one if the first step does not help.
     """
     def norm_tau(zz):
         return zz / max(zz[-1], 1e-300)
 
     z = norm_tau(z)
     Fz = emb.residual(z)
-    best_norm = np.linalg.norm(Fz)
-    for _ in range(iters):
-        if best_norm <= eps * 1e-3:
+    norm = np.linalg.norm(Fz)
+    for _ in range(_POLISH_STEPS):
+        if norm <= eps * 1e-3:
             break
         J = emb.jacobian(z)[0]
         dz = spla.lsqr(J, -Fz, atol=1e-12, btol=1e-12,
                        iter_lim=10 * z.size)[0]
-        step = 1.0
-        improved = False
-        for _ in range(20):
-            cand = norm_tau(z + step * dz)
-            Fc = emb.residual(cand)
-            nc = np.linalg.norm(Fc)
-            if nc < best_norm:
-                z, Fz, best_norm = cand, Fc, nc
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
+        cand = norm_tau(z + dz)
+        Fc = emb.residual(cand)
+        nc = np.linalg.norm(Fc)
+        if nc >= norm:
             break
+        z, Fz, norm = cand, Fc, nc
     return z
 
 
@@ -244,14 +244,19 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
     One stop rule serves every check: every _CHECK_EVERY iterations, and
     once more at max_iters (also max_iters = 0), the unscaled iterate is
     a candidate, and so is its polish when the iterate is within the
-    ADMM tolerance (at first max(eps, 1e-6)).  The solve ends "optimal"
-    at the first check whose best candidate so far has max(pres, dres,
-    gap) <= eps.  A polish that falls short tightens the ADMM tolerance
-    100-fold, not below eps.  Every _CERT_EVERY iterations, after the
-    check, a certificate confirmed on the unscaled data ends the solve.
-    At the cap the last iterate counts however far off it is, and the
-    best candidate is returned as "max_iters".
+    polish tolerance (at first _POLISH_FROM, whatever eps is).  The
+    solve ends "optimal" at the first check whose best candidate so far
+    has max(pres, dres, gap) <= eps, so with eps looser than
+    _POLISH_FROM it usually ends on the unpolished iterate.  A polish
+    that falls short tightens the polish tolerance 100-fold, not below
+    eps, which bounds the number of polishes when eps is out of reach.
+    Every _CERT_EVERY iterations, after the check, a certificate
+    confirmed on the unscaled data ends the solve.  At the cap the best
+    candidate of all checks is returned as "max_iters".  eps must be
+    finite and positive, or ValueError is raised before any work.
     """
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     A = sp.csc_matrix(A)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -282,7 +287,7 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
 
     # root of each exponential triple's last boundary projection
     rho = np.full(dims["exp"], np.nan)
-    admm_tol = max(eps, 1e-6)
+    polish_tol = _POLISH_FROM
     best = None
     it = 0
     while True:
@@ -290,10 +295,8 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
         if capped or (it > 0 and it % _CHECK_EVERY == 0):
             uu, vv = unscaled(u, v)
             raw = _candidate(emb, A, b, c, uu, vv)
-            near = raw is not None and max(raw[3:]) <= admm_tol
-            # the cap keeps its raw point however far off; the polish runs
-            # only near convergence, where Gauss-Newton does not overflow
-            cands = [best, raw] if near or capped else [best]
+            cands = [best, raw]
+            near = raw is not None and max(raw[3:]) <= polish_tol
             if near and uu[-1] > 1e-12 * (1.0 + np.linalg.norm(uu)):
                 z = _refine(emb, uu - vv, eps)
                 ur = emb.project(z)
@@ -305,7 +308,7 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
                 break
             if near:
                 # polish fell short: drive the splitting further
-                admm_tol = max(eps, admm_tol / 100.0)
+                polish_tol = max(eps, polish_tol / 100.0)
         if it > 0 and it % _CERT_EVERY == 0:
             kind, _ = _certificates(As, bs, cs, u, v, max(eps, 1e-9))
             if kind is not None:

@@ -333,6 +333,22 @@ def test_rejects_file_and_example(capsys, tmp_path):
     assert code == 1 and "not both" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "sensitivity", "backward",
+                                     "fit-regression"])
+@pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1", "tight"])
+def test_bad_eps_fails_before_any_solve(capsys, monkeypatch, command, eps):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved despite a bad --eps")
+
+    monkeypatch.setattr(solver, "solve", no_solve)
+    source = [] if command == "fit-regression" else ["--example", "hello"]
+    with pytest.raises(SystemExit) as exit_:
+        main(["--json", command, *source, f"--eps={eps}"])
+    captured = capsys.readouterr()
+    assert exit_.value.code == 1 and captured.out == ""
+    assert "argument --eps: " in captured.err and repr(eps) in captured.err
+
+
 @pytest.mark.parametrize("command", ["solve", "sensitivity", "backward"])
 @pytest.mark.parametrize("flag", ["--n", "--m"])
 def test_bad_benchmark_size_is_an_error(capsys, command, flag):

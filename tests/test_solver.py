@@ -137,6 +137,12 @@ def test_nonfinite_data_raises():
         solve(bad, b, c, dims)
 
 
+@pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -1.0])
+def test_invalid_eps_raises(eps):
+    with pytest.raises(ValueError, match="eps"):
+        solve(*lp_geq_one(), eps=eps)
+
+
 def test_dims_mismatch_raises():
     A, b, c, _ = lp_geq_one()
     with pytest.raises(ValueError):
@@ -157,6 +163,11 @@ def test_planted_battery():
         assert sol.status == "optimal"
         opt = float(c @ xs)
         assert abs(float(c @ sol.x) - opt) <= 1e-6 * (1.0 + abs(opt))
+        # a loose eps ends on the iterate that meets it; no polish starts
+        # from that far off, so LSQR does not overflow
+        loose = solve(A, b, c, dims, eps=1e-4)
+        assert loose.status == "optimal"
+        assert max(loose.pres, loose.dres, loose.gap) <= 1e-4
 
 
 def test_solution_lies_in_cones():
@@ -230,6 +241,46 @@ def test_polish_that_falls_short_tightens_the_splitting(monkeypatch):
     assert sol.status == "optimal"
     assert max(sol.pres, sol.dres, sol.gap) <= 1e-8
     assert sol.iterations > polished.iterations
+
+
+def hello_cone_program():
+    prob, cmap = canon_hello()
+    pmap = compile_problem(prob)
+    return (*pmap.instantiate(cmap.eval_C(cmap.pack_alpha())), pmap.dims)
+
+
+def test_polish_retries_are_bounded(monkeypatch):
+    # eps out of reach: every polish falls short and tightens the polish
+    # tolerance 100-fold, so only a few checks polish before the cap
+    # (78 would without the retry)
+    calls = []
+    refine = solver._refine
+    monkeypatch.setattr(solver, "_refine",
+                        lambda *args: calls.append(1) or refine(*args))
+    sol = solve(*hello_cone_program(), eps=1e-16, max_iters=2000)
+    assert sol.status == "max_iters"
+    assert 1 <= len(calls) <= 6
+
+
+def test_polish_stops_at_the_first_step_that_does_not_help(monkeypatch):
+    A, b, c, dims = hello_cone_program()
+    far = solve(A, b, c, dims, max_iters=25)
+    z = np.concatenate([far.x, far.y - far.s, [1.0]])
+    evals = []
+    residual = Embedding.residual
+    monkeypatch.setattr(Embedding, "residual",
+                        lambda self, zz: evals.append(1) or residual(self, zz))
+    lsqr = solver.spla.lsqr
+
+    def uphill(*args, **kwargs):
+        out = lsqr(*args, **kwargs)
+        return (-out[0],) + tuple(out[1:])
+
+    # the reversed Gauss-Newton direction raises ||F||: the polish gives
+    # back its input after one trial step, with no halving of the step
+    monkeypatch.setattr(solver.spla, "lsqr", uphill)
+    assert np.array_equal(solver._refine(far.embedding, z, 1e-8), z)
+    assert len(evals) == 2
 
 
 def test_hello_world_through_solver():
