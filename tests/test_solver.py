@@ -228,31 +228,29 @@ def test_max_iters_zero_returns_the_start():
     assert np.array_equal(sol.x, [0.0]) and np.array_equal(sol.s, [0.0])
 
 
-def test_polish_that_falls_short_tightens_the_splitting(monkeypatch):
-    prob, cmap = canon_hello()
-    pmap = compile_problem(prob)
-    A, b, c = pmap.instantiate(cmap.eval_C(cmap.pack_alpha()))
-    polished = solve(A, b, c, pmap.dims)
-    # a polish that never moves: the first check within the ADMM
-    # tolerance falls short of eps, so the tolerance tightens and the
-    # splitting alone must reach eps
-    monkeypatch.setattr(solver, "_refine", lambda emb, z, eps: z)
-    sol = solve(A, b, c, pmap.dims)
-    assert sol.status == "optimal"
-    assert max(sol.pres, sol.dres, sol.gap) <= 1e-8
-    assert sol.iterations > polished.iterations
-
-
 def hello_cone_program():
     prob, cmap = canon_hello()
     pmap = compile_problem(prob)
     return (*pmap.instantiate(cmap.eval_C(cmap.pack_alpha())), pmap.dims)
 
 
+def test_polish_that_falls_short_tightens_the_splitting(monkeypatch):
+    A, b, c, dims = hello_cone_program()
+    polished = solve(A, b, c, dims)
+    # a polish that never moves: the first check within the polish
+    # tolerance falls short of eps, so the tolerance tightens and the
+    # splitting alone must reach eps
+    monkeypatch.setattr(solver, "_refine", lambda emb, z, eps: z)
+    sol = solve(A, b, c, dims)
+    assert sol.status == "optimal"
+    assert max(sol.pres, sol.dres, sol.gap) <= 1e-8
+    assert sol.iterations > polished.iterations
+
+
 def test_polish_retries_are_bounded(monkeypatch):
     # eps out of reach: every polish falls short and tightens the polish
     # tolerance 100-fold, so only a few checks polish before the cap
-    # (78 would without the retry)
+    # (without the retry, 78 would)
     calls = []
     refine = solver._refine
     monkeypatch.setattr(solver, "_refine",
@@ -284,10 +282,7 @@ def test_polish_stops_at_the_first_step_that_does_not_help(monkeypatch):
 
 
 def test_hello_world_through_solver():
-    prob, cmap = canon_hello()
-    pmap = compile_problem(prob)
-    A, b, c = pmap.instantiate(cmap.eval_C(cmap.pack_alpha()))
-    sol = solve(A, b, c, pmap.dims)
+    sol = solve(*hello_cone_program())
     assert sol.status == "optimal"
     got = np.exp(sol.x[:3])
     want = np.array([0.5612147, 0.3149620, 0.3689206])
