@@ -130,11 +130,7 @@ def _solution_doc(problem, command: str, derivatives: bool = True) -> dict:
         "value": problem.value,
         "variables": {v.name: [float(t) for t in v.value]
                       for v in problem.variables},
-        "stats": {
-            "iterations": problem.stats["iterations"],
-            "solver_time": problem.stats["solver_time"],
-            "total_time": problem.stats["total_time"],
-        },
+        "stats": dict(problem.stats),
     }
     # only a derivative-enabled solve looks for a kink at the solution
     if derivatives:
@@ -172,9 +168,12 @@ def cmd_solve(args) -> int:
     doc = _solution_doc(problem, "solve", derivatives=False)
     lines = [f"status: {problem.status}", f"value: {problem.value:.9g}"]
     lines += [f"{v.name} = [{_fmt(v.value)}]" for v in problem.variables]
-    lines.append(f"iterations: {problem.stats['iterations']}, "
-                 f"solver {problem.stats['solver_time']:.4g}s of "
-                 f"{problem.stats['total_time']:.4g}s total")
+    stats = problem.stats
+    lines.append(f"iterations: {stats['iterations']}, "
+                 f"solver {stats['solver_time']:.4g}s of "
+                 f"{stats['total_time']:.4g}s total")
+    lines.append(f"scale: {stats['scale']:.4g}, "
+                 f"factorizations: {stats['factorizations']}")
     _emit(args, doc, lines)
     return 0
 

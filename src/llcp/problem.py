@@ -178,11 +178,9 @@ class Problem:
         self.nonsmooth = False
         if sol.status != "optimal":
             self.value = None
-            self.stats = {"total_time": time.perf_counter() - t_start,
-                          "solver_time": solver_time,
-                          "iterations": sol.iterations}
+            self.stats = self._stats(sol, t_start, solver_time)
             return None
-        self._warm = (sol.x, sol.y, sol.s)
+        self._warm = (sol.x, sol.y, sol.s, sol.scale)
         for var, lo, hi in prob.var_slices:
             var.value = np.exp(sol.x[lo:hi])
         sign = -1.0 if self.objective.sense == "maximize" else 1.0
@@ -191,10 +189,16 @@ class Problem:
             self._point = ResidualPoint(sol.embedding, sol.x, sol.y, sol.s)
             self.nonsmooth = self._point.nonsmooth
             self._alpha = alpha
-        self.stats = {"total_time": time.perf_counter() - t_start,
-                      "solver_time": solver_time,
-                      "iterations": sol.iterations}
+        self.stats = self._stats(sol, t_start, solver_time)
         return self.value
+
+    @staticmethod
+    def _stats(sol, t_start, solver_time):
+        return {"total_time": time.perf_counter() - t_start,
+                "solver_time": solver_time,
+                "iterations": sol.iterations,
+                "scale": sol.scale,
+                "factorizations": sol.factorizations}
 
     # -- sensitivities ---------------------------------------------------
 

@@ -8,12 +8,18 @@ Solves
 with K a product of zero, nonnegative, and exponential cones, together
 with the dual variable y in K*.  The method is ADMM on the homogeneous
 self-dual embedding (embedding.Embedding, which also holds the residual
-map and its Jacobian).  Each iteration takes one linear solve with I + Q
-and one cone projection.  The linear solve reuses a sparse factorization
-of the quasidefinite matrix [[I, A'], [A, -I]], which depends on A
-alone, and eliminates tau with a rank-one correction computed once per
-solve.  A Gauss-Newton polish on the normalized residual map pushes the
-returned point to tight tolerances once ADMM has found the neighborhood.
+map and its Jacobian), run in the metric R = diag(rho_x I, rho_y I, 1)
+(O'Donoghue, "Operator splitting for a homogeneous embedding of the
+linear complementarity problem", 2021).  Each iteration takes one linear
+solve with R + Q and one cone projection; R is uniform on each cone
+block, so the projection is the Euclidean one.  The linear solve reuses a
+sparse factorization of the quasidefinite matrix
+[[rho_x I, A'], [A, -rho_y I]], which does not depend on b or c, and
+eliminates tau with a rank-one correction computed once per factor.
+rho_x is fixed; rho_y, the scale, follows the ratio of the dual to the
+primal residual, and each change of it refactors K.  A Gauss-Newton
+polish on the normalized residual map pushes the returned point to tight
+tolerances once ADMM has found the neighborhood.
 """
 
 from __future__ import annotations
@@ -37,6 +43,15 @@ _CERT_EVERY = 100
 # is: from farther away Gauss-Newton can overflow without helping
 _POLISH_FROM = 1e-6
 _POLISH_STEPS = 10
+# R = diag(_RHO_X I, scale I, 1).  Every _CERT_EVERY iterations the scale
+# is multiplied by sqrt(dres / pres) of the raw iterate when that ratio
+# leaves [1 / _SCALE_BAND, _SCALE_BAND], and K is refactored.  The clamp
+# keeps a scale that runs away from refactoring K at every such check
+_RHO_X = 1e-6
+_SCALE_START = 1.0
+_SCALE_BAND = 3.0
+_SCALE_MIN = 1e-6
+_SCALE_MAX = 1e6
 
 
 class DataError(ValueError):
@@ -57,8 +72,10 @@ class ConeSolution:
     residual fields are NaN for certificates.  This holds for every
     shape, including programs without variables or constraints.
     iterations counts the ADMM steps taken before the check that ended
-    the solve.  Pass (x, y, s) of a previous solution as warm_start when
-    re-solving with nearby data.
+    the solve.  scale is the final rho_y of the metric and factorizations
+    the number of factors of K the solve computed, one plus one per change
+    of scale.  Pass (x, y, s, scale) of a previous solution as warm_start
+    when re-solving with nearby data.
 
     embedding is the Embedding of the unscaled (A, b, c) that the solve
     polished with; diff.ResidualPoint reuses it.
@@ -72,6 +89,8 @@ class ConeSolution:
     pres: float
     dres: float
     gap: float
+    scale: float
+    factorizations: int
     embedding: Embedding = field(repr=False, compare=False)
 
 
@@ -118,47 +137,54 @@ def _equilibrate(A, b, c, dims):
     return As, b * d, c * e, d, e
 
 
-def _factor_kkt(A):
-    """Sparse LU of the quasidefinite K = [[I, A'], [A, -I]].
+def _factor_kkt(A, r):
+    """Sparse LU of the quasidefinite K = [[Rx, A'], [A, -Ry]].
 
-    Every symmetric permutation of a quasidefinite matrix factors without
+    Rx and Ry are the diagonal blocks of R = diag(r) with r > 0.  Every
+    symmetric permutation of a quasidefinite matrix factors without
     pivoting, so the factor keeps a symmetric minimum-degree order, which
     puts the dense posynomial rows last and keeps the fill about linear
-    in the size of A.
+    in the size of A.  A column eliminated ahead of its rows has the
+    pivot rho_x = 1e-6 against entries near one, a growth that cost hello
+    five digits per solve; the 1e-2 threshold swaps such a pivot off the
+    diagonal, and leaves the other pivots where the order put them.
     """
     m, n = A.shape
-    K = sp.bmat([[sp.eye(n), A.T], [A, -sp.eye(m)]], format="csc")
-    return spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    K = sp.bmat([[sp.diags(r[:n]), A.T], [A, sp.diags(-r[n:n + m])]],
+                format="csc")
+    return spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-2,
                      options={"SymmetricMode": True})
 
 
 class _HsdStep:
-    """Solves (I + Q) u = w for the embedding of (A, b, c).
+    """Solves (R + Q) u = R w for the embedding of (A, b, c), R = diag(r).
 
-    With M = [[I, A'], [-A, I]] and h = (c, b), I + Q = [[M, h], [-h', 1]].
-    Eliminating tau gives
+    With M = [[Rx, A'], [-A, Ry]] and h = (c, b), R + Q = [[M, h],
+    [-h', r_tau]].  Eliminating tau gives
 
-        tau = (w[-1] + h'M^-1 w[:-1]) / (1 + h'M^-1 h),
-        u[:-1] = M^-1 w[:-1] - tau M^-1 h.
+        tau = (r_tau w[-1] + h'M^-1 (Rw)[:-1]) / (r_tau + h'M^-1 h),
+        u[:-1] = M^-1 (Rw)[:-1] - tau M^-1 h.
 
-    M is K = [[I, A'], [A, -I]] with its second block row negated, so each
-    M^-1 is one solve with the factor lu of K, which does not depend on b
-    or c.  The symmetric part of M^-1 is positive definite, so the
-    denominator is at least one.  solve returns one buffer, which the
-    next call overwrites.
+    M is K = [[Rx, A'], [A, -Ry]] with its second block row negated, so
+    each M^-1 is one solve with the factor lu of K (_factor_kkt(A, r)),
+    which does not depend on b or c.  The symmetric part of M^-1 is
+    positive definite, so the denominator is at least r_tau.  solve
+    returns one buffer, which the next call overwrites.
     """
 
-    def __init__(self, lu, b, c):
+    def __init__(self, lu, b, c, r):
         self._lu = lu
-        self._sign = np.concatenate([np.ones(c.size), -np.ones(b.size)])
+        sign = np.concatenate([np.ones(c.size), -np.ones(b.size)])
         self._h = np.concatenate([c, b])
-        self._p = lu.solve(self._sign * self._h)
-        self._denom = 1.0 + float(self._h @ self._p)
+        self._p = lu.solve(sign * self._h)
+        self._r_tau = float(r[-1])
+        self._denom = self._r_tau + float(self._h @ self._p)
+        self._signed_r = sign * r[:-1]
         self._out = np.empty(self._h.size + 1)
 
     def solve(self, w):
-        z = self._lu.solve(self._sign * w[:-1])
-        tau = (w[-1] + float(self._h @ z)) / self._denom
+        z = self._lu.solve(self._signed_r * w[:-1])
+        tau = (self._r_tau * w[-1] + float(self._h @ z)) / self._denom
         head = self._out[:-1]
         np.multiply(tau, self._p, out=head)
         np.subtract(z, head, out=head)
@@ -239,7 +265,9 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
     counts triples; rows are ordered zero, nonneg, then exponential.
     Returns a ConeSolution; infeasibility and iteration exhaustion are
     reported through its status, while non-finite numeric data raises
-    DataError.  warm_start takes (x, y, s) from a previous solution.
+    DataError.  warm_start takes (x, y, s) or (x, y, s, scale) from a
+    previous solution; parts of the wrong shape, or a scale that is not
+    finite and positive, are ignored.
 
     One stop rule serves every check: every _CHECK_EVERY iterations, and
     once more at max_iters (also max_iters = 0), the unscaled iterate is
@@ -251,9 +279,10 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
     that falls short tightens the polish tolerance 100-fold, not below
     eps, which bounds the number of polishes when eps is out of reach.
     Every _CERT_EVERY iterations, after the check, a certificate
-    confirmed on the unscaled data ends the solve.  At the cap the best
-    candidate of all checks is returned as "max_iters".  eps must be
-    finite and positive, or ValueError is raised before any work.
+    confirmed on the unscaled data ends the solve; otherwise the scale
+    adapts to the check's raw iterate.  At the cap the best candidate of
+    all checks is returned as "max_iters".  eps must be finite and
+    positive, or ValueError is raised before any work.
     """
     if not 0.0 < eps < np.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
@@ -267,23 +296,30 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
     # the iterates are scaled, but Pi does not depend on the data
     emb = Embedding(A, b, c, dims)
     As, bs, cs, d, e = _equilibrate(A, b, c, dims)
-    step = _HsdStep(_factor_kkt(As), bs, cs)
     N = n + m + 1
 
     def unscaled(u, v):
+        """The pair (u, Rv) of the original data; Rv is (0, s, kappa)."""
+        rv = r * v
         return (np.concatenate([u[:n] * e, u[n:n + m] * d, u[-1:]]),
-                np.concatenate([v[:n], v[n:n + m] / d, v[-1:]]))
+                np.concatenate([rv[:n], rv[n:n + m] / d, rv[-1:]]))
 
+    scale = _SCALE_START
     u = np.zeros(N)
     v = np.zeros(N)
     u[-1] = 1.0
     v[-1] = 1.0
     if warm_start is not None:
-        wx, wy, ws = (np.asarray(w, dtype=float) for w in warm_start)
+        wx, wy, ws = (np.asarray(w, dtype=float) for w in warm_start[:3])
         ok = (wx.shape, wy.shape, ws.shape) == ((n,), (m,), (m,))
         if ok and all(np.isfinite(w).all() for w in (wx, wy, ws)):
+            if len(warm_start) > 3 and 0.0 < warm_start[3] < np.inf:
+                scale = min(max(float(warm_start[3]), _SCALE_MIN), _SCALE_MAX)
             u = np.concatenate([wx / e, wy / d, [1.0]])
-            v = np.concatenate([np.zeros(n), ws * d, [0.0]])
+            v = np.concatenate([np.zeros(n), ws * d / scale, [0.0]])
+    r = np.concatenate([np.full(n, _RHO_X), np.full(m, scale), [1.0]])
+    step = _HsdStep(_factor_kkt(As, r), bs, cs, r)
+    factorizations = 1
 
     # root of each exponential triple's last boundary projection
     rho = np.full(dims["exp"], np.nan)
@@ -310,20 +346,32 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
                 # polish fell short: drive the splitting further
                 polish_tol = max(eps, polish_tol / 100.0)
         if it > 0 and it % _CERT_EVERY == 0:
-            kind, _ = _certificates(As, bs, cs, u, v, max(eps, 1e-9))
+            kind, _ = _certificates(As, bs, cs, u, r * v, max(eps, 1e-9))
             if kind is not None:
                 kind2, cert = _certificates(A, b, c, *unscaled(u, v), 1e-6)
                 if kind2 == "infeasible":
                     return ConeSolution(np.full(n, np.nan), cert,
                                         np.full(m, np.nan), "infeasible", it,
-                                        np.nan, np.nan, np.nan, emb)
+                                        np.nan, np.nan, np.nan, scale,
+                                        factorizations, emb)
                 if kind2 == "unbounded":
                     shat = project_cone(-(A @ cert), dims, dual=False)
                     return ConeSolution(cert, np.full(m, np.nan), shat,
-                                        "unbounded", it,
-                                        np.nan, np.nan, np.nan, emb)
+                                        "unbounded", it, np.nan, np.nan,
+                                        np.nan, scale, factorizations, emb)
         if capped:
             break
+        if it > 0 and it % _CERT_EVERY == 0 and raw is not None \
+                and raw[3] > 0.0 and raw[4] > 0.0:
+            ratio = float(np.sqrt(raw[4] / raw[3]))
+            new = min(max(scale * ratio, _SCALE_MIN), _SCALE_MAX)
+            if not 1.0 / _SCALE_BAND <= ratio <= _SCALE_BAND and new != scale:
+                # v's y block is s / scale: rescale it so s stays put
+                v[n:n + m] *= scale / new
+                scale = new
+                r[n:n + m] = scale
+                step = _HsdStep(_factor_kkt(As, r), bs, cs, r)
+                factorizations += 1
         it += 1
         ut = step.solve(u + v)
         rel = _ALPHA * ut + (1.0 - _ALPHA) * u
@@ -335,4 +383,5 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
         best = (np.full(n, np.nan), np.full(m, np.nan), np.full(m, np.nan),
                 np.nan, np.nan, np.nan)
     status = "optimal" if max(best[3:]) <= eps else "max_iters"
-    return ConeSolution(*best[:3], status, it, *best[3:], emb)
+    return ConeSolution(*best[:3], status, it, *best[3:], scale,
+                        factorizations, emb)

@@ -114,6 +114,17 @@ def test_solve_hello_example(capsys):
     assert np.allclose(got, HELLO_OPT, atol=1e-4)
     assert doc["value"] == pytest.approx(15.3349076, rel=1e-6)
     assert doc["stats"]["iterations"] > 0
+    assert doc["stats"]["factorizations"] >= 1 and doc["stats"]["scale"] > 0
+
+
+def test_solve_text_reports_the_scale(capsys):
+    code, out, _ = run(capsys, "solve", "--example", "benchmark", "--n", "500")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "status: optimal"
+    scale, facts = lines[-1].split(", ")
+    assert float(scale.removeprefix("scale: ")) > 1.0
+    assert int(facts.removeprefix("factorizations: ")) > 1
 
 
 def test_solve_benchmark_example(capsys):

@@ -231,13 +231,16 @@ def test_result_schema_accepts_solve_output():
         "value": 15.33,
         "variables": {"x": [0.56], "y": [0.31], "z": [0.37]},
         "nonsmooth": False,
-        "stats": {"iterations": 75, "solver_time": 0.01, "total_time": 0.02},
+        "stats": {"iterations": 75, "solver_time": 0.01, "total_time": 0.02,
+                  "scale": 1.0, "factorizations": 1},
     })
 
 
 def test_result_schema_rejects_unknown_fields():
     with pytest.raises(ProblemFileError):
         validate_result({"command": "solve", "bogus": 1})
+    with pytest.raises(ProblemFileError):
+        validate_result({"command": "solve", "stats": {"bogus": 1}})
     with pytest.raises(ProblemFileError):
         validate_result({"command": "levitate"})
 

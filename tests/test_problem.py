@@ -103,6 +103,34 @@ def test_warm_start_reuses_previous_solution():
     assert p.stats["iterations"] <= cold_iters
 
 
+@pytest.mark.parametrize("n, ceiling", [(1000, 3750), (2000, 2500)])
+def test_large_ladder_rungs_reach_optimal(n, ceiling):
+    # an equal weight on the primal and dual blocks left n=1000 at
+    # max_iters; the adaptive scale takes 3,000 and 2,025 iterations
+    p = benchmark(n=n)
+    p.solve()
+    assert p.status == "optimal"
+    assert p.stats["iterations"] <= ceiling
+
+
+def test_warm_resolve_keeps_the_scale():
+    p = benchmark(n=500)
+    p.solve()
+    scale = p.stats["scale"]
+    assert p.stats["factorizations"] > 1
+    u = named(p, "parameters")["u"]
+    u.set_value(1.01 * u.value)
+    p.solve()
+    assert p.status == "optimal"
+    # the warm start carries the scale, so nothing is learned again
+    assert p.stats["factorizations"] == 1
+    assert p.stats["scale"] == scale
+    warm_iters = p.stats["iterations"]
+    p.solve(warm_start=False)
+    assert p.status == "optimal"
+    assert warm_iters <= p.stats["iterations"]
+
+
 def test_infeasible_reports_and_blocks_derivatives():
     x = Variable("x")
     p = Problem(Minimize(x), [x <= 0.5, Constant(2.0) <= x])

@@ -208,6 +208,19 @@ def test_warm_start_shape_mismatch_ignored():
     assert sol.x[0] == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("scale, want", [
+    (50.0, 50.0), (1e12, solver._SCALE_MAX), (np.nan, solver._SCALE_START),
+    (-1.0, solver._SCALE_START)])
+def test_warm_start_scale(scale, want):
+    A, b, c, dims = lp_geq_one()
+    cold = solve(A, b, c, dims)
+    # the scale of a warm start is clamped, and ignored unless finite and
+    # positive; at a fixed point the first check ends the solve
+    sol = solve(A, b, c, dims, warm_start=(cold.x, cold.y, cold.s, scale))
+    assert sol.status == "optimal" and sol.iterations == 25
+    assert (sol.scale, sol.factorizations) == (want, 1)
+
+
 def test_max_iters_reported():
     rng = np.random.default_rng(5)
     A, b, c, dims, *_ = planted_cone_program(rng, 10, 2, 5, 2)
@@ -234,8 +247,19 @@ def hello_cone_program():
     return (*pmap.instantiate(cmap.eval_C(cmap.pack_alpha())), pmap.dims)
 
 
+def cone_program(p):
+    """(A, b, c, dims) of a Problem at its parameter values."""
+    prob, cmap = canonicalize(p.objective.sense, p.objective.expr,
+                              p.constraints, p.variables, p.parameters)
+    pmap = compile_problem(prob)
+    return (*pmap.instantiate(cmap.eval_C(cmap.pack_alpha())), pmap.dims)
+
+
 def test_polish_that_falls_short_tightens_the_splitting(monkeypatch):
-    A, b, c, dims = hello_cone_program()
+    # queuing, not hello: hello meets eps by the splitting alone at the
+    # first check within the polish tolerance, so there the polish saves
+    # no iterations
+    A, b, c, dims = cone_program(examples.queuing())
     polished = solve(A, b, c, dims)
     # a polish that never moves: the first check within the polish
     # tolerance falls short of eps, so the tolerance tightens and the
@@ -331,16 +355,21 @@ def test_equilibrate_matches_grouped_loop():
     assert np.array_equal(As_got.data.view(np.uint64), As.data.view(np.uint64))
 
 
+def metric(n, m, rho_x, rho_y):
+    return np.concatenate([np.full(n, rho_x), np.full(m, rho_y), [1.0]])
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_hsd_step_matches_dense_solve(seed):
     rng = np.random.default_rng(seed)
     A, b, c, dims, *_ = planted_cone_program(rng, 7, 2, 4, 3)
     As, bs, cs, _, _ = _equilibrate(sp.csc_matrix(A), b, c, dims)
-    lu = _factor_kkt(As)
     m, n = As.shape
+    r = metric(n, m, 1.0, 1.0)
+    lu = _factor_kkt(As, r)
     # the factor depends on A alone: reuse it after b and c change
     for bb, cc in ((bs, cs), (rng.normal(size=m), 10.0 * rng.normal(size=n))):
-        step = _HsdStep(lu, bb, cc)
+        step = _HsdStep(lu, bb, cc, r)
         dense = np.eye(n + m + 1) + Embedding(As, bb, cc, dims).Q.toarray()
         for _ in range(3):
             w = rng.normal(size=n + m + 1)
@@ -349,27 +378,40 @@ def test_hsd_step_matches_dense_solve(seed):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def test_kkt_factor_fill_is_linear():
-    p = examples.benchmark(n=500)
-    prob, cmap = canonicalize(p.objective.sense, p.objective.expr,
-                              p.constraints, p.variables, p.parameters)
-    pmap = compile_problem(prob)
-    A, b, c = pmap.instantiate(cmap.eval_C(cmap.pack_alpha()))
-    As, *_ = _equilibrate(A, b, c, pmap.dims)
+@pytest.mark.parametrize("program", ["hello", "planted"])
+@pytest.mark.parametrize("rho_x, rho_y", [(1e-6, 1.0), (1e-6, 100.0),
+                                          (1e-3, 1e-3), (1.0, 30.0)])
+def test_scaled_hsd_step_matches_dense_solve(program, rho_x, rho_y):
+    rng = np.random.default_rng(17)
+    if program == "hello":
+        A, b, c, dims = hello_cone_program()
+    else:
+        A, b, c, dims, *_ = planted_cone_program(rng, 7, 2, 4, 3)
+    As, bs, cs, _, _ = _equilibrate(sp.csc_matrix(A), b, c, dims)
     m, n = As.shape
-    lu = _factor_kkt(As)
-    # K = [[I, A'], [A, -I]]; splu(I + Q) in the COLAMD order filled to
+    r = metric(n, m, rho_x, rho_y)
+    step = _HsdStep(_factor_kkt(As, r), bs, cs, r)
+    dense = np.diag(r) + Embedding(As, bs, cs, dims).Q.toarray()
+    for _ in range(3):
+        w = rng.normal(size=n + m + 1)
+        want = np.linalg.solve(dense, r * w)
+        got = step.solve(w)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_kkt_factor_fill_is_linear():
+    A, b, c, dims = cone_program(examples.benchmark(n=500))
+    As, *_ = _equilibrate(A, b, c, dims)
+    m, n = As.shape
+    lu = _factor_kkt(As, metric(n, m, solver._RHO_X, solver._SCALE_START))
+    # K = [[Rx, A'], [A, -Ry]]; splu(I + Q) in the COLAMD order filled to
     # about 70 times this
     nnz_K = n + m + 2 * As.nnz
     assert lu.L.nnz + lu.U.nnz <= 2 * nnz_K
 
 
 def test_projection_root_finds_are_warm_started(monkeypatch):
-    p = examples.benchmark(n=250)
-    prob, cmap = canonicalize(p.objective.sense, p.objective.expr,
-                              p.constraints, p.variables, p.parameters)
-    pmap = compile_problem(prob)
-    A, b, c = pmap.instantiate(cmap.eval_C(cmap.pack_alpha()))
+    A, b, c, dims = cone_program(examples.benchmark(n=250))
     counts = {"root_fun": 0, "boundary": 0}
     root_fun, solve_boundary = cones._root_fun, cones._solve_boundary
 
@@ -383,7 +425,7 @@ def test_projection_root_finds_are_warm_started(monkeypatch):
 
     monkeypatch.setattr(cones, "_root_fun", counted_root_fun)
     monkeypatch.setattr(cones, "_solve_boundary", counted_solve_boundary)
-    solve(A, b, c, pmap.dims, max_iters=2000)
+    solve(A, b, c, dims, max_iters=2000)
     assert counts["boundary"] > 1000
     # each ADMM iteration starts from the previous root: a few Newton
     # steps per triple, where a cold bracket scan takes about 27
