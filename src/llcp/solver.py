@@ -145,9 +145,9 @@ def _factor_kkt(A, r):
     pivoting, so the factor keeps a symmetric minimum-degree order, which
     puts the dense posynomial rows last and keeps the fill about linear
     in the size of A.  A column eliminated ahead of its rows has the
-    pivot rho_x = 1e-6 against entries near one, a growth that cost hello
-    five digits per solve; the 1e-2 threshold swaps such a pivot off the
-    diagonal, and leaves the other pivots where the order put them.
+    pivot rho_x = 1e-6 against entries near one, a growth that cost the
+    steps on hello five digits; the 1e-2 threshold swaps such a pivot off
+    the diagonal, and leaves the other pivots where the order put them.
     """
     m, n = A.shape
     K = sp.bmat([[sp.diags(r[:n]), A.T], [A, sp.diags(-r[n:n + m])]],
