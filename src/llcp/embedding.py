@@ -36,24 +36,38 @@ with the embedding of the original data.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import scipy.sparse as sp
 
 from .cones import dproject_cone, project_cone
 
-__all__ = ["Embedding"]
+__all__ = ["Embedding", "canonical"]
+
+
+def canonical(A):
+    """A as CSC with sorted indices and duplicates summed, the layout of
+    A.data in theta; A itself when it is already in that form."""
+    A = sp.csc_matrix(A)
+    if not A.has_canonical_format:
+        # one theta entry per (row, column): duplicates summed in the
+        # id matrix below would add up their ids
+        A = A.copy()
+        A.sum_duplicates()
+    return A
 
 
 class Embedding:
-    """Q, Pi, DPi, F and M for the cone program (A, b, c, dims)."""
+    """Q, Pi, DPi, F and M for the cone program (A, b, c, dims).
+
+    The constructor writes the map theta -> Q for A's pattern; at(theta)
+    reuses it for other data on that pattern.  An instance is not changed
+    after construction.
+    """
 
     def __init__(self, A, b, c, dims):
-        A = sp.csc_matrix(A)
-        if not A.has_canonical_format:
-            # one theta entry per (row, column): duplicates summed in the
-            # id matrix below would add up their ids
-            A = A.copy()
-            A.sum_duplicates()
+        A = canonical(A)
         self.m, self.n = m, n = A.shape
         self.dims = dims
         self.theta_size = A.nnz + m + n
@@ -69,6 +83,13 @@ class Embedding:
         self._rows, self._indptr = Qid.indices, Qid.indptr
         self._shape = Qid.shape
         self.Q = self.Q_of(np.concatenate([A.data, b, c]))
+
+    def at(self, theta):
+        """The embedding of the data theta = (A.data, b, c) on this
+        embedding's pattern and dims: one Q_of, no assembly."""
+        other = copy.copy(self)
+        other.Q = self.Q_of(theta)
+        return other
 
     def Q_of(self, theta):
         """Q at the data vector theta = (A.data, b, c); linear in theta."""

@@ -3,8 +3,9 @@
 A Problem bundles an objective sense, an expression tree, and
 constraints over positive variables.  Solving lowers the program once
 to cone data (the lowering is cached and reused when only parameter
-values change), calls the operator-splitting solver, and maps the log
-domain optimum back through exp.  With derivatives enabled, the solved
+values change), calls the operator-splitting solver with the solver
+workspace of earlier solves, and maps the log domain optimum back
+through exp.  With derivatives enabled, the solved
 problem supports two linear maps:
 
   derivative()  pushes parameter perturbations (``delta`` on each
@@ -113,6 +114,7 @@ class Problem:
         self._point = None
         self._alpha = None
         self._warm = None
+        self._workspace = None
 
     # -- grammar -------------------------------------------------------
 
@@ -168,9 +170,12 @@ class Problem:
         alpha = cmap.pack_alpha()
         beta = cmap.eval_C(alpha)
         A, b, c = pmap.instantiate(beta)
+        if self._workspace is None:
+            self._workspace = solver.Workspace(A, pmap.dims)
         t_solver = time.perf_counter()
         sol = solver.solve(A, b, c, pmap.dims, eps=eps, max_iters=max_iters,
-                           warm_start=self._warm if warm_start else None)
+                           warm_start=self._warm if warm_start else None,
+                           workspace=self._workspace)
         solver_time = time.perf_counter() - t_solver
         self.status = sol.status
         self.solution = sol

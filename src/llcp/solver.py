@@ -15,11 +15,16 @@ solve with R + Q and one cone projection; R is uniform on each cone
 block, so the projection is the Euclidean one.  The linear solve reuses a
 sparse factorization of the quasidefinite matrix
 [[rho_x I, A'], [A, -rho_y I]], which does not depend on b or c, and
-eliminates tau with a rank-one correction computed once per factor.
+eliminates tau with a rank-one correction computed once per solve and
+scale.
 rho_x is fixed; rho_y, the scale, follows the ratio of the dual to the
 primal residual, and each change of it refactors K.  A Gauss-Newton
 polish on the normalized residual map pushes the returned point to tight
 tolerances once ADMM has found the neighborhood.
+
+What depends on A alone (the equilibration, the pattern of Q and the
+factor of K at the last scale) lives in a Workspace, which a caller that
+re-solves with new b and c passes back to skip that work.
 """
 
 from __future__ import annotations
@@ -31,9 +36,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .cones import project_cone
-from .embedding import Embedding
+from .embedding import Embedding, canonical
 
-__all__ = ["ConeSolution", "DataError", "solve"]
+__all__ = ["ConeSolution", "DataError", "Workspace", "solve"]
 
 _ALPHA = 1.5
 _RUIZ_ITERS = 10
@@ -73,12 +78,15 @@ class ConeSolution:
     shape, including programs without variables or constraints.
     iterations counts the ADMM steps taken before the check that ended
     the solve.  scale is the final rho_y of the metric and factorizations
-    the number of factors of K the solve computed, one plus one per change
-    of scale.  Pass (x, y, s, scale) of a previous solution as warm_start
-    when re-solving with nearby data.
+    the number of factors of K this solve computed: one per change of
+    scale, plus one for the starting scale unless the workspace already
+    held that factor, so 0 on a re-solve with unchanged A and scale.
+    Pass (x, y, s, scale) of a previous solution as warm_start when
+    re-solving with nearby data.
 
     embedding is the Embedding of the unscaled (A, b, c) that the solve
-    polished with; diff.ResidualPoint reuses it.
+    polished with; diff.ResidualPoint reuses it.  Each solve has its own,
+    which a later solve leaves as it is.
     """
 
     x: np.ndarray
@@ -100,8 +108,9 @@ def _validate(A, b, c):
         raise DataError("cone program data contains NaN or Inf")
 
 
-def _equilibrate(A, b, c, dims):
-    """Ruiz scaling; exponential-cone triples get a uniform row factor.
+def _equilibrate(A, dims):
+    """Ruiz scaling (As, d, e), As = diag(d) A diag(e); exponential-cone
+    triples get a uniform row factor.
 
     The passes work on the CSC arrays of A: each scales entry (i, j) as
     dr[i] * a * dc[j], the rounding order of diags(dr) @ A @ diags(dc).
@@ -134,7 +143,12 @@ def _equilibrate(A, b, c, dims):
         d *= dr
         e *= dc
     As = sp.csc_matrix((data, rows, A.indptr), shape=(m, n))
-    return As, b * d, c * e, d, e
+    return As, d, e
+
+
+def _metric(n, m, scale):
+    """The diagonal of R = diag(_RHO_X I, scale I, 1)."""
+    return np.concatenate([np.full(n, _RHO_X), np.full(m, scale), [1.0]])
 
 
 def _factor_kkt(A, r):
@@ -154,6 +168,50 @@ def _factor_kkt(A, r):
                 format="csc")
     return spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-2,
                      options={"SymmetricMode": True})
+
+
+class Workspace:
+    """What a solve computes from A alone, kept for the next solve.
+
+    Built from (A, dims), it holds the Embedding of A's pattern, A's
+    values with their Ruiz factors (As, d, e), and the factor of K at the
+    last scale as (scale, lu).  solve() compares each A's values with
+    the held ones: equal values keep the equilibration and the factor,
+    other values recompute both.  A with another pattern, or other dims,
+    raises ValueError.  The factor is replaced at every change of scale.
+    Not safe to share between threads.
+    """
+
+    def __init__(self, A, dims):
+        A = canonical(A)
+        m, n = A.shape
+        self.dims = dict(dims)
+        self.embedding = Embedding(A, np.zeros(m), np.zeros(n), dims)
+        self._indptr = A.indptr.copy()
+        self._indices = A.indices.copy()
+        self._values = None
+        self._factor = None
+
+    def load(self, A, dims):
+        """Make the equilibration that of the canonical A (As, d, e)."""
+        if (dims != self.dims or A.shape != (self.embedding.m,
+                                             self.embedding.n)
+                or not np.array_equal(A.indptr, self._indptr)
+                or not np.array_equal(A.indices, self._indices)):
+            raise ValueError("A or dims differ from the workspace's")
+        if self._values is None or not np.array_equal(A.data, self._values):
+            self.As, self.d, self.e = _equilibrate(A, dims)
+            self._values = A.data.copy()
+            self._factor = None
+
+    def factor(self, scale):
+        """The factor of K at scale, and the number of factors computed
+        for it (0 when the held one is at that scale, else 1)."""
+        if self._factor is not None and self._factor[0] == scale:
+            return self._factor[1], 0
+        m, n = self.As.shape
+        self._factor = (scale, _factor_kkt(self.As, _metric(n, m, scale)))
+        return self._factor[1], 1
 
 
 class _HsdStep:
@@ -258,7 +316,8 @@ def _candidate(emb, A, b, c, u, v):
     return pair + _residuals(A, b, c, *pair)
 
 
-def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
+def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None,
+          workspace=None):
     """Solve the cone program given by (A, b, c, dims).
 
     dims maps cone names to sizes: zero and nonneg count rows, exp
@@ -267,7 +326,10 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
     reported through its status, while non-finite numeric data raises
     DataError.  warm_start takes (x, y, s) or (x, y, s, scale) from a
     previous solution; parts of the wrong shape, or a scale that is not
-    finite and positive, are ignored.
+    finite and positive, are ignored.  workspace is a Workspace of an
+    earlier solve with A's pattern and dims, which this solve reuses and
+    updates; without one the solve builds its own.  The result does not
+    depend on the workspace passed.
 
     One stop rule serves every check: every _CHECK_EVERY iterations, and
     once more at max_iters (also max_iters = 0), the unscaled iterate is
@@ -286,16 +348,20 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
     """
     if not 0.0 < eps < np.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    A = sp.csc_matrix(A)
+    A = canonical(A)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     m, n = A.shape
     _validate(A, b, c)
     if dims["zero"] + dims["nonneg"] + 3 * dims["exp"] != m:
         raise ValueError(f"cone dims {dims} do not sum to {m} rows")
+    if workspace is None:
+        workspace = Workspace(A, dims)
+    workspace.load(A, dims)
     # the iterates are scaled, but Pi does not depend on the data
-    emb = Embedding(A, b, c, dims)
-    As, bs, cs, d, e = _equilibrate(A, b, c, dims)
+    emb = workspace.embedding.at(np.concatenate([A.data, b, c]))
+    As, d, e = workspace.As, workspace.d, workspace.e
+    bs, cs = b * d, c * e
     N = n + m + 1
 
     def unscaled(u, v):
@@ -317,9 +383,9 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
                 scale = min(max(float(warm_start[3]), _SCALE_MIN), _SCALE_MAX)
             u = np.concatenate([wx / e, wy / d, [1.0]])
             v = np.concatenate([np.zeros(n), ws * d / scale, [0.0]])
-    r = np.concatenate([np.full(n, _RHO_X), np.full(m, scale), [1.0]])
-    step = _HsdStep(_factor_kkt(As, r), bs, cs, r)
-    factorizations = 1
+    r = _metric(n, m, scale)
+    lu, factorizations = workspace.factor(scale)
+    step = _HsdStep(lu, bs, cs, r)
 
     # root of each exponential triple's last boundary projection
     rho = np.full(dims["exp"], np.nan)
@@ -370,8 +436,9 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None):
                 v[n:n + m] *= scale / new
                 scale = new
                 r[n:n + m] = scale
-                step = _HsdStep(_factor_kkt(As, r), bs, cs, r)
-                factorizations += 1
+                lu, new_factors = workspace.factor(scale)
+                step = _HsdStep(lu, bs, cs, r)
+                factorizations += new_factors
         it += 1
         ut = step.solve(u + v)
         rel = _ALPHA * ut + (1.0 - _ALPHA) * u

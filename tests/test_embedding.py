@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from llcp import examples
+from llcp.diff import dphi
 from llcp.embedding import Embedding
 from llcp.solver import solve
 
@@ -122,3 +123,39 @@ def test_derivative_solve_builds_one_embedding(monkeypatch):
     problem.backward()
     assert len(built) == 1
     assert problem._point.embedding is problem.solution.embedding
+    # a warm re-solve gathers its Q on the workspace's pattern: no assembly
+    first = problem.solution.embedding
+    a = problem.parameters[0]
+    a.set_value(1.01 * a.value)
+    problem.solve(derivatives=True)
+    problem.derivative()
+    problem.backward()
+    assert problem.status == "optimal"
+    assert len(built) == 1
+    assert problem._point.embedding is problem.solution.embedding
+    assert problem.solution.embedding is not first
+
+
+def test_resolve_leaves_held_embedding_and_point_unchanged():
+    rng = np.random.default_rng(4)
+    problem = examples.benchmark(n=60)
+    problem.solve(derivatives=True)
+    sol, point = problem.solution, problem._point
+    Q, M = sol.embedding.Q, point.M
+
+    def held():
+        return [a.tobytes() for a in (Q.data, Q.indices, Q.indptr, M.data,
+                                      M.indices, M.indptr, point.u, point.z)]
+
+    before = held()
+    dtheta = rng.normal(size=sol.embedding.theta_size)
+    dx = dphi(point, dtheta)
+    params = {p.name: p for p in problem.parameters}
+    for name in ("c", "u"):
+        params[name].set_value(1.02 * params[name].value)
+    problem.solve(derivatives=True)
+    assert problem.status == "optimal"
+    assert problem.solution.embedding is not sol.embedding
+    assert sol.embedding.Q is Q and point.M is M
+    assert held() == before
+    assert dphi(point, dtheta).tobytes() == dx.tobytes()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from llcp import canon
+from llcp import canon, solver
 from llcp.examples import benchmark, hello_world, queuing
 from llcp.expr import (
     Constant,
@@ -122,13 +122,46 @@ def test_warm_resolve_keeps_the_scale():
     u.set_value(1.01 * u.value)
     p.solve()
     assert p.status == "optimal"
-    # the warm start carries the scale, so nothing is learned again
-    assert p.stats["factorizations"] == 1
+    # the warm start carries the scale, so nothing is learned again, and
+    # the workspace holds the factor of K at that scale
+    assert p.stats["factorizations"] == 0
     assert p.stats["scale"] == scale
     warm_iters = p.stats["iterations"]
     p.solve(warm_start=False)
     assert p.status == "optimal"
     assert warm_iters <= p.stats["iterations"]
+
+
+def _bits(*arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("name, min_factors", [("A", 1), ("u", 0)])
+def test_warm_resolve_matches_a_solve_without_workspace(name, min_factors):
+    p = benchmark(n=60)
+    p.solve()
+    prev = p.solution
+    param = named(p, "parameters")[name]
+    # the exponents enter the cone matrix A, the bounds only b
+    param.set_value(1.05 * param.value)
+    p.solve()
+    got = p.solution
+    assert got.status == "optimal"
+    assert got.factorizations >= min_factors
+    _, cmap, pmap = p._compiled
+    A, b, c = pmap.instantiate(cmap.eval_C(cmap.pack_alpha()))
+    want = solver.solve(A, b, c, pmap.dims,
+                        warm_start=(prev.x, prev.y, prev.s, prev.scale))
+    assert _bits(got.x, got.y, got.s) == _bits(want.x, want.y, want.s)
+    assert got.iterations == want.iterations
+    # a cold solve of a used problem is the cold solve of a fresh one
+    p.solve(warm_start=False)
+    fresh = benchmark(n=60)
+    named(fresh, "parameters")[name].set_value(param.value)
+    fresh.solve()
+    a, f = p.solution, fresh.solution
+    assert _bits(a.x, a.y, a.s) == _bits(f.x, f.y, f.s)
+    assert a.iterations == f.iterations
 
 
 def test_infeasible_reports_and_blocks_derivatives():

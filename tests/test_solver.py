@@ -221,6 +221,16 @@ def test_warm_start_scale(scale, want):
     assert (sol.scale, sol.factorizations) == (want, 1)
 
 
+def test_workspace_rejects_another_pattern():
+    A, b, c, dims = lp_geq_one()
+    ws = solver.Workspace(A, dims)
+    assert solve(A, b, c, dims, workspace=ws).status == "optimal"
+    with pytest.raises(ValueError):
+        solve(sp.csc_matrix((1, 1)), b, c, dims, workspace=ws)
+    with pytest.raises(ValueError):
+        solve(A, b, c, {"zero": 1, "nonneg": 0, "exp": 0}, workspace=ws)
+
+
 def test_max_iters_reported():
     rng = np.random.default_rng(5)
     A, b, c, dims, *_ = planted_cone_program(rng, 10, 2, 5, 2)
@@ -347,7 +357,7 @@ def test_equilibrate_matches_grouped_loop():
         d *= dr
         e *= dc
     As = As.tocsc()
-    As_got, _, _, d_got, e_got = _equilibrate(A, b, c, dims)
+    As_got, d_got, e_got = _equilibrate(A, dims)
     assert np.array_equal(d_got, d)
     assert np.array_equal(e_got, e)
     assert np.array_equal(As_got.indptr, As.indptr)
@@ -363,7 +373,8 @@ def metric(n, m, rho_x, rho_y):
 def test_hsd_step_matches_dense_solve(seed):
     rng = np.random.default_rng(seed)
     A, b, c, dims, *_ = planted_cone_program(rng, 7, 2, 4, 3)
-    As, bs, cs, _, _ = _equilibrate(sp.csc_matrix(A), b, c, dims)
+    As, d, e = _equilibrate(sp.csc_matrix(A), dims)
+    bs, cs = b * d, c * e
     m, n = As.shape
     r = metric(n, m, 1.0, 1.0)
     lu = _factor_kkt(As, r)
@@ -387,7 +398,8 @@ def test_scaled_hsd_step_matches_dense_solve(program, rho_x, rho_y):
         A, b, c, dims = hello_cone_program()
     else:
         A, b, c, dims, *_ = planted_cone_program(rng, 7, 2, 4, 3)
-    As, bs, cs, _, _ = _equilibrate(sp.csc_matrix(A), b, c, dims)
+    As, d, e = _equilibrate(sp.csc_matrix(A), dims)
+    bs, cs = b * d, c * e
     m, n = As.shape
     r = metric(n, m, rho_x, rho_y)
     step = _HsdStep(_factor_kkt(As, r), bs, cs, r)
@@ -401,7 +413,7 @@ def test_scaled_hsd_step_matches_dense_solve(program, rho_x, rho_y):
 
 def test_kkt_factor_fill_is_linear():
     A, b, c, dims = cone_program(examples.benchmark(n=500))
-    As, *_ = _equilibrate(A, b, c, dims)
+    As, *_ = _equilibrate(A, dims)
     m, n = As.shape
     lu = _factor_kkt(As, metric(n, m, solver._RHO_X, solver._SCALE_START))
     # K = [[Rx, A'], [A, -Ry]]; splu(I + Q) in the COLAMD order filled to
