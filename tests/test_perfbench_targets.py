@@ -45,7 +45,7 @@ def test_tracer_sees_every_sweep_layer():
         problem = examples.benchmark(n=60)
         problem.solve()
         params = {p.name: p for p in problem.parameters}
-        for step in range(2):
+        for _ in range(2):
             params["c"].set_value(1.01 * params["c"].value)
             for p in problem.parameters:
                 p.delta = np.ones(p.size)
