@@ -44,9 +44,12 @@ class CliError(Exception):
 
 def _vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(part) for part in text.split(",")])
+        vec = np.array([float(part) for part in text.split(",")])
     except ValueError:
         raise CliError(f"not a comma-separated vector: {text!r}")
+    if not np.all(np.isfinite(vec)):
+        raise CliError(f"vector has a non-finite entry: {text!r}")
+    return vec
 
 
 def _named_vectors(pairs, flag: str) -> dict:

@@ -9,21 +9,25 @@ iteration.  Zero and nonnegative blocks project coordinatewise; the
 exponential cone projection reduces, outside three easy regions, to a
 one-dimensional root find in rho = x/y of the projected point (Friberg,
 "Projection onto the exponential cone: a univariate root-finding
-problem", 2021).  Given the root of a nearby earlier input, as between
-two ADMM iterations, plain Newton starts from it; otherwise, or when
-Newton does not converge to an admissible root, a scan finds a
-sign-change bracket and safeguarded Newton runs inside it.  Either way
-Newton stops as soon as a step moves rho by at most 1e-15 relative.  The
-root find runs on the triple divided by a power of two that brings it to
-unit scale, and all formulas are written to avoid overflow for large
-|rho|: for rho >= 0 the root function is rescaled by e^(-2 rho).
-``project_cone`` keeps the per-triple loop in Python floats.
+problem", 2021).  The projected y and the multiplier of the cone
+constraint are proportional to (rho - 1) r + s and r - rho s, so the
+wanted root lies in the interval where both are nonnegative, whose ends
+1 - s/r and r/s are known in closed form; the residual changes sign once
+there.  One safeguarded Newton loop brackets the root by the residual's
+sign, starting from the root of a nearby earlier input when there is
+one, as between two ADMM iterations.  The root find runs on the triple
+divided by a power of two that brings it to unit scale, and all formulas
+are written to avoid overflow for large |rho|: for rho >= 0 the root
+function is rescaled by e^(-2 rho).  ``project_cone`` keeps the
+per-triple loop in Python floats.
 
 Derivatives follow from the case analysis: identity inside the cone, zero
 inside the polar, a diagonal on the third region, and for boundary
-projections the solution of the bordered system obtained by differentiating
-the projection's stationarity conditions.  Points within tolerance of a
-case boundary are flagged as nonsmooth; callers can warn without failing.
+projections a closed form from differentiating the projection's
+stationarity conditions: the identity along the ray through the projected
+point, zero along the constraint gradient, and a curvature-shrunk identity
+along the tangent between them.  Points within tolerance of a case
+boundary are flagged as nonsmooth; callers can warn without failing.
 """
 
 from __future__ import annotations
@@ -113,21 +117,24 @@ def in_dual_expcone(v, tol=0.0) -> bool:
 def _root_fun(rho, r, s, t):
     """Sign-stable residual whose zero gives the projection's x/y ratio.
 
-    Once the exponential underflows the surviving terms are exactly
-    linear in rho; returning that form directly keeps huge |rho| free of
-    inf * 0 contamination from the polynomial factors."""
+    With a = e^rho, E = rho^2 - rho + 1 and the two numerators
+    L1 = r - rho s (of the multiplier) and L2 = r (1 - rho) - s (of -y),
+    the residual is L1 + a t E + a^2 L2, divided by a^2 for rho >= 0 so
+    that nothing overflows.  Written this way no rho^2 terms cancel, so
+    far-right roots come out to full precision.  Once the exponential
+    underflows only a linear numerator is left; returning it directly
+    keeps huge |rho| free of inf * 0."""
     if rho < 0.0:
         a = math.exp(rho)
         if a == 0.0:
             return r - rho * s
-        return (r - rho * s) * (1.0 + a * a * (1.0 - rho)) \
-            - (s * a - t) * a * (1.0 - rho + rho * rho)
+        return r - rho * s + a * (t * (1.0 - rho + rho * rho)
+                                  + a * (r * (1.0 - rho) - s))
     e1 = math.exp(-rho)
     if e1 == 0.0:
         return r * (1.0 - rho) - s
-    e2 = e1 * e1
-    return (r - rho * s) * (e2 + 1.0 - rho) \
-        - (s - t * e1) * (1.0 - rho + rho * rho)
+    return r * (1.0 - rho) - s + e1 * (t * (1.0 - rho + rho * rho)
+                                       + e1 * (r - rho * s))
 
 
 def _root_der(rho, r, s, t):
@@ -135,168 +142,103 @@ def _root_der(rho, r, s, t):
         a = math.exp(rho)
         if a == 0.0:
             return -s
-        a2 = a * a
-        D = 1.0 + a2 * (1.0 - rho)
-        E = 1.0 - rho + rho * rho
-        return (-s * D + (r - rho * s) * a2 * (1.0 - 2.0 * rho)
-                - (2.0 * s * a2 - t * a) * E
-                - (s * a - t) * a * (2.0 * rho - 1.0))
+        return -s + a * (t * rho * (rho + 1.0)
+                         + a * (2.0 * (r * (1.0 - rho) - s) - r))
     e1 = math.exp(-rho)
     if e1 == 0.0:
         return -r
-    e2 = e1 * e1
-    E = 1.0 - rho + rho * rho
-    return (-s * (e2 + 1.0 - rho) + (r - rho * s) * (-2.0 * e2 - 1.0)
-            - t * e1 * E - (s - t * e1) * (2.0 * rho - 1.0))
-
-
-def _polish(lo, hi, flo, r, s, t):
-    """Safeguarded Newton for the residual root inside a sign bracket.
-
-    Newton steps that land strictly inside the bracket are taken, others
-    are replaced by bisection.  A step that moves rho by at most 1e-15
-    relative has converged: it is returned at once instead of bisecting
-    the bracket down to the same width from its far end."""
-    rho = 0.5 * (lo + hi)
-    for _ in range(200):
-        f = _root_fun(rho, r, s, t)
-        if f == 0.0:
-            break
-        if (f > 0.0) == (flo > 0.0):
-            lo = rho
-        else:
-            hi = rho
-        if hi - lo <= 1e-15 * (1.0 + abs(lo) + abs(hi)):
-            break
-        fp = _root_der(rho, r, s, t)
-        if fp != 0.0:
-            nxt = rho - f / fp
-            if lo <= nxt <= hi and abs(nxt - rho) <= 1e-15 * (1.0 + abs(rho)):
-                return nxt
-            if lo < nxt < hi:
-                rho = nxt
-                continue
-        rho = 0.5 * (lo + hi)
-    return rho
-
-
-def _newton(rho, r, s, t):
-    """Plain Newton from a warm start: the root once a step moves rho by
-    at most 1e-15 relative, NaN if no step does within eight."""
-    for _ in range(8):
-        f = _root_fun(rho, r, s, t)
-        fp = _root_der(rho, r, s, t)
-        if fp == 0.0:
-            break
-        nxt = rho - f / fp
-        if abs(nxt - rho) <= 1e-15 * (1.0 + abs(rho)):
-            return nxt
-        rho = nxt
-    return math.nan
-
-
-def _admissible(mu, clamp, scale):
-    """Whether a root's recovered point meets the optimality conditions.
-
-    The raw point of any root satisfies the stationarity conditions; it
-    is the projection when its multiplier is nonnegative and it lies in
-    the cone.  Both are judged on the scale of the input: mu is the
-    multiplier times the largest entry of the constraint gradient, and
-    clamp is how far clamping y and z at zero moves the point.  Far from
-    rho = 0 both factors are large, so a root with y or the multiplier
-    only a hair below zero can still be off by order scale.  Tolerances
-    admit roots where mu or clamp are a hair off (tangency with the polar
-    boundary, deep-right points hugging the z-axis ray); spurious roots
-    miss by order scale and stay rejected."""
-    return clamp <= 1e-11 * scale and mu >= -1e-9 * scale
+    return -r - e1 * (t * (rho - 1.0) * (rho - 2.0)
+                      + e1 * (2.0 * (r - rho * s) + s))
 
 
 def _solve_boundary(r, s, t, rho0=math.nan):
     """Root, projected point and multiplier of the boundary case.
 
-    Returns (rho, x, y, z, lam).  A finite rho0, the root for a nearby
-    earlier input, starts plain Newton; its root is kept when a step
-    converges and the recovered point is admissible.  Otherwise, and
-    always without rho0, sign-change brackets are scanned and the first
-    root whose recovered point is admissible is kept.
+    Returns (rho, x, y, z, lam).  The projection's y is proportional to
+    (rho - 1) r + s and its multiplier to r - rho s, both with the
+    positive factor 1/(rho^2 - rho + 1), so the wanted root lies where
+    both are nonnegative: between 1 - s/r and r/s, an interval closed
+    on one side at least.  The residual is positive left of the root
+    and negative right of it, and crosses zero once in the interval.
 
-    Face-hugging inputs put the root near r/s (left) or 1 - s/r (right),
-    which can sit far outside any fixed window, so the scan reach adapts
-    to those estimates.  Beyond |rho| ~ 745 the exponentials underflow
-    and the residual is exactly linear there, so Newton still converges
-    in one step inside such brackets.  Callers pass (r, s, t) at unit
-    scale, which keeps every product in the residual finite."""
-    scale = 1.0 + abs(r) + abs(s) + abs(t)
-    if -math.inf < rho0 < math.inf:
-        rho = _newton(rho0, r, s, t)
-        if rho == rho:
-            x, y, z, lam, mu, clamp = _recover(rho, r, s, t)
-            if _admissible(mu, clamp, scale):
-                return rho, x, y, z, max(lam, 0.0)
-    reach = 512.0
-    if s > 0.0:
-        reach = max(reach, 2.0 * abs(r) / s + 2.0)
+    One safeguarded Newton loop finds the root.  Each residual narrows
+    the bracket by its sign; a Newton step is taken when it lands inside
+    the bracket, and otherwise a bracket no wider than twice the current
+    step is bisected while a wider or open one is crossed in doubling
+    steps from its end nearer zero.  The loop starts from rho0, the root
+    of a nearby earlier input, clamped into the interval, or else from
+    that first fallback step.  It stops once a Newton step moves rho by
+    at most 1e-15 relative or the bracket stops shrinking.  Beyond
+    |rho| ~ 745 the exponentials underflow and the residual is exactly
+    linear, so there Newton converges in one step.  Callers pass
+    (r, s, t) at unit scale, which keeps every product in the residual
+    finite."""
+    lo, hi = -math.inf, math.inf
     if r > 0.0:
-        reach = max(reach, 2.0 * abs(s) / r + 4.0)
-    reach = min(reach, 1e306)
-    knots = [0.0]
-    step = 0.5
-    while step <= reach:
-        knots.extend((step, -step))
-        step *= 2.0
-    knots.sort()
-    prev_k = knots[0]
-    prev_f = _root_fun(prev_k, r, s, t)
-    for k in knots[1:]:
-        f = _root_fun(k, r, s, t)
-        if f == 0.0 or (f > 0.0) != (prev_f > 0.0):
-            rho = _polish(prev_k, k, prev_f, r, s, t)
-            x, y, z, lam, mu, clamp = _recover(rho, r, s, t)
-            if _admissible(mu, clamp, scale):
-                return rho, x, y, z, max(lam, 0.0)
-        prev_k, prev_f = k, f
-    raise FloatingPointError(
-        f"no valid root for exponential-cone projection of ({r}, {s}, {t})"
-    )
+        lo = 1.0 - s / r
+    elif r < 0.0:
+        hi = 1.0 - s / r
+    if s > 0.0:
+        hi = min(hi, r / s)
+    elif s < 0.0:
+        lo = max(lo, r / s)
+    # the ends carry rounding, and a root at an end would put Newton's
+    # last step an ulp outside
+    lo -= 1e-15 * (1.0 + abs(lo))
+    hi += 1e-15 * (1.0 + abs(hi))
+    nxt = min(max(rho0, lo), hi) if -math.inf < rho0 < math.inf else math.nan
+    step = 1.0
+    for _ in range(200):
+        if nxt != nxt:
+            if hi - lo <= 2.0 * step:
+                nxt = 0.5 * (lo + hi)
+                if not lo < nxt < hi:  # the bracket stopped shrinking
+                    rho = nxt
+                    break
+            elif abs(lo) <= abs(hi):
+                nxt = lo + step
+            else:
+                nxt = hi - step
+            step *= 2.0
+        rho = nxt
+        f = _root_fun(rho, r, s, t)
+        if f > 0.0:
+            lo = rho
+        elif f < 0.0:
+            hi = rho
+        else:
+            break
+        fp = _root_der(rho, r, s, t)
+        nxt = rho - f / fp if fp else math.nan
+        if lo <= nxt <= hi and abs(nxt - rho) <= 1e-15 * (1.0 + abs(rho)):
+            rho = nxt
+            break
+        if not lo < nxt < hi:
+            nxt = math.nan
+    return (rho, *_recover(rho, r, s, t))
 
 
 def _recover(rho, r, s, t):
-    """Projected point and multiplier from the root.
-
-    Returns (x, y, z, lam, mu, clamp): the point with y and z clamped at
-    zero, the multiplier lam, mu = lam times the largest entry of the
-    constraint gradient (e^rho, e^rho (1 - rho), -1), and clamp, the
-    largest entry of the move the clamping makes (x = rho y moves by
-    |rho| times as much as y).
+    """Projected point and multiplier (x, y, z, lam) from the root.
 
     For rho < 0 the divisor 1 + a^2 (1 - rho) is at least one, so the
-    direct formulas are safe, and the largest gradient entry is 1.  For
-    rho >= 0 that divisor can vanish (it does exactly when s = t = 0), so
-    the multiplier is taken from the always-positive divisor
-    E = 1 - rho + rho^2 >= 3/4 instead; there mu = (r - rho s) g / E with
-    g = max(1, rho - 1), written for rho > 2 as a ratio that keeps huge
-    rho from overflowing E."""
+    direct formulas are safe.  For rho >= 0 that divisor can vanish (it
+    does exactly when s = t = 0), so the multiplier is taken from the
+    always-positive divisor E = 1 - rho + rho^2 >= 3/4 instead.  Rounding
+    can leave y, z or lam a hair below zero; they are clamped there."""
     if rho < 0.0:
         a = math.exp(rho)
         den = 1.0 + a * a * (1.0 - rho)
         y = (s + t * a * (1.0 - rho)) / den
         lam = (s * a - t) / den
-        mu = lam
         z = t + lam
     else:
         e1 = math.exp(-rho)
-        E = 1.0 - rho + rho * rho
-        lam = (r - rho * s) * e1 / E
-        if rho <= 2.0:
-            mu = (r - rho * s) / E
-        else:
-            mu = (r - rho * s) / (rho + 1.0 / (rho - 1.0))
+        lam = (r - rho * s) * e1 / (1.0 - rho + rho * rho)
         z = t + lam
         y = z * e1
-    clamp = max(0.0, -y * max(1.0, abs(rho)), -z)
     y = max(y, 0.0)
-    z = max(z, 0.0)
-    return rho * y, y, z, lam, mu, clamp
+    return rho * y, y, max(z, 0.0), max(lam, 0.0)
 
 
 def _project_exp(r, s, t, rho0=math.nan):
@@ -315,7 +257,8 @@ def _project_exp(r, s, t, rho0=math.nan):
     # Projection is 1-Lipschitz, so folding r, s in (0, 1e-12 scale] into
     # the r, s <= 0 face case perturbs the result by at most ~1e-12 scale,
     # and it keeps the boundary root (near r/s or 1 - s/r for these
-    # face-hugging inputs) within a floating-point-sized scan range.
+    # face-hugging inputs) within about 1e12 of zero, a few dozen
+    # doubling steps of the root find.
     scale = max(abs(r), abs(s), abs(t))
     if r <= 1e-12 * scale and s <= 1e-12 * scale:
         return min(r, 0.0), 0.0, max(t, 0.0), "third", math.nan, math.nan
@@ -369,23 +312,21 @@ def dproject_expcone(v):
             return np.diag([0.0, 0.0, 1.0 if z > 0.0 else 0.0]), True
         # degenerate boundary point; fall back to the third-region form
         return np.diag([1.0, 0.0, 1.0 if t > 0.0 else 0.0]), True
-    a = math.exp(min(rho, 700.0))
-    grad = np.array([a, a * (1.0 - rho), -1.0])
-    H = (a / y) * np.array([
-        [1.0, -rho, 0.0],
-        [-rho, rho * rho, 0.0],
-        [0.0, 0.0, 0.0],
-    ])
-    KKT = np.zeros((4, 4))
-    KKT[:3, :3] = np.eye(3) + lam * H
-    KKT[:3, 3] = grad
-    KKT[3, :3] = grad
-    try:
-        Jfull = np.linalg.solve(KKT, np.vstack([np.eye(3),
-                                                np.zeros((1, 3))]))
-    except np.linalg.LinAlgError:
-        return np.eye(3), True
-    return Jfull[:3, :], bool(near)
+    # J = P + f V.  P projects onto the ray through the point, direction
+    # m = (rho, 1, e^rho), along which the projection is linear.  V
+    # projects onto v = g x m, g = (e^rho, e^rho (1 - rho), -1) the
+    # constraint gradient, and f = 1 / (1 + c |m|^2 / |g|^2) with the
+    # curvature c = lam e^rho / y.  For rho >= 0, g and m are divided by
+    # e^rho, which changes none of P, V and f, so nothing overflows.
+    w, e = (math.exp(rho), 1.0) if rho < 0.0 else (1.0, math.exp(-rho))
+    gg = w * w * (1.0 + (1.0 - rho) ** 2) + e * e
+    m = np.array([rho * e, e, w])
+    mm = m @ m
+    v = np.array([w * w * (1.0 - rho) + e * e, -(rho * e * e + w * w),
+                  w * e * (1.0 - rho + rho * rho)])
+    lm = lam * w * mm
+    f = y * e * gg / (y * e * gg + lm) if lm > 0.0 else 1.0
+    return np.outer(m, m) / mm + f / (gg * mm) * np.outer(v, v), bool(near)
 
 
 def _exp_blocks(dims):

@@ -360,6 +360,17 @@ def test_bad_eps_fails_before_any_solve(capsys, monkeypatch, command, eps):
     assert "argument --eps: " in captured.err and repr(eps) in captured.err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "1,-inf"])
+@pytest.mark.parametrize("command,flag,name", [
+    ("sensitivity", "--delta", "a"), ("backward", "--grad", "x"),
+    ("solve", "--param", "a")])
+def test_non_finite_vector_is_an_error(capsys, command, flag, name, value):
+    code, out, err = run(capsys, command, "--example", "hello", flag,
+                         f"{name}={value}")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and value in err
+
+
 @pytest.mark.parametrize("command", ["solve", "sensitivity", "backward"])
 @pytest.mark.parametrize("flag", ["--n", "--m"])
 def test_bad_benchmark_size_is_an_error(capsys, command, flag):

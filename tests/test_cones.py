@@ -1,6 +1,7 @@
 """Cone projections: fixtures, Moreau identity, derivatives, flags."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -138,21 +139,34 @@ def test_projection_any_magnitude(v):
     assert moreau <= 1e-9 and orth <= 1e-9
 
 
-def test_polish_stops_when_newton_converges(monkeypatch):
+def test_cold_root_find_stops_when_newton_converges(monkeypatch):
     r, s, t = (-0.007712958605542796, 0.008117661150532527,
                0.0012080675946270919)
-    lo, hi = -2.0, -1.0
-    flo = cones._root_fun(lo, r, s, t)
     calls = []
     root_fun = cones._root_fun
     monkeypatch.setattr(cones, "_root_fun",
                         lambda *a: calls.append(a) or root_fun(*a))
-    rho = cones._polish(lo, hi, flo, r, s, t)
-    assert lo < rho < hi
+    rho = cones._solve_boundary(r, s, t)[0]
+    assert -2.0 < rho < -1.0
     assert abs(root_fun(rho, r, s, t)) <= 1e-15
-    # Newton converges in a few steps; bisecting down from the far
-    # bracket end afterwards took about 53 evaluations
+    # Newton converges in a few steps; bisecting a bracket down from its
+    # far end afterwards took about 53 evaluations
     assert len(calls) <= 8
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=st.one_of(vec3, st.tuples(huge, huge, huge)))
+def test_boundary_root_lies_where_y_and_multiplier_are_nonnegative(v):
+    _, info = project_expcone(v)
+    if info["case"] != "boundary":
+        return
+    # y and the multiplier are proportional to (rho - 1) r + s and
+    # r - rho s, so the root lies between 1 - s/r and r/s
+    r, s, _ = np.asarray(v) / np.max(np.abs(v))
+    rho = info["rho"]
+    assert (rho - 1.0) * r + s >= -1e-12 * (abs(rho * r) + abs(r) + abs(s))
+    assert r - rho * s >= -1e-12 * (abs(r) + abs(rho * s))
+    assert info["y"] >= 0.0 and info["lam"] >= 0.0
 
 
 @settings(max_examples=300, deadline=None)
@@ -256,6 +270,24 @@ def test_dual_derivative_matches_finite_differences():
             lambda w: project_cone(w, dims, dual=True), v, h=1e-7)
         assert np.max(np.abs(J.toarray() - Jfd)) <= 1e-5
         checked += 1
+
+
+def test_derivative_far_right_has_no_overflow():
+    # rho = 381 and y = 6.5e-166: e^rho / y overflowed and the block
+    # came out all NaN
+    v = np.array([0.006353680562605213, -2.4153705261349794,
+                  2.230958548104022])
+    dims = {"zero": 0, "nonneg": 0, "exp": 1}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        J, _ = dproject_expcone(v)
+        Jd, _ = dproject_cone(-v, dims, dual=True)
+    Jfd = central_jacobian(lambda w: project_expcone(w)[0], v, h=1e-7)
+    Jdfd = central_jacobian(lambda w: project_cone(w, dims, dual=True), -v,
+                            h=1e-7)
+    assert np.all(np.isfinite(J)) and np.all(np.isfinite(Jd.toarray()))
+    assert np.max(np.abs(J - Jfd)) <= 1e-6
+    assert np.max(np.abs(Jd.toarray() - Jdfd)) <= 1e-6
 
 
 def test_interior_and_polar_derivatives():

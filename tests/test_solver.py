@@ -440,5 +440,5 @@ def test_projection_root_finds_are_warm_started(monkeypatch):
     solve(A, b, c, dims, max_iters=2000)
     assert counts["boundary"] > 1000
     # each ADMM iteration starts from the previous root: a few Newton
-    # steps per triple, where a cold bracket scan takes about 27
+    # steps per triple, where a cold find takes about 5 on random triples
     assert counts["root_fun"] <= 4 * counts["boundary"]
