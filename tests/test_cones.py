@@ -149,8 +149,8 @@ def test_cold_root_find_stops_when_newton_converges(monkeypatch):
     rho = cones._solve_boundary(r, s, t)[0]
     assert -2.0 < rho < -1.0
     assert abs(root_fun(rho, r, s, t)) <= 1e-15
-    # Newton converges in a few steps; bisecting a bracket down from its
-    # far end afterwards took about 53 evaluations
+    # the cold start is one step inside the interval's end r/s, and
+    # Newton converges from there in a few steps
     assert len(calls) <= 8
 
 
