@@ -32,6 +32,7 @@ from llcp.problem import (
     NoDerivativeStateError,
     NotDgpError,
     Problem,
+    solve_many,
 )
 
 __version__ = "0.1.0"
@@ -68,5 +69,6 @@ __all__ = [
     "power",
     "ratio",
     "save_problem",
+    "solve_many",
     "__version__",
 ]

@@ -332,11 +332,15 @@ def _fit_regression(args, csv) -> int:
         logger.info("%d solves landed on nonsmooth points; their gradients "
                     "are least-squares heuristics", nonsmooth)
     doc = {"command": "fit-regression",
-           "history": result.history, "predictions": predictions}
+           "history": result.history, "predictions": predictions,
+           "solves": result.solves, "iterations": result.iterations,
+           "factorizations": result.factorizations}
     lines = [f"iteration {h['iteration']:3d}: train mse {h['train_mse']:.6g}, "
              f"validation mse {h['val_mse']:.6g}" for h in result.history]
     lines.append(f"training mse {result.initial_train_mse:.6g} -> "
                  f"{result.final_train_mse:.6g} after {args.iters} steps")
+    lines.append(f"{result.solves} solves, {result.iterations} iterations, "
+                 f"{result.factorizations} factorizations")
     if result.skipped_solves:
         lines.append(f"skipped {result.skipped_solves} non-optimal solves")
     if csv is not None:

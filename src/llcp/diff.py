@@ -60,9 +60,10 @@ class ResidualPoint:
         self.M, self.DPi, nonsmooth = embedding.jacobian(self.z)
         self.nonsmooth = bool(nonsmooth)
         if self.nonsmooth:
+            # reported at the caller of Problem.solve or solve_many
             warnings.warn("projection not differentiable at the solution; "
                           "sensitivities are a least-squares heuristic",
-                          NonsmoothWarning, stacklevel=3)
+                          NonsmoothWarning, stacklevel=4)
 
 
 def _lsqr(op, rhs):

@@ -105,6 +105,7 @@ class Embedding:
     def project(self, w, rho=None):
         """Project onto R^n x K* x R_+, the cone of the u iterate.
 
+        w may also be an (N, k) stack of such vectors, one per column.
         rho is passed on to project_cone: the exponential root finds
         start from it, and it is updated in place."""
         n, m = self.n, self.m
@@ -112,7 +113,9 @@ class Embedding:
         if m:
             out[n:n + m] = project_cone(w[n:n + m], self.dims, dual=True,
                                         rho=rho)
-        out[-1] = max(w[-1], 0.0)
+        tau = w[-1]
+        out[-1] = max(tau, 0.0) if w.ndim == 1 else np.where(tau < 0.0, 0.0,
+                                                             tau)
         return out
 
     def dproject(self, w):

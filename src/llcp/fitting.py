@@ -14,8 +14,11 @@ The learnable weights are the exponents A and the coefficients c.
 squared prediction loss.  Gradients flow through each training solve via
 the adjoint of the solution map, and the projection keeps c strictly
 positive by clamping.  Since the inputs are baked into each program as
-constants, one program per sample is compiled once up front and re-used
-(warm-started) across the descent iterations.
+constants, one program per sample is compiled once up front.  The
+inputs enter the cone data only through b, so all samples share one cone
+matrix: each evaluation of the weights solves every sample's program in
+one batch (problem.solve_many), warm-started from the previous
+evaluation, and one factor of the matrix serves all of them.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import Constant, Parameter, Variable, add
-from .problem import Minimize, Problem
+from .problem import Minimize, Problem, solve_many
 
 __all__ = [
     "FitResult",
@@ -130,7 +133,11 @@ def least_squares_monomials(X, Y):
 
 @dataclass
 class FitResult:
-    """Trained weights plus the per-iteration loss trail."""
+    """Trained weights plus the per-iteration loss trail.
+
+    solves, iterations and factorizations total the call's sample
+    solves, their ADMM iterations and the factors of the cone matrix
+    they computed."""
 
     A: np.ndarray
     c: np.ndarray
@@ -138,6 +145,9 @@ class FitResult:
     c_init: np.ndarray
     history: list = field(default_factory=list)
     skipped_solves: int = 0
+    solves: int = 0
+    iterations: int = 0
+    factorizations: int = 0
 
     @property
     def initial_train_mse(self) -> float:
@@ -148,10 +158,11 @@ class FitResult:
         return self.history[-1]["train_mse"]
 
 
-def _mse_and_grad(problems, Y, A, c, eps, max_iters, want_grad):
-    """Mean squared loss over the samples; optionally its A/c gradient.
+def _mse_and_grad(problems, Y, A, c, want_grad):
+    """Mean squared loss over the solved samples; optionally its A/c
+    gradient, which needs their derivative state.
 
-    Samples whose solve does not reach optimality are logged and left
+    Samples whose solve did not reach optimality are logged and left
     out of both the average and the gradient.
     """
     total = 0.0
@@ -160,8 +171,7 @@ def _mse_and_grad(problems, Y, A, c, eps, max_iters, want_grad):
     grad_A = np.zeros(A.size)
     grad_c = np.zeros(c.size)
     for k, prob in enumerate(problems):
-        if prob.solve(derivatives=want_grad, eps=eps,
-                      max_iters=max_iters) is None:
+        if prob.status != "optimal":
             logger.warning("sample %d: solver returned %s; skipping",
                            k, prob.status)
             skipped += 1
@@ -207,6 +217,7 @@ def fit(X_train, Y_train, X_val, Y_val, *, iters: int = 10,
     c = Parameter("c", m, positive=True, value=c_vec)
     train_problems = [model_problem(x, A, c) for x in np.asarray(X_train)]
     val_problems = [model_problem(x, A, c) for x in np.asarray(X_val)]
+    problems = train_problems + val_problems
 
     result = FitResult(A=A_mat.copy(), c=c_vec.copy(),
                        A_init=A_mat.copy(), c_init=c_vec.copy())
@@ -214,11 +225,18 @@ def fit(X_train, Y_train, X_val, Y_val, *, iters: int = 10,
         A.set_value(result.A.ravel())
         c.set_value(result.c)
         last = iteration == iters
+        # only the training samples' gradients are used
+        solve_many(problems, eps=eps, max_iters=max_iters,
+                   derivatives=([not last] * len(train_problems)
+                                + [False] * len(val_problems)))
+        for prob in problems:
+            result.solves += 1
+            result.iterations += prob.solution.iterations
+            result.factorizations += prob.solution.factorizations
         train_mse, grad_A, grad_c, skipped = _mse_and_grad(
-            train_problems, Y_train, A, c, eps, max_iters,
-            want_grad=not last)
+            train_problems, Y_train, A, c, want_grad=not last)
         val_mse, _, _, val_skipped = _mse_and_grad(
-            val_problems, Y_val, A, c, eps, max_iters, want_grad=False)
+            val_problems, Y_val, A, c, want_grad=False)
         result.skipped_solves += skipped + val_skipped
         result.history.append({"iteration": iteration,
                                "train_mse": train_mse, "val_mse": val_mse})

@@ -26,6 +26,7 @@ import numpy as np
 from .canon import canonicalize, lin_eval
 from .compiler import compile_problem
 from .diff import ResidualPoint, dphi, dphi_adjoint
+from .embedding import canonical
 from .expr import (
     Constraint,
     ShapeError,
@@ -37,7 +38,7 @@ from .expr import (
 from . import solver
 
 __all__ = ["Maximize", "Minimize", "NoDerivativeStateError", "NotDgpError",
-           "Problem"]
+           "Problem", "solve_many"]
 
 
 class NotDgpError(ValueError):
@@ -166,17 +167,30 @@ class Problem:
         solve retains the state consumed by derivative() and backward().
         """
         t_start = time.perf_counter()
-        prob, cmap, pmap = self._ensure_compiled()
-        alpha = cmap.pack_alpha()
-        beta = cmap.eval_C(alpha)
-        A, b, c = pmap.instantiate(beta)
+        alpha, beta, (A, b, c) = self._cone_data()
+        dims = self._compiled[2].dims
         if self._workspace is None:
-            self._workspace = solver.Workspace(A, pmap.dims)
+            self._workspace = solver.Workspace(A, dims)
         t_solver = time.perf_counter()
-        sol = solver.solve(A, b, c, pmap.dims, eps=eps, max_iters=max_iters,
+        sol = solver.solve(A, b, c, dims, eps=eps, max_iters=max_iters,
                            warm_start=self._warm if warm_start else None,
                            workspace=self._workspace)
         solver_time = time.perf_counter() - t_solver
+        return self._finish(sol, alpha, beta, derivatives, t_start,
+                            solver_time)
+
+    def _cone_data(self):
+        """(alpha, beta, (A, b, c)) at the current parameter values."""
+        prob, cmap, pmap = self._ensure_compiled()
+        alpha = cmap.pack_alpha()
+        beta = cmap.eval_C(alpha)
+        return alpha, beta, pmap.instantiate(beta)
+
+    def _finish(self, sol, alpha, beta, derivatives, t_start, solver_time):
+        """Record sol, the cone solution at (alpha, beta): the status,
+        value, variable values, warm start, derivative state and stats.
+        Returns the value, None unless optimal."""
+        prob = self._compiled[0]
         self.status = sol.status
         self.solution = sol
         self._point = None
@@ -255,3 +269,57 @@ class Problem:
             out[p.name] = p.gradient
             pos += p.size
         return out
+
+
+def solve_many(problems, *, derivatives=False, eps=1e-8, max_iters=100000,
+               warm_start=True):
+    """Solve several problems, those with one cone matrix together.
+
+    Problems whose cone programs share A and dims, such as one model
+    instantiated on many inputs, are solved by one solver.solve_batch
+    on one solver Workspace, which each of them keeps for later solves.
+    Each problem then ends as Problem.solve ends it: status, value,
+    variable values, warm start, derivative state and stats.  Its stats
+    report the solver time of its whole batch, and the time since this
+    call began.  derivatives is one flag for every problem, or one flag
+    per problem.  Returns the values, None where a solve was not
+    optimal.  Problems that share a workspace must not be solved from
+    two threads at once.
+    """
+    problems = list(problems)
+    if isinstance(derivatives, bool):
+        derivatives = [derivatives] * len(problems)
+    derivatives = list(derivatives)
+    if len(derivatives) != len(problems):
+        raise ValueError(f"{len(derivatives)} derivative flags for "
+                         f"{len(problems)} problems")
+    t_start = time.perf_counter()
+    data = []
+    groups = {}
+    for k, prob in enumerate(problems):
+        alpha, beta, (A, b, c) = prob._cone_data()
+        A = canonical(A)
+        dims = prob._compiled[2].dims
+        key = (A.shape, A.indptr.tobytes(), A.indices.tobytes(),
+               A.data.tobytes(), tuple(sorted(dims.items())))
+        groups.setdefault(key, []).append(k)
+        data.append((alpha, beta, A, b, c, dims))
+    values = [None] * len(problems)
+    for members in groups.values():
+        A, dims = data[members[0]][2], data[members[0]][5]
+        held = [problems[k]._workspace for k in members
+                if problems[k]._workspace is not None]
+        workspace = held[0] if held else solver.Workspace(A, dims)
+        t_solver = time.perf_counter()
+        sols = solver.solve_batch(
+            A, [data[k][3] for k in members], [data[k][4] for k in members],
+            dims, eps=eps, max_iters=max_iters,
+            warm_starts=[problems[k]._warm if warm_start else None
+                         for k in members],
+            workspace=workspace)
+        solver_time = time.perf_counter() - t_solver
+        for k, sol in zip(members, sols):
+            problems[k]._workspace = workspace
+            values[k] = problems[k]._finish(sol, *data[k][:2], derivatives[k],
+                                            t_start, solver_time)
+    return values

@@ -23,8 +23,17 @@ polish on the normalized residual map pushes the returned point to tight
 tolerances once ADMM has found the neighborhood.
 
 What depends on A alone (the equilibration, the pattern of Q and the
-factor of K at the last scale) lives in a Workspace, which a caller that
-re-solves with new b and c passes back to skip that work.
+factors of K) lives in a Workspace, which a caller that re-solves with
+new b and c passes back to skip that work.
+
+solve_batch runs this loop for many programs with one A and one cone,
+in lockstep on stacks of iterates, one column per program.  Programs at
+one scale share one factor of K, and each iteration makes one solve with
+it on all their columns and one projection of all their exponential
+triples, which are then enough to run the root finds as one numpy loop.
+Each program keeps its own tau elimination, checks, polish, certificates
+and scale, and leaves the stack when it ends.  solve is the batch of
+one, which runs on vectors.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ import scipy.sparse.linalg as spla
 from .cones import project_cone
 from .embedding import Embedding, canonical
 
-__all__ = ["ConeSolution", "DataError", "Workspace", "solve"]
+__all__ = ["ConeSolution", "DataError", "Workspace", "solve", "solve_batch"]
 
 _ALPHA = 1.5
 _RUIZ_ITERS = 10
@@ -174,12 +183,12 @@ class Workspace:
     """What a solve computes from A alone, kept for the next solve.
 
     Built from (A, dims), it holds the Embedding of A's pattern, A's
-    values with their Ruiz factors (As, d, e), and the factor of K at the
-    last scale as (scale, lu).  solve() compares each A's values with
-    the held ones: equal values keep the equilibration and the factor,
-    other values recompute both.  A with another pattern, or other dims,
-    raises ValueError.  The factor is replaced at every change of scale.
-    Not safe to share between threads.
+    values with their Ruiz factors (As, d, e), and the factors of K at
+    the scales the last solve's programs ended at, by scale.  solve()
+    and solve_batch() compare each A's values with the held ones: equal
+    values keep the equilibration and the factors, other values
+    recompute both.  A with another pattern, or other dims, raises
+    ValueError.  Not safe to share between threads.
     """
 
     def __init__(self, A, dims):
@@ -190,7 +199,7 @@ class Workspace:
         self._indptr = A.indptr.copy()
         self._indices = A.indices.copy()
         self._values = None
-        self._factor = None
+        self._factors = {}
 
     def load(self, A, dims):
         """Make the equilibration that of the canonical A (As, d, e)."""
@@ -202,16 +211,22 @@ class Workspace:
         if self._values is None or not np.array_equal(A.data, self._values):
             self.As, self.d, self.e = _equilibrate(A, dims)
             self._values = A.data.copy()
-            self._factor = None
+            self._factors = {}
 
     def factor(self, scale):
         """The factor of K at scale, and the number of factors computed
-        for it (0 when the held one is at that scale, else 1)."""
-        if self._factor is not None and self._factor[0] == scale:
-            return self._factor[1], 0
+        for it (0 when one at that scale is held, else 1)."""
+        lu = self._factors.get(scale)
+        if lu is not None:
+            return lu, 0
         m, n = self.As.shape
-        self._factor = (scale, _factor_kkt(self.As, _metric(n, m, scale)))
-        return self._factor[1], 1
+        lu = self._factors[scale] = _factor_kkt(self.As, _metric(n, m, scale))
+        return lu, 1
+
+    def retain(self, scales):
+        """Drop the factors at scales not in scales."""
+        self._factors = {k: lu for k, lu in self._factors.items()
+                         if k in scales}
 
 
 class _HsdStep:
@@ -226,28 +241,56 @@ class _HsdStep:
     M is K = [[Rx, A'], [A, -Ry]] with its second block row negated, so
     each M^-1 is one solve with the factor lu of K (_factor_kkt(A, r)),
     which does not depend on b or c.  The symmetric part of M^-1 is
-    positive definite, so the denominator is at least r_tau.  solve
-    returns one buffer, which the next call overwrites.
+    positive definite, so the denominator is at least r_tau.
+
+    b and c may be (m, k) and (n, k) stacks of k programs, one per
+    column, that share A and r; then w is an (N, k) stack too, and each
+    call makes one solve with lu on a k-column right-hand side.  Each
+    column's dot products are taken on their own, so a column's result
+    does not depend on the others.  solve returns one buffer, which the
+    next call overwrites.
     """
 
     def __init__(self, lu, b, c, r):
         self._lu = lu
-        sign = np.concatenate([np.ones(c.size), -np.ones(b.size)])
-        self._h = np.concatenate([c, b])
+        sign = np.concatenate([np.ones(len(c)), -np.ones(len(b))])[:, None]
+        h = np.concatenate([c, b])
+        # column-major, as the factor's solves return their results
+        self._h = np.asfortranarray(h if h.ndim == 2 else h[:, None])
         self._p = lu.solve(sign * self._h)
         self._r_tau = float(r[-1])
-        self._denom = self._r_tau + float(self._h @ self._p)
-        self._signed_r = sign * r[:-1]
-        self._out = np.empty(self._h.size + 1)
+        self._denom = self._r_tau + _coldots(self._h, self._p)
+        self._signed_r = sign * r[:-1, None]
+        self._out = np.empty((sign.size + 1, self._h.shape[1]))
+        # one program's columns as vectors, for solve on a vector
+        self._one = (self._signed_r[:, 0], self._h[:, 0], self._p[:, 0],
+                     self._denom[0], self._out[:, 0], self._out[:-1, 0])
 
     def solve(self, w):
+        if w.ndim == 1:
+            # one program, in vectors and floats: the same arithmetic
+            # without a stack's overhead
+            signed_r, h, p, denom, out, head = self._one
+            z = self._lu.solve(signed_r * w[:-1])
+            tau = (self._r_tau * w[-1] + float(h @ z)) / denom
+            np.multiply(tau, p, out=head)
+            np.subtract(z, head, out=head)
+            out[-1] = tau
+            return out
         z = self._lu.solve(self._signed_r * w[:-1])
-        tau = (self._r_tau * w[-1] + float(self._h @ z)) / self._denom
+        tau = (self._r_tau * w[-1] + _coldots(self._h, z)) / self._denom
         head = self._out[:-1]
         np.multiply(tau, self._p, out=head)
         np.subtract(z, head, out=head)
         self._out[-1] = tau
         return self._out
+
+
+def _coldots(H, Z):
+    """The dot product of each column of H with the same column of Z,
+    each a BLAS dot of its own, as h @ z of the two columns would take
+    it; H and Z are column-major."""
+    return (H.T[:, None, :] @ Z.T[:, :, None])[:, 0, 0]
 
 
 def _residuals(A, b, c, x, y, s):
@@ -345,110 +388,248 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None,
     adapts to the check's raw iterate.  At the cap the best candidate of
     all checks is returned as "max_iters".  eps must be finite and
     positive, or ValueError is raised before any work.
+
+    This is solve_batch with one program.
+    """
+    return solve_batch(A, [b], [c], dims, eps=eps, max_iters=max_iters,
+                       warm_starts=[warm_start], workspace=workspace)[0]
+
+
+class _Column:
+    """One program of a batch: its data, scale and candidates so far."""
+
+    def __init__(self, workspace, A, b, c):
+        self.b, self.c = b, c
+        self.bs, self.cs = b * workspace.d, c * workspace.e
+        self.emb = workspace.embedding.at(np.concatenate([A.data, b, c]))
+        self.scale = _SCALE_START
+        self.factorizations = 0
+        self.polish_tol = _POLISH_FROM
+        self.best = None
+        self.raw = None
+
+    def set_scale(self, scale, workspace):
+        m, n = workspace.As.shape
+        self.scale = scale
+        self.r = _metric(n, m, scale)
+        self.lu, computed = workspace.factor(scale)
+        self.factorizations += computed
+
+    def unscaled(self, u, v, d, e):
+        """The pair (u, Rv) of the original data; Rv is (0, s, kappa)."""
+        n, m = e.size, d.size
+        rv = self.r * v
+        return (np.concatenate([u[:n] * e, u[n:n + m] * d, u[-1:]]),
+                np.concatenate([rv[:n], rv[n:n + m] / d, rv[-1:]]))
+
+    def check(self, A, uu, vv, eps):
+        """Add the candidates of the unscaled pair (uu, vv); True when
+        the best one meets eps."""
+        emb = self.emb
+        raw = self.raw = _candidate(emb, A, self.b, self.c, uu, vv)
+        cands = [self.best, raw]
+        near = raw is not None and max(raw[3:]) <= self.polish_tol
+        if near and uu[-1] > 1e-12 * (1.0 + np.linalg.norm(uu)):
+            z = _refine(emb, uu - vv, eps)
+            ur = emb.project(z)
+            cands.append(_candidate(emb, A, self.b, self.c, ur, ur - z))
+        # the smallest worst residual wins; a tie keeps the earlier one
+        best = self.best = min((t for t in cands if t is not None),
+                               key=lambda t: max(t[3:]), default=None)
+        if best is not None and max(best[3:]) <= eps:
+            return True
+        if near:
+            # polish fell short: drive the splitting further
+            self.polish_tol = max(eps, self.polish_tol / 100.0)
+        return False
+
+    def solution(self, it, eps):
+        best = self.best
+        if best is None:
+            m, n = self.emb.m, self.emb.n
+            best = (np.full(n, np.nan), np.full(m, np.nan),
+                    np.full(m, np.nan), np.nan, np.nan, np.nan)
+        status = "optimal" if max(best[3:]) <= eps else "max_iters"
+        return ConeSolution(*best[:3], status, it, *best[3:], self.scale,
+                            self.factorizations, self.emb)
+
+    def certificate(self, A, dims, uu, vv, it):
+        """The certificate solution confirmed on the unscaled data, or
+        None."""
+        m, n = A.shape
+        kind, cert = _certificates(A, self.b, self.c, uu, vv, 1e-6)
+        if kind == "infeasible":
+            return ConeSolution(np.full(n, np.nan), cert, np.full(m, np.nan),
+                                "infeasible", it, np.nan, np.nan, np.nan,
+                                self.scale, self.factorizations, self.emb)
+        if kind == "unbounded":
+            shat = project_cone(-(A @ cert), dims, dual=False)
+            return ConeSolution(cert, np.full(m, np.nan), shat, "unbounded",
+                                it, np.nan, np.nan, np.nan, self.scale,
+                                self.factorizations, self.emb)
+        return None
+
+
+def _stack_step(cols):
+    """The HSD step of the stack of cols' columns: one _HsdStep per scale
+    among them, each on the columns at its scale."""
+    groups = {}
+    for p, col in enumerate(cols):
+        groups.setdefault(col.scale, []).append(p)
+    steps = []
+    for rows in groups.values():
+        first = cols[rows[0]]
+        steps.append((_HsdStep(first.lu,
+                               np.column_stack([cols[p].bs for p in rows]),
+                               np.column_stack([cols[p].cs for p in rows]),
+                               first.r), rows))
+    if len(steps) == 1:
+        return steps[0][0].solve
+
+    def solve(w):
+        out = np.empty(w.shape)
+        for step, rows in steps:
+            out[:, rows] = step.solve(w[:, rows])
+        return out
+
+    return solve
+
+
+def solve_batch(A, bs, cs, dims, *, eps=1e-8, max_iters=100000,
+                warm_starts=None, workspace=None):
+    """Solve the cone programs (A, bs[j], cs[j], dims) together.
+
+    Returns one ConeSolution per program, each what solve() returns for
+    it: the programs take the same ADMM iterations, in lockstep on
+    (N, k) stacks of iterates, with each column's arithmetic that of
+    solve().  Programs at one scale share
+    one factor of K and one solve with it on a k-column right-hand side
+    per iteration, and the exponential triples of all programs are
+    projected in one call.  Each program keeps its own h = (c, b), its
+    own tau elimination and its own root warm starts.  The checks,
+    polish, certificates and scale rule run per program at solve()'s
+    iterations; a program that ends there leaves the stack, so the
+    others do not wait for it, nor it for them.  warm_starts holds one
+    warm start (or None) per program.  A factor is counted in the
+    factorizations of the first program that needed it, so over one call
+    they sum to the factors it computed.  Programs at different scales
+    never share a factor.  Argument rules are solve()'s.
     """
     if not 0.0 < eps < np.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
     A = canonical(A)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
     m, n = A.shape
-    _validate(A, b, c)
+    bs = [np.asarray(b, dtype=float) for b in bs]
+    cs = [np.asarray(c, dtype=float) for c in cs]
+    if warm_starts is None:
+        warm_starts = [None] * len(bs)
+    if not len(bs) == len(cs) == len(warm_starts):
+        raise ValueError(f"{len(bs)} b, {len(cs)} c and {len(warm_starts)} "
+                         "warm starts")
+    for b, c in zip(bs, cs):
+        _validate(A, b, c)
     if dims["zero"] + dims["nonneg"] + 3 * dims["exp"] != m:
         raise ValueError(f"cone dims {dims} do not sum to {m} rows")
     if workspace is None:
         workspace = Workspace(A, dims)
     workspace.load(A, dims)
+    if not bs:
+        return []
     # the iterates are scaled, but Pi does not depend on the data
-    emb = workspace.embedding.at(np.concatenate([A.data, b, c]))
+    pi = workspace.embedding
     As, d, e = workspace.As, workspace.d, workspace.e
-    bs, cs = b * d, c * e
     N = n + m + 1
 
-    def unscaled(u, v):
-        """The pair (u, Rv) of the original data; Rv is (0, s, kappa)."""
-        rv = r * v
-        return (np.concatenate([u[:n] * e, u[n:n + m] * d, u[-1:]]),
-                np.concatenate([rv[:n], rv[n:n + m] / d, rv[-1:]]))
-
-    scale = _SCALE_START
-    u = np.zeros(N)
-    v = np.zeros(N)
+    cols = [_Column(workspace, A, b, c) for b, c in zip(bs, cs)]
+    # the iterates, one column per program still running
+    u = np.zeros((N, len(cols)))
+    v = np.zeros((N, len(cols)))
     u[-1] = 1.0
     v[-1] = 1.0
-    if warm_start is not None:
-        wx, wy, ws = (np.asarray(w, dtype=float) for w in warm_start[:3])
-        ok = (wx.shape, wy.shape, ws.shape) == ((n,), (m,), (m,))
-        if ok and all(np.isfinite(w).all() for w in (wx, wy, ws)):
-            if len(warm_start) > 3 and 0.0 < warm_start[3] < np.inf:
-                scale = min(max(float(warm_start[3]), _SCALE_MIN), _SCALE_MAX)
-            u = np.concatenate([wx / e, wy / d, [1.0]])
-            v = np.concatenate([np.zeros(n), ws * d / scale, [0.0]])
-    r = _metric(n, m, scale)
-    lu, factorizations = workspace.factor(scale)
-    step = _HsdStep(lu, bs, cs, r)
-
-    # root of each exponential triple's last boundary projection
-    rho = np.full(dims["exp"], np.nan)
-    polish_tol = _POLISH_FROM
-    best = None
+    for j, warm in enumerate(warm_starts):
+        scale = _SCALE_START
+        if warm is not None:
+            wx, wy, ws = (np.asarray(w, dtype=float) for w in warm[:3])
+            ok = (wx.shape, wy.shape, ws.shape) == ((n,), (m,), (m,))
+            if ok and all(np.isfinite(w).all() for w in (wx, wy, ws)):
+                if len(warm) > 3 and 0.0 < warm[3] < np.inf:
+                    scale = min(max(float(warm[3]), _SCALE_MIN), _SCALE_MAX)
+                u[:, j] = np.concatenate([wx / e, wy / d, [1.0]])
+                v[:, j] = np.concatenate([np.zeros(n), ws * d / scale, [0.0]])
+        cols[j].set_scale(scale, workspace)
+    workspace.retain({col.scale for col in cols})
+    done = [None] * len(cols)
+    active = list(range(len(cols)))
+    step = _stack_step(cols)
+    # root of each exponential triple's last boundary projection, the
+    # triples of each running program in turn
+    rho = np.full(len(cols) * dims["exp"], np.nan)
+    if len(cols) == 1:
+        # one program runs on vectors
+        u, v = u[:, 0], v[:, 0]
     it = 0
     while True:
         capped = it >= max_iters
-        if capped or (it > 0 and it % _CHECK_EVERY == 0):
-            uu, vv = unscaled(u, v)
-            raw = _candidate(emb, A, b, c, uu, vv)
-            cands = [best, raw]
-            near = raw is not None and max(raw[3:]) <= polish_tol
-            if near and uu[-1] > 1e-12 * (1.0 + np.linalg.norm(uu)):
-                z = _refine(emb, uu - vv, eps)
-                ur = emb.project(z)
-                cands.append(_candidate(emb, A, b, c, ur, ur - z))
-            # the smallest worst residual wins; a tie keeps the earlier one
-            best = min((t for t in cands if t is not None),
-                       key=lambda t: max(t[3:]), default=None)
-            if best is not None and max(best[3:]) <= eps:
-                break
-            if near:
-                # polish fell short: drive the splitting further
-                polish_tol = max(eps, polish_tol / 100.0)
-        if it > 0 and it % _CERT_EVERY == 0:
-            kind, _ = _certificates(As, bs, cs, u, r * v, max(eps, 1e-9))
-            if kind is not None:
-                kind2, cert = _certificates(A, b, c, *unscaled(u, v), 1e-6)
-                if kind2 == "infeasible":
-                    return ConeSolution(np.full(n, np.nan), cert,
-                                        np.full(m, np.nan), "infeasible", it,
-                                        np.nan, np.nan, np.nan, scale,
-                                        factorizations, emb)
-                if kind2 == "unbounded":
-                    shat = project_cone(-(A @ cert), dims, dual=False)
-                    return ConeSolution(cert, np.full(m, np.nan), shat,
-                                        "unbounded", it, np.nan, np.nan,
-                                        np.nan, scale, factorizations, emb)
+        leaving = []
+        rescaled = False
+        check = capped or (it > 0 and it % _CHECK_EVERY == 0)
+        cert = it > 0 and it % _CERT_EVERY == 0
+        for p, j in enumerate(active if check or cert else ()):
+            col = cols[j]
+            # contiguous copies: a strided column could change the
+            # rounding of its dot products
+            up = np.ascontiguousarray(u.reshape(N, -1)[:, p])
+            vp = np.ascontiguousarray(v.reshape(N, -1)[:, p])
+            if check:
+                uu, vv = col.unscaled(up, vp, d, e)
+                if col.check(A, uu, vv, eps):
+                    done[j] = col.solution(it, eps)
+                    leaving.append(p)
+                    continue
+            if cert:
+                kind, _ = _certificates(As, col.bs, col.cs, up, col.r * vp,
+                                        max(eps, 1e-9))
+                if kind is not None:
+                    done[j] = col.certificate(A, dims,
+                                              *col.unscaled(up, vp, d, e), it)
+                    if done[j] is not None:
+                        leaving.append(p)
+                        continue
+            if capped:
+                done[j] = col.solution(it, eps)
+                continue
+            raw = col.raw
+            if cert and raw is not None and raw[3] > 0.0 and raw[4] > 0.0:
+                ratio = float(np.sqrt(raw[4] / raw[3]))
+                new = min(max(col.scale * ratio, _SCALE_MIN), _SCALE_MAX)
+                if (not 1.0 / _SCALE_BAND <= ratio <= _SCALE_BAND
+                        and new != col.scale):
+                    # v's y block is s / scale: rescale it so s stays put
+                    v.reshape(N, -1)[n:n + m, p] *= col.scale / new
+                    col.set_scale(new, workspace)
+                    rescaled = True
         if capped:
             break
-        if it > 0 and it % _CERT_EVERY == 0 and raw is not None \
-                and raw[3] > 0.0 and raw[4] > 0.0:
-            ratio = float(np.sqrt(raw[4] / raw[3]))
-            new = min(max(scale * ratio, _SCALE_MIN), _SCALE_MAX)
-            if not 1.0 / _SCALE_BAND <= ratio <= _SCALE_BAND and new != scale:
-                # v's y block is s / scale: rescale it so s stays put
-                v[n:n + m] *= scale / new
-                scale = new
-                r[n:n + m] = scale
-                lu, new_factors = workspace.factor(scale)
-                step = _HsdStep(lu, bs, cs, r)
-                factorizations += new_factors
-        it += 1
-        ut = step.solve(u + v)
-        rel = _ALPHA * ut + (1.0 - _ALPHA) * u
-        u_next = emb.project(rel - v, rho)
-        v = v - rel + u_next
-        u = u_next
-
-    if best is None:
-        best = (np.full(n, np.nan), np.full(m, np.nan), np.full(m, np.nan),
-                np.nan, np.nan, np.nan)
-    status = "optimal" if max(best[3:]) <= eps else "max_iters"
-    return ConeSolution(*best[:3], status, it, *best[3:], scale,
-                        factorizations, emb)
+        if leaving:
+            keep = [p for p in range(len(active)) if p not in leaving]
+            rho = rho.reshape(len(active), dims["exp"])[keep].ravel()
+            active = [active[p] for p in keep]
+            if not active:
+                break
+            u, v = u[:, keep], v[:, keep]
+            if len(keep) == 1:
+                u, v = u[:, 0], v[:, 0]
+        if rescaled:
+            workspace.retain({col.scale for col in cols})
+        if leaving or rescaled:
+            step = _stack_step([cols[j] for j in active])
+        # plain iterations up to the next check or the cap
+        stop = min(it - it % _CHECK_EVERY + _CHECK_EVERY, max_iters)
+        while it < stop:
+            it += 1
+            ut = step(u + v)
+            rel = _ALPHA * ut + (1.0 - _ALPHA) * u
+            u_next = pi.project(rel - v, rho)
+            v = v - rel + u_next
+            u = u_next
+    return done

@@ -289,6 +289,15 @@ def test_fit_regression_zero_iters(capsys, tmp_path):
     assert len(rows) == 3  # half of N for validation
 
 
+def test_fit_regression_reports_its_counts(capsys):
+    code, doc, _ = run_json(capsys, "fit-regression", "--N", "6", "--n", "3",
+                            "--m", "2", "--iters", "1")
+    assert code == 0
+    assert doc["solves"] == 2 * (6 + 3)
+    assert doc["iterations"] >= 25 * doc["solves"]
+    assert doc["factorizations"] == 1
+
+
 def test_fit_regression_deterministic(capsys):
     argv = ["fit-regression", "--N", "6", "--n", "3", "--m", "2",
             "--iters", "1", "--seed", "11"]

@@ -58,9 +58,23 @@ def test_projection_fixtures(v, expected):
     assert np.allclose(p, expected, atol=1e-9)
 
 
-@pytest.mark.parametrize("v", [f[0] for f in EXP_PROJ_FIXTURES[:5]])
-def test_projection_against_live_oracle(v):
-    p, _ = project_expcone(v)
+def _project_numpy(v):
+    """project_expcone through the numpy root find, on one lane."""
+    x, y, z, _, _ = cones._project_exp_many(
+        *(np.array([float(w)]) for w in v), np.array([np.nan]))
+    return np.array([x[0], y[0], z[0]]), None
+
+
+_LIVE = [f[0] for f in EXP_PROJ_FIXTURES[:5]]
+
+
+@pytest.mark.parametrize("v, project", [
+    *(pytest.param(v, project_expcone, id=f"v{i}")
+      for i, v in enumerate(_LIVE)),
+    *(pytest.param(v, _project_numpy, id=f"numpy-v{i}")
+      for i, v in enumerate(_LIVE))])
+def test_projection_against_live_oracle(v, project):
+    p, _ = project(v)
     q = project_expcone_oracle(v, dps=40)
     assert np.allclose(p, q, atol=1e-9)
 
@@ -186,14 +200,54 @@ def test_warm_started_projection_matches_cold(v, data):
     assert math.hypot(*(p - p_cold)) <= 1e-12 * (1.0 + math.hypot(*v))
     if info["case"] == "boundary":
         # Both finds stop once a Newton step moves rho by 1e-15 relative,
-        # but far right the residual is a difference of terms ~rho^2
-        # times larger than its slope, so there the root itself is only
-        # determined to about 1e-10 relative (the projection still
-        # agrees to 1e-12).
-        assert abs(rho[0] - info["rho"]) <= 1e-9 * (1.0 + abs(info["rho"]))
+        # and the residual has no cancelling rho^2 terms, so the two roots
+        # agree to rounding: at most 3.5e-16 relative on 9,100 boundary
+        # triples drawn as here, each from the eight kinds of start.
+        assert abs(rho[0] - info["rho"]) <= 3.5e-14 * (1.0 + abs(info["rho"]))
     else:
         # only boundary-case projections store a root
         assert rho[0] == rho0 or (math.isnan(rho0) and math.isnan(rho[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(vs=st.lists(st.one_of(vec3, st.tuples(huge, huge, huge)), min_size=1,
+                   max_size=40),
+       data=st.data())
+def test_numpy_projection_matches_the_scalar_one(vs, data):
+    starts = data.draw(st.lists(
+        st.one_of(st.sampled_from([math.nan, math.inf, 1e300, 0.0]),
+                  st.floats(-50.0, 50.0)),
+        min_size=len(vs), max_size=len(vs)))
+    r, s, t = np.array(vs, dtype=float).T
+    x, y, z, case, rho = cones._project_exp_many(r, s, t, np.array(starts))
+    for k, v in enumerate(vs):
+        want = cones._project_exp(*map(float, v), starts[k])
+        assert cones._CASES[case[k]] == want[3]
+        err = math.hypot(x[k] - want[0], y[k] - want[1], z[k] - want[2])
+        assert err <= 1e-15 * math.hypot(*v)
+        if want[3] == "boundary":
+            assert abs(rho[k] - want[4]) <= 1e-15 * (1.0 + abs(want[4]))
+        else:
+            assert math.isnan(rho[k])
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("rows", [2, 20])
+def test_stacked_projection_matches_each_row(rows, dual):
+    # 2 rows of 5 triples take the per-triple loop, 20 rows the numpy one
+    dims = {"zero": 2, "nonneg": 3, "exp": 5}
+    assert (rows * 5 > cones._VECTOR_TRIPLES) == (rows == 20)
+    rng = np.random.default_rng(rows)
+    V = 3.0 * rng.standard_normal((rows, 20))
+    rho = np.full(rows * 5, np.nan)
+    rho[::2] = rng.uniform(-3.0, 3.0, size=rho[::2].shape)
+    want_rho = rho.copy()
+    want = np.array([project_cone(v, dims, dual=dual, rho=w)
+                     for v, w in zip(V, want_rho.reshape(rows, 5))])
+    # a stack holds one vector per column
+    got = project_cone(V.T, dims, dual=dual, rho=rho)
+    assert np.array_equal(got.T, want)
+    assert np.array_equal(rho, want_rho, equal_nan=True)
 
 
 def test_membership_tests():

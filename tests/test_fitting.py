@@ -1,5 +1,6 @@
 """Sorted-output regression: data, warm start, model, and training."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -120,21 +121,17 @@ def test_fit_predictions_stay_sorted():
 
 def test_failed_sample_is_skipped_and_counted(monkeypatch, caplog):
     X, Y, Xv, Yv, *_ = synthetic_data(6, 3, 3, seed=7)
-    from llcp import problem as problem_mod
+    from llcp import solver
 
-    original = problem_mod.Problem.solve
-    broken = {"first": None}
+    original = solver.solve_batch
 
-    def sometimes_fail(self, **kwargs):
-        if broken["first"] is None:
-            broken["first"] = self
-        if self is broken["first"]:
-            self.status = "max_iters"
-            self.value = None
-            return None
-        return original(self, **kwargs)
+    def first_fails(*args, **kwargs):
+        # the first training sample's column ends without an optimum
+        sols = original(*args, **kwargs)
+        sols[0] = dataclasses.replace(sols[0], status="max_iters")
+        return sols
 
-    monkeypatch.setattr(problem_mod.Problem, "solve", sometimes_fail)
+    monkeypatch.setattr(solver, "solve_batch", first_fails)
     with caplog.at_level("WARNING", logger="llcp.fitting"):
         res = fit(X, Y, Xv, Yv, iters=1)
     assert res.skipped_solves == 2  # once per evaluation pass
@@ -157,3 +154,13 @@ def test_bad_sizes_raise_before_any_solve(monkeypatch):
     # N // 2 = 0 validation samples
     with pytest.raises(ValueError, match="n_val=0"):
         synthetic_data(1, 3, 2)
+
+
+def test_fit_counts_its_solves_and_one_factor():
+    X, Y, Xv, Yv, *_ = synthetic_data(6, 3, 3, seed=2)
+    res = fit(X, Y, Xv, Yv, iters=2)
+    # three evaluations of the weights, each solving every sample
+    assert res.solves == 3 * (6 + 3)
+    assert res.iterations >= 25 * res.solves
+    # all samples share one cone matrix, factored once at the one scale
+    assert res.factorizations == 1

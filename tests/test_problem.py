@@ -19,6 +19,7 @@ from llcp.problem import (
     NoDerivativeStateError,
     NotDgpError,
     Problem,
+    solve_many,
 )
 
 from oracles import queuing_solution
@@ -454,3 +455,61 @@ def test_queuing_active_jacobians_match_closed_form():
         queuing_jacobian_wrt(p, "mu_max"),
     ])
     assert np.allclose(got, fd, atol=1e-4)
+
+
+# -- many problems -----------------------------------------------------------
+
+
+def _fit_problems(count, seed):
+    """count regression programs over one pair of weight parameters, with
+    one cone matrix between them, and the weights."""
+    from llcp.fitting import least_squares_monomials, model_problem
+    from llcp.fitting import synthetic_data
+
+    X, Y, *_ = synthetic_data(count, 3, 3, seed=seed)
+    A_mat, c_vec = least_squares_monomials(X, Y)
+    A = Parameter("A", A_mat.size, value=A_mat.ravel())
+    c = Parameter("c", c_vec.size, positive=True, value=c_vec)
+    return [model_problem(x, A, c) for x in X], A
+
+
+def test_solve_many_ends_each_problem_as_solve_does():
+    batch, A_batch = _fit_problems(5, seed=4)
+    solo, A_solo = _fit_problems(5, seed=4)
+    others = [hello_world(), hello_world()]
+    values = solve_many(batch + others, derivatives=[True] * 5 + [False] * 2)
+    # the regression programs share one cone matrix, the hello ones another
+    assert len({id(p._workspace) for p in batch}) == 1
+    assert len({id(p._workspace) for p in others}) == 1
+    assert others[0]._workspace is not batch[0]._workspace
+    for step in range(2):
+        if step:
+            # a weight step: the programs re-solve warm in one batch
+            for a in (A_batch, A_solo):
+                a.set_value(a.value * 1.02)
+            values = solve_many(batch, derivatives=True)
+        for got, want, value in zip(batch, solo, values):
+            assert want.solve(derivatives=True) == pytest.approx(value,
+                                                                 rel=1e-12)
+            assert got.status == want.status == "optimal"
+            assert got.value == value
+            assert got.solution.iterations == want.solution.iterations
+            assert set(got.stats) == set(want.stats)
+            for g, w in zip(got.variables, want.variables):
+                assert np.allclose(g.value, w.value, rtol=1e-12, atol=0.0)
+                g.gradient = w.gradient = np.linspace(1.0, 2.0, g.size)
+            for g, w in zip(got.backward().values(), want.backward().values()):
+                assert np.allclose(g, w, rtol=1e-6, atol=1e-9)
+    for p, value in zip(others, values[5:]):
+        assert p.status == "optimal"
+        with pytest.raises(NoDerivativeStateError):
+            p.backward()
+    assert np.allclose(concat_values(others[0].variables, "value"), HELLO_OPT,
+                       atol=1e-4)
+
+
+def test_solve_many_checks_the_flags():
+    problems = [hello_world()]
+    with pytest.raises(ValueError, match="derivative flags"):
+        solve_many(problems, derivatives=[True, False])
+    assert solve_many([]) == []

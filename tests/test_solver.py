@@ -11,6 +11,8 @@ from llcp.canon import canonicalize
 from llcp.cones import in_dual_expcone, in_expcone
 from llcp.compiler import compile_problem
 from llcp.embedding import Embedding
+from llcp.expr import Parameter
+from llcp.fitting import least_squares_monomials, model_problem, synthetic_data
 from llcp.solver import (ConeSolution, DataError, _equilibrate, _factor_kkt,
                          _HsdStep, solve)
 
@@ -442,3 +444,92 @@ def test_projection_root_finds_are_warm_started(monkeypatch):
     # each ADMM iteration starts from the previous root: a few Newton
     # steps per triple, where a cold find takes about 5 on random triples
     assert counts["root_fun"] <= 4 * counts["boundary"]
+
+
+# -- batches ---------------------------------------------------------------
+
+
+def fit_cone_programs(scale_c=1.0):
+    """(A, bs, cs, dims) of the 45 programs of a fit on
+    synthetic_data(30, 8, 5), at the least-squares weights with c scaled
+    by scale_c: every one has the same A, c and dims."""
+    X, Y, X_val, _, *_ = synthetic_data(30, 8, 5)
+    A_mat, c_vec = least_squares_monomials(X, Y)
+    m, n = A_mat.shape
+    A = Parameter("A", m * n, value=A_mat.ravel())
+    c = Parameter("c", m, positive=True, value=scale_c * c_vec)
+    progs = [cone_program(model_problem(x, A, c)) for x in np.vstack([X, X_val])]
+    A0, _, _, dims = progs[0]
+    for Ak, _, _, dk in progs:
+        assert dk == dims and (Ak != A0).nnz == 0
+    return A0, [p[1] for p in progs], [p[2] for p in progs], dims
+
+
+def assert_solutions_agree(got, want, rel=1e-12):
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    for f in ("x", "y", "s"):
+        g, w = getattr(got, f), getattr(want, f)
+        assert np.array_equal(np.isnan(g), np.isnan(w))
+        g, w = np.nan_to_num(g), np.nan_to_num(w)
+        assert np.linalg.norm(g - w) <= rel * np.linalg.norm(w)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_batch_matches_per_program_solves_on_fit_programs(warm):
+    A, bs, cs, dims = fit_cone_programs()
+    starts = [None] * len(bs)
+    if warm:
+        # from the optima at nearby weights, as the next step of fit
+        _, bs0, cs0, _ = fit_cone_programs(scale_c=1.05)
+        starts = [(s.x, s.y, s.s, s.scale) for s in
+                  (solve(A, b, c, dims) for b, c in zip(bs0, cs0))]
+    ws = solver.Workspace(A, dims)
+    batch = solver.solve_batch(A, bs, cs, dims, warm_starts=starts,
+                               workspace=ws)
+    for b, c, start, got in zip(bs, cs, starts, batch):
+        assert_solutions_agree(got, solve(A, b, c, dims, warm_start=start))
+    # one factor of K serves them all
+    assert [s.factorizations for s in batch] == [1] + [0] * (len(bs) - 1)
+    # the workspace keeps the factor at each final scale
+    again = solver.solve_batch(
+        A, bs, cs, dims, warm_starts=[(s.x, s.y, s.s, s.scale) for s in batch],
+        workspace=ws)
+    assert sum(s.factorizations for s in again) == 0
+
+
+def test_mixed_batch_columns_end_on_their_own():
+    # x1 >= 1, x2 >= 1, x1 + x2 <= u: optimal for u >= 2, infeasible below
+    A = sp.csc_matrix([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+    dims = {"zero": 0, "nonneg": 3, "exp": 0}
+    us = (3.0, 1.0, 50.0, 3.0, 4.0)
+    bs = [np.array([-1.0, -1.0, u]) for u in us]
+    cs = [np.array(c) for c in ([1.0, 2.0], [1.0, 1.0], [3.0, 1e-3],
+                                [1.0, 2.0], [2.0, 5.0])]
+    ref = solve(A, bs[0], cs[0], dims)
+    # two warm starts at scales of their own, so three factors at first
+    starts = [None, None, None, (ref.x, ref.y, ref.s, 50.0),
+              (ref.x, ref.y, ref.s, 0.02)]
+    batch = solver.solve_batch(A, bs, cs, dims, warm_starts=starts)
+    solos = [solve(A, b, c, dims, warm_start=w)
+             for b, c, w in zip(bs, cs, starts)]
+    for got, want in zip(batch, solos):
+        assert_solutions_agree(got, want)
+        assert got.scale == want.scale
+    assert [s.status for s in batch] == ["optimal", "infeasible", "optimal",
+                                         "optimal", "optimal"]
+    assert len({s.iterations for s in batch}) >= 3
+    assert batch[1].iterations >= solver._CERT_EVERY
+    # each scale that two programs hold is factored once
+    assert 3 <= sum(s.factorizations for s in batch) < sum(
+        s.factorizations for s in solos)
+
+
+def test_empty_batch_and_argument_checks():
+    A, b, c, dims = lp_geq_one()
+    assert solver.solve_batch(A, [], [], dims) == []
+    with pytest.raises(ValueError):
+        solver.solve_batch(A, [b, b], [c], dims)
+    with pytest.raises(DataError):
+        solver.solve_batch(A, [b, np.array([np.nan])], [c, c], dims)
+    with pytest.raises(ValueError):
+        solver.solve_batch(A, [b], [c], dims, eps=0.0)
