@@ -21,7 +21,12 @@ are written to avoid overflow for large |rho|: for rho >= 0 the root
 function is rescaled by e^(-2 rho).  ``project_cone`` runs that root
 find per triple in Python floats, or, for a call with many triples such
 as a batch of programs projects, as one numpy loop over all of them with
-the same arithmetic, which gives the same bits.
+the same arithmetic, which gives the same bits.  Each path has one
+kernel that returns the residual and its slope from one exponential
+(_fun_der and _fun_der_many, which read line for line).  The numpy path
+tests membership in the polar cone as membership of the swapped and
+scaled triple in the cone itself: (u, v, w) is in the polar exactly when
+(v, u, -e w) is in Kexp.
 
 Derivatives follow from the case analysis: identity inside the cone, zero
 inside the polar, a diagonal on the third region, and for boundary
@@ -123,41 +128,31 @@ def in_dual_expcone(v, tol=0.0) -> bool:
     return in_polar_expcone((-v[0], -v[1], -v[2]), tol)
 
 
-def _root_fun(rho, r, s, t):
-    """Sign-stable residual whose zero gives the projection's x/y ratio.
+def _fun_der(rho, r, s, t):
+    """Sign-stable residual whose zero gives the projection's x/y ratio,
+    and its slope in rho.
 
-    With a = e^rho, E = rho^2 - rho + 1 and the two numerators
-    L1 = r - rho s (of the multiplier) and L2 = r (1 - rho) - s (of -y),
-    the residual is L1 + a t E + a^2 L2, divided by a^2 for rho >= 0 so
-    that nothing overflows.  Written this way no rho^2 terms cancel, so
-    far-right roots come out to full precision.  Once the exponential
+    With a = e^-|rho|, E = rho^2 - rho + 1 and the two numerators
+    l1 = r - rho s (of the multiplier) and l2 = r (1 - rho) - s (of -y),
+    the residual is l1 + e^rho t E + e^(2 rho) l2, divided by e^(2 rho)
+    for rho >= 0 so that nothing overflows: l1 + a (t E + a l2) left of
+    zero and l2 + a (t E + a l1) right of it.  Written this way no rho^2
+    terms cancel, so far-right roots come out to full precision.  Once a
     underflows only a linear numerator is left; returning it directly
     keeps huge |rho| free of inf * 0."""
+    a = math.exp(-abs(rho))
+    omr = 1.0 - rho
+    l1 = r - rho * s
+    l2 = r * omr - s
     if rho < 0.0:
-        a = math.exp(rho)
         if a == 0.0:
-            return r - rho * s
-        return r - rho * s + a * (t * (1.0 - rho + rho * rho)
-                                  + a * (r * (1.0 - rho) - s))
-    e1 = math.exp(-rho)
-    if e1 == 0.0:
-        return r * (1.0 - rho) - s
-    return r * (1.0 - rho) - s + e1 * (t * (1.0 - rho + rho * rho)
-                                       + e1 * (r - rho * s))
-
-
-def _root_der(rho, r, s, t):
-    if rho < 0.0:
-        a = math.exp(rho)
-        if a == 0.0:
-            return -s
-        return -s + a * (t * rho * (rho + 1.0)
-                         + a * (2.0 * (r * (1.0 - rho) - s) - r))
-    e1 = math.exp(-rho)
-    if e1 == 0.0:
-        return -r
-    return -r - e1 * (t * (rho - 1.0) * (rho - 2.0)
-                      + e1 * (2.0 * (r - rho * s) + s))
+            return l1, -s
+        return (l1 + a * (t * (omr + rho * rho) + a * l2),
+                -s + a * (t * rho * (rho + 1.0) + a * (2.0 * l2 - r)))
+    if a == 0.0:
+        return l2, -r
+    return (l2 + a * (t * (omr + rho * rho) + a * l1),
+            -r - a * (t * (rho - 1.0) * (rho - 2.0) + a * (2.0 * l1 + s)))
 
 
 def _solve_boundary(r, s, t, rho0=math.nan):
@@ -210,14 +205,13 @@ def _solve_boundary(r, s, t, rho0=math.nan):
                 nxt = hi - step
             step *= 2.0
         rho = nxt
-        f = _root_fun(rho, r, s, t)
+        f, fp = _fun_der(rho, r, s, t)
         if f > 0.0:
             lo = rho
         elif f < 0.0:
             hi = rho
         else:
             break
-        fp = _root_der(rho, r, s, t)
         nxt = rho - f / fp if fp else math.nan
         if lo <= nxt <= hi and abs(nxt - rho) <= 1e-15 * (1.0 + abs(rho)):
             rho = nxt
@@ -289,10 +283,7 @@ _CASES = ("interior", "polar", "third", "boundary")
 
 
 def _fun_der_many(rho, r, s, t):
-    """_root_fun and _root_der over arrays, in the same arithmetic: the
-    exponential is e^-|rho| on both sides of zero, where the two
-    numerators trade places, and where it underflows a linear residual
-    is left."""
+    """_fun_der over arrays, in the same arithmetic."""
     a = _exp(-np.abs(rho))
     neg = rho < 0.0
     omr = 1.0 - rho
@@ -388,22 +379,18 @@ def _project_exp_many(r, s, t, rho0):
     from per triple, NaN for none.  The cases, the scaling and the root
     find are _project_exp's, lane by lane and operation by operation,
     so each lane's result is _project_exp's to the bit."""
+    def in_cone(x, y, z):
+        # in_expcone with tol = 0
+        q = x / y
+        small = q <= 1.0
+        ex = _exp(np.where(small, q, -q))
+        return np.where(y > 0.0, np.where(small, y * ex <= z, y <= z * ex),
+                        (y == 0.0) & (x <= 0.0) & (z >= 0.0))
+
     with np.errstate(all="ignore"):
-        # membership in the cone and in its polar, as in_expcone and
-        # in_polar_expcone test it with tol = 0
-        q = r / s
-        small = q <= 1.0
-        ex = _exp(np.where(small, q, -q))
-        cone = np.where(s > 0.0, np.where(small, s * ex <= t, s <= t * ex),
-                        (s == 0.0) & (r <= 0.0) & (t >= 0.0))
-        q = s / r
-        small = q <= 1.0
-        ex = _exp(np.where(small, q, -q))
-        polar = np.where(
-            r > 0.0,
-            np.where(small, r * ex <= -math.e * t, r <= -math.e * t * ex),
-            (r == 0.0) & (s <= 0.0) & (t <= 0.0))
-        polar &= ~cone
+        cone = in_cone(r, s, t)
+        # the polar is {(u, v, w) : (v, u, -e w) in Kexp}
+        polar = in_cone(s, r, -math.e * t) & ~cone
         scale = np.maximum(np.maximum(np.abs(r), np.abs(s)), np.abs(t))
         third = ~(cone | polar) & (r <= 1e-12 * scale) & (s <= 1e-12 * scale)
         bnd = ~(cone | polar | third)

@@ -167,8 +167,7 @@ class Problem:
         solve retains the state consumed by derivative() and backward().
         """
         t_start = time.perf_counter()
-        alpha, beta, (A, b, c) = self._cone_data()
-        dims = self._compiled[2].dims
+        alpha, beta, (A, b, c), dims = self._cone_data()
         if self._workspace is None:
             self._workspace = solver.Workspace(A, dims)
         t_solver = time.perf_counter()
@@ -180,11 +179,12 @@ class Problem:
                             solver_time)
 
     def _cone_data(self):
-        """(alpha, beta, (A, b, c)) at the current parameter values."""
+        """(alpha, beta, (A, b, c), dims) at the current parameter
+        values."""
         prob, cmap, pmap = self._ensure_compiled()
         alpha = cmap.pack_alpha()
         beta = cmap.eval_C(alpha)
-        return alpha, beta, pmap.instantiate(beta)
+        return alpha, beta, pmap.instantiate(beta), pmap.dims
 
     def _finish(self, sol, alpha, beta, derivatives, t_start, solver_time):
         """Record sol, the cone solution at (alpha, beta): the status,
@@ -297,9 +297,8 @@ def solve_many(problems, *, derivatives=False, eps=1e-8, max_iters=100000,
     data = []
     groups = {}
     for k, prob in enumerate(problems):
-        alpha, beta, (A, b, c) = prob._cone_data()
+        alpha, beta, (A, b, c), dims = prob._cone_data()
         A = canonical(A)
-        dims = prob._compiled[2].dims
         key = (A.shape, A.indptr.tobytes(), A.indices.tobytes(),
                A.data.tobytes(), tuple(sorted(dims.items())))
         groups.setdefault(key, []).append(k)

@@ -444,30 +444,30 @@ class _Column:
         return False
 
     def solution(self, it, eps):
-        best = self.best
-        if best is None:
-            m, n = self.emb.m, self.emb.n
-            best = (np.full(n, np.nan), np.full(m, np.nan),
-                    np.full(m, np.nan), np.nan, np.nan, np.nan)
-        status = "optimal" if max(best[3:]) <= eps else "max_iters"
-        return ConeSolution(*best[:3], status, it, *best[3:], self.scale,
-                            self.factorizations, self.emb)
+        best = self.best or ()
+        optimal = bool(best) and max(best[3:]) <= eps
+        return self._ending("optimal" if optimal else "max_iters", it, *best)
 
     def certificate(self, A, dims, uu, vv, it):
         """The certificate solution confirmed on the unscaled data, or
         None."""
-        m, n = A.shape
         kind, cert = _certificates(A, self.b, self.c, uu, vv, 1e-6)
         if kind == "infeasible":
-            return ConeSolution(np.full(n, np.nan), cert, np.full(m, np.nan),
-                                "infeasible", it, np.nan, np.nan, np.nan,
-                                self.scale, self.factorizations, self.emb)
+            return self._ending(kind, it, y=cert)
         if kind == "unbounded":
-            shat = project_cone(-(A @ cert), dims, dual=False)
-            return ConeSolution(cert, np.full(m, np.nan), shat, "unbounded",
-                                it, np.nan, np.nan, np.nan, self.scale,
-                                self.factorizations, self.emb)
+            return self._ending(kind, it, cert,
+                                s=project_cone(-(A @ cert), dims, dual=False))
         return None
+
+    def _ending(self, status, it, x=None, y=None, s=None, pres=np.nan,
+                dres=np.nan, gap=np.nan):
+        """The ConeSolution of this column, NaN where no part is given."""
+        m, n = self.emb.m, self.emb.n
+        return ConeSolution(np.full(n, np.nan) if x is None else x,
+                            np.full(m, np.nan) if y is None else y,
+                            np.full(m, np.nan) if s is None else s,
+                            status, it, pres, dres, gap, self.scale,
+                            self.factorizations, self.emb)
 
 
 def _stack_step(cols):
@@ -586,12 +586,13 @@ def solve_batch(A, bs, cs, dims, *, eps=1e-8, max_iters=100000,
                     done[j] = col.solution(it, eps)
                     leaving.append(p)
                     continue
+            # a certificate iteration is also a check one, so (uu, vv) is
+            # this iteration's unscaled pair
             if cert:
                 kind, _ = _certificates(As, col.bs, col.cs, up, col.r * vp,
                                         max(eps, 1e-9))
                 if kind is not None:
-                    done[j] = col.certificate(A, dims,
-                                              *col.unscaled(up, vp, d, e), it)
+                    done[j] = col.certificate(A, dims, uu, vv, it)
                     if done[j] is not None:
                         leaving.append(p)
                         continue

@@ -157,12 +157,12 @@ def test_cold_root_find_stops_when_newton_converges(monkeypatch):
     r, s, t = (-0.007712958605542796, 0.008117661150532527,
                0.0012080675946270919)
     calls = []
-    root_fun = cones._root_fun
-    monkeypatch.setattr(cones, "_root_fun",
-                        lambda *a: calls.append(a) or root_fun(*a))
+    fun_der = cones._fun_der
+    monkeypatch.setattr(cones, "_fun_der",
+                        lambda *a: calls.append(a) or fun_der(*a))
     rho = cones._solve_boundary(r, s, t)[0]
     assert -2.0 < rho < -1.0
-    assert abs(root_fun(rho, r, s, t)) <= 1e-15
+    assert abs(fun_der(rho, r, s, t)[0]) <= 1e-15
     # the cold start is one step inside the interval's end r/s, and
     # Newton converges from there in a few steps
     assert len(calls) <= 8
@@ -229,6 +229,29 @@ def test_numpy_projection_matches_the_scalar_one(vs, data):
             assert abs(rho[k] - want[4]) <= 1e-15 * (1.0 + abs(want[4]))
         else:
             assert math.isnan(rho[k])
+
+
+# roots on both sides of zero, signed zeros, and |rho| > 745, where
+# e^-|rho| underflows and the residual is linear
+rhos = st.one_of(st.floats(-50.0, 50.0),
+                 st.floats(-1e4, 1e4).filter(lambda x: abs(x) > 745.0),
+                 st.sampled_from([0.0, -0.0, 745.0, -745.0, 746.0, -746.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lanes=st.lists(st.tuples(rhos, st.one_of(vec3, st.tuples(huge, huge,
+                                                                 huge))),
+                      min_size=1, max_size=20))
+def test_numpy_newton_kernel_is_the_scalar_one(lanes):
+    rho = np.array([p for p, _ in lanes])
+    r, s, t = np.array([v for _, v in lanes], dtype=float).T
+    with np.errstate(all="ignore"):
+        f, fp = cones._fun_der_many(rho, r, s, t)
+    want = np.array([cones._fun_der(float(p), *map(float, v))
+                     for p, v in lanes])
+    # to the bit, NaNs from huge entries included
+    got = np.stack([f, fp], axis=1)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("dual", [False, True])

@@ -145,6 +145,7 @@ def test_bad_sizes_raise_before_any_solve(monkeypatch):
         raise AssertionError("solved despite a bad size")
 
     monkeypatch.setattr("llcp.solver.solve", no_solve)
+    monkeypatch.setattr("llcp.solver.solve_batch", no_solve)
     with pytest.raises(ValueError, match="iters"):
         fit(X, Y, Xv, Yv, iters=-1)
     with pytest.raises(ValueError, match="validation"):

@@ -426,24 +426,24 @@ def test_kkt_factor_fill_is_linear():
 
 def test_projection_root_finds_are_warm_started(monkeypatch):
     A, b, c, dims = cone_program(examples.benchmark(n=250))
-    counts = {"root_fun": 0, "boundary": 0}
-    root_fun, solve_boundary = cones._root_fun, cones._solve_boundary
+    counts = {"fun_der": 0, "boundary": 0}
+    fun_der, solve_boundary = cones._fun_der, cones._solve_boundary
 
-    def counted_root_fun(*args):
-        counts["root_fun"] += 1
-        return root_fun(*args)
+    def counted_fun_der(*args):
+        counts["fun_der"] += 1
+        return fun_der(*args)
 
     def counted_solve_boundary(*args):
         counts["boundary"] += 1
         return solve_boundary(*args)
 
-    monkeypatch.setattr(cones, "_root_fun", counted_root_fun)
+    monkeypatch.setattr(cones, "_fun_der", counted_fun_der)
     monkeypatch.setattr(cones, "_solve_boundary", counted_solve_boundary)
     solve(A, b, c, dims, max_iters=2000)
     assert counts["boundary"] > 1000
     # each ADMM iteration starts from the previous root: a few Newton
     # steps per triple, where a cold find takes about 5 on random triples
-    assert counts["root_fun"] <= 4 * counts["boundary"]
+    assert counts["fun_der"] <= 4 * counts["boundary"]
 
 
 # -- batches ---------------------------------------------------------------
