@@ -11,10 +11,18 @@ Five subcommands over JSON problem files or the bundled examples:
 Problems come from a file argument or ``--example hello|queuing|benchmark``.
 Vectors on the command line are comma-separated (``--delta d_max=0.02,0.02``).
 Values stored in a problem file take precedence over ``--param`` flags; a
-flag that loses this way is reported on stderr.  ``--json`` switches stdout
-to a machine-readable result document (schema shipped with the package).
-Exit status: 0 on success, 1 for validation problems, 2 when the solver
-finishes non-optimal.  Set LLCP_LOG=debug|info|warning|error for logging.
+flag that loses this way is reported on stderr.  The names and sizes of
+``--param``, ``--delta`` and ``--grad`` vectors are checked before any
+solve.  Each command answers from the solves it makes: ``sensitivity``
+takes its predicted deltas and derivative table from one solve, and
+``--verify`` adds one re-solve at the perturbed parameters;
+``fit-regression`` prints the validation outputs of the solves behind its
+last validation error.
+
+``--json`` switches stdout to a machine-readable result document (schema
+shipped with the package).  Exit status: 0 on success, 1 for validation
+problems, 2 when the solver finishes non-optimal.  Set
+LLCP_LOG=debug|info|warning|error for logging.
 """
 
 from __future__ import annotations
@@ -70,6 +78,19 @@ def _sized(vec: np.ndarray, size: int, what: str) -> np.ndarray:
     raise CliError(f"{what}: expected {size} entries, got {vec.size}")
 
 
+def _named_inputs(pairs, flag: str, leaves, kind: str) -> list:
+    """(leaf, vector) pairs of a name=v1,v2,... flag, checked against the
+    problem's parameters or variables, so a bad one costs no solve."""
+    by_name = {leaf.name: leaf for leaf in leaves}
+    out = []
+    for name, vec in _named_vectors(pairs, flag).items():
+        if name not in by_name:
+            raise CliError(f"{flag}: no {kind} named {name!r}")
+        leaf = by_name[name]
+        out.append((leaf, _sized(vec, leaf.size, f"{flag} {name}")))
+    return out
+
+
 def _get_problem(args):
     if getattr(args, "example", None):
         if args.file:
@@ -88,18 +109,14 @@ def _get_problem(args):
     else:
         raise CliError("a problem file or --example is required")
 
-    overrides = _named_vectors(getattr(args, "param", None), "--param")
-    parameters = {p.name: p for p in problem.parameters}
-    for name, vec in overrides.items():
-        param = parameters.get(name)
-        if param is None:
-            raise CliError(f"--param: no parameter named {name!r}")
+    for param, vec in _named_inputs(getattr(args, "param", None), "--param",
+                                    problem.parameters, "parameter"):
         if param.value is not None:
-            print(f"warning: parameter {name!r} already has a value; "
+            print(f"warning: parameter {param.name!r} already has a value; "
                   "the problem definition wins over --param", file=sys.stderr)
             continue
         try:
-            param.set_value(_sized(vec, param.size, f"--param {name}"))
+            param.set_value(vec)
         except ExpressionError as e:
             raise CliError(str(e))
     return problem
@@ -121,8 +138,7 @@ def _emit(args, doc: dict, lines: list) -> None:
 
 def _solved(problem, args, derivatives: bool):
     value = problem.solve(derivatives=derivatives, eps=args.eps,
-                          max_iters=args.max_iters,
-                          warm_start=args.warm_start)
+                          max_iters=args.max_iters)
     return value is not None
 
 
@@ -207,17 +223,13 @@ def _row_labels(problem):
 
 def cmd_sensitivity(args) -> int:
     problem = _get_problem(args)
-    deltas = _named_vectors(args.delta, "--delta")
+    deltas = _named_inputs(args.delta, "--delta", problem.parameters,
+                           "parameter")
     if not _solved(problem, args, derivatives=True):
         return _failure(problem, args, "sensitivity")
     base = {v.name: v.value.copy() for v in problem.variables}
-
-    parameters = {p.name: p for p in problem.parameters}
-    for name, vec in deltas.items():
-        if name not in parameters:
-            raise CliError(f"--delta: no parameter named {name!r}")
-        parameters[name].delta = _sized(vec, parameters[name].size,
-                                        f"--delta {name}")
+    for p, vec in deltas:
+        p.delta = vec
     predicted = problem.derivative()
 
     doc = _solution_doc(problem, "sensitivity")
@@ -227,29 +239,24 @@ def cmd_sensitivity(args) -> int:
         lines.append(f"{v.name}: value [{_fmt(base[v.name])}], "
                      f"predicted delta [{_fmt(predicted[v.name])}]")
 
-    actual = None
+    # the table reads the base solve, so it is taken before the re-solve
+    n_alpha = sum(p.size for p in problem.parameters)
+    table = args.table or (args.table is None and n_alpha <= 32)
+    blocks = _derivative_table(problem) if table else None
+
     if args.verify:
-        saved = {p.name: p.value.copy() for p in problem.parameters}
-        for p in problem.parameters:
-            p.set_value(p.value + parameters[p.name].delta
-                        if p.name in deltas else p.value)
+        for p, vec in deltas:
+            p.set_value(p.value + vec)
         if not _solved(problem, args, derivatives=False):
             return _failure(problem, args, "sensitivity")
         actual = {v.name: v.value - base[v.name] for v in problem.variables}
-        for p in problem.parameters:
-            p.set_value(saved[p.name])
         doc["actual"] = {k: [float(t) for t in v] for k, v in actual.items()}
         lines.append("verification re-solve:")
         for v in problem.variables:
             lines.append(f"{v.name}: actual delta [{_fmt(actual[v.name])}], "
                          f"predicted [{_fmt(predicted[v.name])}]")
-        # restore solved state at the base parameters for table output
-        if not _solved(problem, args, derivatives=True):
-            return _failure(problem, args, "sensitivity")
 
-    n_alpha = sum(p.size for p in problem.parameters)
-    if args.table or (args.table is None and n_alpha <= 32):
-        blocks = _derivative_table(problem)
+    if blocks is not None:
         doc["derivatives"] = {k: [[float(t) for t in row] for row in m]
                               for k, m in blocks.items()}
         labels = _row_labels(problem)
@@ -265,15 +272,11 @@ def cmd_sensitivity(args) -> int:
 
 def cmd_backward(args) -> int:
     problem = _get_problem(args)
-    grads = _named_vectors(args.grad, "--grad")
+    grads = _named_inputs(args.grad, "--grad", problem.variables, "variable")
     if not _solved(problem, args, derivatives=True):
         return _failure(problem, args, "backward")
-    variables = {v.name: v for v in problem.variables}
-    for name, vec in grads.items():
-        if name not in variables:
-            raise CliError(f"--grad: no variable named {name!r}")
-        variables[name].gradient = _sized(vec, variables[name].size,
-                                          f"--grad {name}")
+    for v, vec in grads:
+        v.gradient = vec
     gradients = problem.backward()
     doc = _solution_doc(problem, "backward")
     doc["gradients"] = {k: [float(t) for t in v]
@@ -304,7 +307,6 @@ def _fit_regression(args, csv) -> int:
     import warnings
 
     from .diff import NonsmoothWarning
-    from .fitting import predict
 
     try:
         X, Y, X_val, Y_val, _, _ = synthetic_data(args.N, args.n, args.m,
@@ -322,11 +324,11 @@ def _fit_regression(args, csv) -> int:
         except RuntimeError as e:
             print(f"training failed: {e}", file=sys.stderr)
             return 2
-        predictions = [
-            {"y_true": [float(t) for t in y],
-             "y_pred": [float(t) for t in predict(result.A, result.c, x,
-                                                  eps=args.eps)]}
-            for x, y in zip(X_val, Y_val)]
+    # the validation solves behind the last val_mse; a skipped one has none
+    predictions = [{"y_true": [float(t) for t in y],
+                    "y_pred": [float(t) for t in y_hat]}
+                   for y, y_hat in zip(Y_val, result.val_predictions)
+                   if y_hat is not None]
     nonsmooth = sum(issubclass(w.category, NonsmoothWarning) for w in caught)
     if nonsmooth:
         logger.info("%d solves landed on nonsmooth points; their gradients "
@@ -395,8 +397,6 @@ def _add_solver_flags(sub):
     sub.add_argument("--eps", type=_tolerance, default=1e-8,
                      help="solver tolerance")
     sub.add_argument("--max-iters", type=int, default=100000)
-    sub.add_argument("--warm-start", action=argparse.BooleanOptionalAction,
-                     default=True)
 
 
 def build_parser() -> argparse.ArgumentParser:

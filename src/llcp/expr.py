@@ -308,7 +308,6 @@ class AtomSignature:
     arity: int | None          # None means n-ary, >= 2
     monotonicity: tuple        # per-argument; n-ary atoms repeat entry 0
     curvature: str             # intrinsic: "affine" | "convex" | "concave"
-    domain: str = ""
 
 
 NONDECR = "nondecreasing"
@@ -321,11 +320,9 @@ ATOMS: dict[str, AtomSignature] = {
     "maximum": AtomSignature("maximum", None, (NONDECR,), "convex"),
     "minimum": AtomSignature("minimum", None, (NONDECR,), "concave"),
     "ratio": AtomSignature("ratio", 2, (NONDECR, NONINCR), "affine"),
-    "diff_pos": AtomSignature(
-        "diff_pos", 2, (NONDECR, NONINCR), "concave", domain="arg2 < arg1"
-    ),
+    "diff_pos": AtomSignature("diff_pos", 2, (NONDECR, NONINCR), "concave"),
     "exp": AtomSignature("exp", 1, (NONDECR,), "convex"),
-    "log": AtomSignature("log", 1, (NONDECR,), "concave", domain="arg > 1"),
+    "log": AtomSignature("log", 1, (NONDECR,), "concave"),
     # power is special-cased: its exponent is an attribute, not an argument
     "power": AtomSignature("power", 1, (UNSPEC,), "affine"),
 }

@@ -135,15 +135,18 @@ def least_squares_monomials(X, Y):
 class FitResult:
     """Trained weights plus the per-iteration loss trail.
 
-    solves, iterations and factorizations total the call's sample
-    solves, their ADMM iterations and the factors of the cone matrix
-    they computed."""
+    val_predictions holds each validation sample's output y at the
+    returned weights, from the solves behind the last row's val_mse
+    (None where that solve was skipped).  solves, iterations and
+    factorizations total the call's sample solves, their ADMM
+    iterations and the factors of the cone matrix they computed."""
 
     A: np.ndarray
     c: np.ndarray
     A_init: np.ndarray
     c_init: np.ndarray
     history: list = field(default_factory=list)
+    val_predictions: list = field(default_factory=list)
     skipped_solves: int = 0
     solves: int = 0
     iterations: int = 0
@@ -238,6 +241,10 @@ def fit(X_train, Y_train, X_val, Y_val, *, iters: int = 10,
         val_mse, _, _, val_skipped = _mse_and_grad(
             val_problems, Y_val, A, c, want_grad=False)
         result.skipped_solves += skipped + val_skipped
+        if last:
+            result.val_predictions = [
+                {v.name: v.value for v in p.variables}["y"]
+                if p.status == "optimal" else None for p in val_problems]
         result.history.append({"iteration": iteration,
                                "train_mse": train_mse, "val_mse": val_mse})
         logger.info("iteration %d: train mse %.6g, val mse %.6g",

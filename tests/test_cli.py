@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, outputs, and JSON results."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -225,6 +226,26 @@ def test_sensitivity_table_for_queuing(capsys):
         assert np.max(np.abs(table[name])) <= 1e-6
 
 
+def test_sensitivity_verify_makes_one_re_solve(capsys, monkeypatch):
+    original = solver.solve_batch
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_batch", counted)
+    code, doc, _ = run_json(capsys, "sensitivity", "--example", "queuing",
+                            "--delta", "mu_max=0.05", "--verify")
+    assert code == 0 and len(calls) == 2
+    # the table is the base solve's, as without --verify
+    code, plain, _ = run_json(capsys, "sensitivity", "--example", "queuing",
+                              "--delta", "mu_max=0.05")
+    assert code == 0 and len(calls) == 3
+    assert doc["derivatives"] == plain["derivatives"]
+    assert doc["deltas"] == plain["deltas"]
+
+
 # -- backward --------------------------------------------------------------
 
 
@@ -296,6 +317,12 @@ def test_fit_regression_reports_its_counts(capsys):
     assert doc["solves"] == 2 * (6 + 3)
     assert doc["iterations"] >= 25 * doc["solves"]
     assert doc["factorizations"] == 1
+    # the predictions are the validation solves behind the last val_mse
+    y_true = np.array([rec["y_true"] for rec in doc["predictions"]])
+    y_pred = np.array([rec["y_pred"] for rec in doc["predictions"]])
+    assert len(y_pred) == 3
+    mse = np.mean(np.sum((y_pred - y_true) ** 2, axis=1))
+    assert mse == pytest.approx(doc["history"][-1]["val_mse"], rel=1e-14)
 
 
 def test_fit_regression_deterministic(capsys):
@@ -319,6 +346,24 @@ def test_fit_regression_bad_size_fails_before_any_solve(capsys, monkeypatch,
                          "--m", "2", *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and argv[1] in err
+
+
+def test_fit_regression_leaves_out_a_skipped_validation_solve(capsys,
+                                                              monkeypatch):
+    original = solver.solve_batch
+
+    def last_fails(*args, **kwargs):
+        # in fit's batches, not the data's single solves, the last
+        # validation sample's column ends without an optimum
+        sols = original(*args, **kwargs)
+        if len(sols) > 1:
+            sols[-1] = dataclasses.replace(sols[-1], status="max_iters")
+        return sols
+
+    monkeypatch.setattr(solver, "solve_batch", last_fails)
+    code, doc, _ = run_json(capsys, "fit-regression", "--N", "6", "--n", "3",
+                            "--m", "2", "--iters", "1")
+    assert code == 0 and len(doc["predictions"]) == 2
 
 
 # -- nonsmooth flag ----------------------------------------------------------
@@ -378,6 +423,21 @@ def test_non_finite_vector_is_an_error(capsys, command, flag, name, value):
                          f"{name}={value}")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and value in err
+
+
+@pytest.mark.parametrize("value", ["nope=1", "{}=1,2"], ids=["name", "size"])
+@pytest.mark.parametrize("command,flag,name", [
+    ("sensitivity", "--delta", "a"), ("backward", "--grad", "x")])
+def test_bad_name_or_size_fails_before_any_solve(capsys, monkeypatch,
+                                                 command, flag, name, value):
+    def no_solve(*args, **kwargs):
+        raise AssertionError(f"solved despite a bad {flag}")
+
+    monkeypatch.setattr(solver, "solve", no_solve)
+    code, out, err = run(capsys, "--json", command, "--example", "hello",
+                         flag, value.format(name))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {flag}")
 
 
 @pytest.mark.parametrize("command", ["solve", "sensitivity", "backward"])

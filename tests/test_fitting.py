@@ -138,6 +138,37 @@ def test_failed_sample_is_skipped_and_counted(monkeypatch, caplog):
     assert any("skipping" in rec.message for rec in caplog.records)
 
 
+def test_val_predictions_are_the_last_validation_solves():
+    X, Y, Xv, Yv, *_ = synthetic_data(8, 3, 3, seed=5)
+    res = fit(X, Y, Xv, Yv, iters=2)
+    preds = np.array(res.val_predictions)
+    assert preds.shape == Yv.shape
+    mse = np.mean(np.sum((preds - Yv) ** 2, axis=1))
+    assert mse == pytest.approx(res.history[-1]["val_mse"], rel=1e-14)
+    # a fresh solve at the returned weights gives the same outputs
+    for x, y_hat in zip(Xv, preds):
+        assert np.allclose(predict(res.A, res.c, x, eps=1e-10), y_hat,
+                           rtol=1e-6)
+
+
+def test_skipped_validation_solve_has_no_prediction(monkeypatch):
+    X, Y, Xv, Yv, *_ = synthetic_data(6, 3, 3, seed=7)
+    from llcp import solver
+
+    original = solver.solve_batch
+
+    def last_fails(*args, **kwargs):
+        # the last validation sample's column ends without an optimum
+        sols = original(*args, **kwargs)
+        sols[-1] = dataclasses.replace(sols[-1], status="max_iters")
+        return sols
+
+    monkeypatch.setattr(solver, "solve_batch", last_fails)
+    res = fit(X, Y, Xv, Yv, iters=1)
+    assert res.val_predictions[-1] is None
+    assert all(y is not None for y in res.val_predictions[:-1])
+
+
 def test_bad_sizes_raise_before_any_solve(monkeypatch):
     X, Y, Xv, Yv, *_ = synthetic_data(4, 3, 2, seed=3)
 

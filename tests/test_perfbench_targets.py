@@ -8,10 +8,13 @@ moves out of their reach would surface only as a missing layer.
 
 import importlib.util
 import pathlib
+import warnings
 
 import numpy as np
+import pytest
 
-from llcp import examples
+from llcp import examples, fitting
+from llcp.diff import NonsmoothWarning
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -38,20 +41,40 @@ def test_tracer_installs_on_every_target():
         assert owner.__dict__[attr] is original, name
 
 
-def test_tracer_sees_every_sweep_layer():
+def _gp_cold():
+    assert examples.benchmark(n=60).solve() is not None
+
+
+def _gp_sweep():
+    problem = examples.benchmark(n=60)
+    problem.solve()
+    params = {p.name: p for p in problem.parameters}
+    for _ in range(2):
+        params["c"].set_value(1.01 * params["c"].value)
+        for p in problem.parameters:
+            p.delta = np.ones(p.size)
+        assert problem.solve(derivatives=True) is not None
+        problem.derivative()
+        problem.backward()
+
+
+def _fit():
+    # through the module, whose bindings the tracer wraps; tied outputs
+    # solve at nonsmooth points by design
+    X, Y, X_val, Y_val, _, _ = fitting.synthetic_data(4, 2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonsmoothWarning)
+        fitting.fit(X, Y, X_val, Y_val, iters=1)
+
+
+@pytest.mark.parametrize("workload,run", [
+    ("gp_cold", _gp_cold), ("gp_sweep", _gp_sweep), ("fit", _fit)],
+    ids=["gp_cold", "gp_sweep", "fit"])
+def test_tracer_sees_every_sweep_layer(workload, run):
     tracer = _load_spans().Tracer()
     tracer.install()
     try:
-        problem = examples.benchmark(n=60)
-        problem.solve()
-        params = {p.name: p for p in problem.parameters}
-        for _ in range(2):
-            params["c"].set_value(1.01 * params["c"].value)
-            for p in problem.parameters:
-                p.delta = np.ones(p.size)
-            assert problem.solve(derivatives=True) is not None
-            problem.derivative()
-            problem.backward()
-        assert tracer.missing("gp_sweep") == []
+        run()
+        assert tracer.missing(workload) == []
     finally:
         tracer.uninstall()
