@@ -99,6 +99,9 @@ def lin_sub(a: LinExpr, b: LinExpr) -> LinExpr:
 
 
 def lin_eval(le: LinExpr, beta: np.ndarray, u: np.ndarray) -> float:
+    # Python floats: indexing them costs a fraction of numpy scalars, with
+    # the same double arithmetic
+    beta, u = np.asarray(beta).tolist(), np.asarray(u).tolist()
     total = 0.0
     for b, v, c in le:
         t = c
@@ -169,6 +172,8 @@ class CanonMap:
                               dtype=np.int64)
         self.logged = np.array([tag == LOG for _, _, tag in self.entries],
                                dtype=bool)
+        # the "log" sources of the last eval_C and their logs
+        self._logs = (np.empty(0), np.empty(0))
 
     def pack_alpha(self) -> np.ndarray:
         out = np.empty(self.n_alpha)
@@ -197,8 +202,19 @@ class CanonMap:
             raise DomainError(
                 f"parameter {p.name}[{j}] must be positive, got {beta[i]}"
             )
-        # math.log, not np.log: the two differ in the last bit on some inputs
-        beta[self.logged] = [math.log(a) for a in sources.tolist()]
+        # math.log, not np.log: the two differ in the last bit on some
+        # inputs.  A source equal to the last call's keeps its log, so a
+        # re-solve after a change to a few parameters takes a few logs
+        last, logs = self._logs
+        if last.shape == sources.shape:
+            logs = logs.copy()
+            new = np.flatnonzero(sources != last)
+        else:
+            logs = np.empty(sources.size)
+            new = np.arange(sources.size)
+        logs[new] = [math.log(a) for a in sources[new].tolist()]
+        self._logs = (sources, logs)
+        beta[self.logged] = logs
         return beta
 
     def apply_DC(self, alpha: np.ndarray, dalpha: np.ndarray) -> np.ndarray:

@@ -191,6 +191,8 @@ def cmd_solve(args) -> int:
     lines.append(f"iterations: {stats['iterations']}, "
                  f"solver {stats['solver_time']:.4g}s of "
                  f"{stats['total_time']:.4g}s total")
+    lines.append(f"accelerations: {stats['accelerations']}, "
+                 f"rejections: {stats['rejections']}")
     lines.append(f"scale: {stats['scale']:.4g}, "
                  f"factorizations: {stats['factorizations']}")
     _emit(args, doc, lines)

@@ -30,7 +30,7 @@ from .compiler import DimensionError
 __all__ = ["LsqrNoConvergence", "NonsmoothWarning", "ResidualPoint",
            "dphi", "dphi_adjoint"]
 
-_LSQR_TOL = 1e-10
+_LSQR_TOL = 1e-12
 
 
 class LsqrNoConvergence(RuntimeError):

@@ -217,7 +217,9 @@ class Problem:
                 "solver_time": solver_time,
                 "iterations": sol.iterations,
                 "scale": sol.scale,
-                "factorizations": sol.factorizations}
+                "factorizations": sol.factorizations,
+                "accelerations": sol.accelerations,
+                "rejections": sol.rejections}
 
     # -- sensitivities ---------------------------------------------------
 

@@ -22,6 +22,19 @@ primal residual, and each change of it refactors K.  A Gauss-Newton
 polish on the normalized residual map pushes the returned point to tight
 tolerances once ADMM has found the neighborhood.
 
+The iteration is a fixed-point map w -> T(w) of w = u - v, the vector it
+projects, and type-II Anderson acceleration (Walker & Ni, 2011) extends
+it: every _AA_EVERY iterations the next w is extrapolated from the last
+_AA_MEM differences of w and of its residual T(w) - w, by a regularized
+least-squares fit in the metric R; its tau - kappa coordinate is left as
+the plain step has it.  A safeguard (as in Zhang, O'Donoghue & Boyd,
+2020) tests each extrapolation on the next iteration: if its residual,
+relative to its size, exceeds that of the point before it, the
+iteration goes back to the plain w and the memory is cleared.  A change
+of scale, which changes the map, clears the memory too.  The
+acceleration has no setting; it only moves the iterates, so the checks,
+certificates and polish read iterates as before.
+
 What depends on A alone (the equilibration, the pattern of Q and the
 factors of K) lives in a Workspace, which a caller that re-solves with
 new b and c passes back to skip that work.
@@ -31,9 +44,9 @@ in lockstep on stacks of iterates, one column per program.  Programs at
 one scale share one factor of K, and each iteration makes one solve with
 it on all their columns and one projection of all their exponential
 triples, which are then enough to run the root finds as one numpy loop.
-Each program keeps its own tau elimination, checks, polish, certificates
-and scale, and leaves the stack when it ends.  solve is the batch of
-one, which runs on vectors.
+Each program keeps its own tau elimination, checks, polish, certificates,
+scale and acceleration memory, and leaves the stack when it ends.  solve
+is the batch of one, which runs on vectors.
 """
 
 from __future__ import annotations
@@ -43,6 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .cones import project_cone
 from .embedding import Embedding, canonical
@@ -53,6 +67,16 @@ _ALPHA = 1.5
 _RUIZ_ITERS = 10
 _CHECK_EVERY = 25
 _CERT_EVERY = 100
+# type-II Anderson acceleration of the iterate w (_Anderson): one
+# extrapolation every _AA_EVERY iterations, on those that are _AA_PHASE
+# past a multiple of it, from the last _AA_MEM secant pairs, with a
+# Tikhonov term _AA_REG * ||G'G|| on their Gram matrix G'G.  No
+# extrapolation falls on a check iteration, so the safeguard has decided
+# on each before a check reads the iterate or changes the scale
+_AA_MEM = 10
+_AA_EVERY = 10
+_AA_PHASE = 1
+_AA_REG = 1e-8
 # the polish starts from iterates within this residual, however loose eps
 # is: from farther away Gauss-Newton can overflow without helping
 _POLISH_FROM = 1e-6
@@ -90,6 +114,8 @@ class ConeSolution:
     the number of factors of K this solve computed: one per change of
     scale, plus one for the starting scale unless the workspace already
     held that factor, so 0 on a re-solve with unchanged A and scale.
+    accelerations counts the Anderson extrapolations that the safeguard
+    kept, and rejections those it reverted.
     Pass (x, y, s, scale) of a previous solution as warm_start when
     re-solving with nearby data.
 
@@ -108,6 +134,8 @@ class ConeSolution:
     gap: float
     scale: float
     factorizations: int
+    accelerations: int
+    rejections: int
     embedding: Embedding = field(repr=False, compare=False)
 
 
@@ -404,6 +432,8 @@ class _Column:
         self.emb = workspace.embedding.at(np.concatenate([A.data, b, c]))
         self.scale = _SCALE_START
         self.factorizations = 0
+        self.accelerations = 0
+        self.rejections = 0
         self.polish_tol = _POLISH_FROM
         self.best = None
         self.raw = None
@@ -412,6 +442,8 @@ class _Column:
         m, n = workspace.As.shape
         self.scale = scale
         self.r = _metric(n, m, scale)
+        # the acceleration's norms are those of R
+        self.r_half = np.sqrt(self.r)
         self.lu, computed = workspace.factor(scale)
         self.factorizations += computed
 
@@ -467,7 +499,8 @@ class _Column:
                             np.full(m, np.nan) if y is None else y,
                             np.full(m, np.nan) if s is None else s,
                             status, it, pres, dres, gap, self.scale,
-                            self.factorizations, self.emb)
+                            self.factorizations, self.accelerations,
+                            self.rejections, self.emb)
 
 
 def _stack_step(cols):
@@ -493,6 +526,187 @@ def _stack_step(cols):
         return out
 
     return solve
+
+
+class _Anderson:
+    """Safeguarded type-II Anderson acceleration of the ADMM map, per
+    column (Walker & Ni, 2011; Zhang, O'Donoghue & Boyd, 2020).
+
+    The ADMM state is w = u - v, the vector each iteration projects:
+    u = Pi(w), v = u - w, and one iteration maps w to g = T(w).  Each
+    iteration writes g to out(), and advance() returns the next iterate:
+    g, except where the acceleration changes it.  The ring F holds the
+    residuals f = g - w of the last _AA_MEM + 1 iterates, as an
+    (_AA_MEM + 1, N, k) stack for k programs or (_AA_MEM + 1, N) for
+    one, and age[p] counts column p's iterates in it since its memory
+    was cleared.  The secant pairs of T are the differences of
+    consecutive iterates, df = f_j - f_(j-1) and dg = g_j - g_(j-1).
+    A plain step has w_j = g_(j-1), so there dg = f_j; an extrapolated
+    one adds its step e = w_j - g_(j-1), which is kept until the next
+    extrapolation.  _AA_MEM <= _AA_EVERY, so no window of pairs holds
+    two extrapolated steps.
+
+    Every _AA_EVERY iterations, a column with a secant pair extrapolates
+    g - dG gamma, where gamma minimizes ||f - dF gamma|| over its last
+    _AA_MEM pairs with the Tikhonov term, in the norm of the metric R.
+    A singular system or a non-finite gamma skips it.  The next
+    iteration tests it.  T is positively homogeneous, so the test takes
+    the residual relative to the point's norm: a step toward the trivial
+    fixed point w = 0 shrinks the residual, not the relative one.  If
+    the extrapolated point's relative residual exceeds the one before
+    it, the column goes back to the plain g, which the other g buffer
+    still holds, and its memory is cleared; otherwise the extrapolation
+    counts as accepted.  A scale change, which changes T, clears the
+    memory too.  Each column's arithmetic runs on contiguous copies of
+    its own, as for that program alone.  An iteration adds one
+    subtraction to the loop; the rest is done at the extrapolations.
+    """
+
+    def __init__(self, cols, u, v):
+        self.cols = cols
+        self.F = np.zeros((_AA_MEM + 1,) + u.shape)
+        # buffers kept from call to call: fresh arrays of their size can
+        # cost more in page faults than the arithmetic on them
+        self._ring = np.empty((_AA_MEM + 1, u.shape[0]))
+        self._diffs = np.empty((_AA_MEM, u.shape[0]))
+        self.slot = 0
+        # g of this iteration and the last, alternating
+        self.g = [np.zeros(u.shape), np.zeros(u.shape)]
+        self.w = u - v
+        # the start need not be a projection, so its f is no residual of
+        # T; the last extrapolation's step, and the slot of the f of the
+        # point it made, per column
+        self.age = [-1] * len(cols)
+        self.e = np.zeros(u.shape)
+        self.e_slot = [None] * len(cols)
+        # column -> (residual norm, norm) of the point before an
+        # extrapolation that the next iteration tests, in the metric R
+        self.pending = {}
+
+    def out(self):
+        """The buffer that the iteration writes g = T(w) to."""
+        return self.g[0]
+
+    def advance(self, it):
+        """The iterate after g = T(w) in out(), with the safeguard's tests
+        and the extrapolations due at iteration it."""
+        g, g_last = self.g
+        f = self.F[self.slot]
+        np.subtract(g, self.w, out=f)
+        self.age = [min(a + 1, _AA_MEM + 1) for a in self.age]
+        w = g
+        for p, (f_before, w_before) in self.pending.items():
+            r_half = self.cols[p].r_half
+            f_norm = np.linalg.norm(self._col(f, p) * r_half)
+            w_norm = np.linalg.norm(self._col(self.w, p) * r_half)
+            # f_norm / w_norm > f_before / w_before, with no division
+            if f_norm * w_before > f_before * w_norm:
+                # back to the plain g of the last iteration
+                self._set(w, p, self._col(g_last, p))
+                self.age[p] = 0
+                self.cols[p].rejections += 1
+            else:
+                self.cols[p].accelerations += 1
+        self.pending = {}
+        if it % _AA_EVERY == _AA_PHASE:
+            for p, a in enumerate(self.age):
+                w = self._extrapolate(w, p, a)
+        self.slot = (self.slot + 1) % len(self.F)
+        self.g.reverse()
+        self.w = w
+        return w
+
+    def _extrapolate(self, w, p, size):
+        """w with column p extrapolated from its last size iterates, if it
+        has a secant pair; a copy when w is still g, which the next
+        iteration's step needs."""
+        e_slot, self.e_slot[p] = self.e_slot[p], None
+        if size < 2:
+            return w
+        # column p's ring, whose iterates from first on run to row R - 1
+        # and go on from row 0: in two runs of consecutive rows at most
+        ring = self.F
+        if self.w.ndim == 2:
+            ring = self._ring
+            np.copyto(ring, self.F[..., p])
+        R = len(ring)
+        first = (self.slot - size + 1) % R
+        end = min(first + size, R)
+        dF = self._diffs[:size - 1]
+        k = end - first - 1
+        np.subtract(ring[first + 1:end], ring[first:end - 1], out=dF[:k])
+        if first + size > R:
+            np.subtract(ring[0], ring[R - 1], out=dF[k])
+            np.subtract(ring[1:first + size - R], ring[:first + size - R - 1],
+                        out=dF[k + 1:])
+        # the least squares and the safeguard measure in the metric R
+        r_half = self.cols[p].r_half
+        dF *= r_half
+        f = ring[self.slot] * r_half
+        gram = dF @ dF.T
+        gram.flat[::size] += _AA_REG * np.linalg.norm(gram)
+        # a Cholesky solve: the Gram matrix is positive semidefinite, and
+        # one LAPACK call costs a fraction of np.linalg.solve's wrapping
+        gamma, singular = lapack.dposv(gram, dF @ f)[1:]
+        if singular or not np.isfinite(gamma).all():
+            return w
+        # dG gamma: a pair's dg is the f of its later iterate, plus the
+        # step of that iterate if it was extrapolated
+        step = gamma[:k] @ ring[first + 1:end]
+        if first + size > R:
+            step += gamma[k:] @ ring[:first + size - R]
+        t = size if e_slot is None else (e_slot - first) % R
+        if 0 < t < size:
+            step += gamma[t - 1] * self._col(self.e, p)
+        np.negative(step, out=step)
+        # tau - kappa stays the plain step's: extrapolated, it led
+        # iterates of infeasible and unbounded programs to fixed points
+        # with tau = kappa = 0, which are neither solution nor certificate
+        step[-1] = 0.0
+        self._set(self.e, p, step)
+        self.e_slot[p] = (self.slot + 1) % len(self.F)
+        self.pending[p] = (np.linalg.norm(f), np.linalg.norm(
+            self._col(self.w, p) * r_half))
+        point = self._col(self.g[0], p) + step
+        if self.w.ndim == 1:
+            return point
+        if w is self.g[0]:
+            w = w.copy()
+        w[:, p] = point
+        return w
+
+    def _col(self, a, p):
+        """Column p of a stack a (N, k) as a contiguous vector; a itself
+        for one program, whose stacks are vectors."""
+        return a if self.w.ndim == 1 else np.ascontiguousarray(a[:, p])
+
+    def _set(self, a, p, col):
+        if self.w.ndim == 1:
+            a[:] = col
+        else:
+            a[:, p] = col
+
+    def reset(self, p, u, v):
+        """Clear column p's memory after its v changed: its iterate is
+        now u - v."""
+        self._set(self.w, p, self._col(u, p) - self._col(v, p))
+        self.age[p] = 0
+        self.e_slot[p] = None
+        self.pending.pop(p, None)
+
+    def keep(self, keep):
+        """Keep the columns keep of the stacks, in that order."""
+        def pick(a):
+            a = a[..., keep]
+            return np.ascontiguousarray(a[..., 0] if len(keep) == 1 else a)
+
+        self.F, self.e, self.w = pick(self.F), pick(self.e), pick(self.w)
+        self.g = [pick(a) for a in self.g]
+        self.cols = [self.cols[p] for p in keep]
+        self.age = [self.age[p] for p in keep]
+        self.e_slot = [self.e_slot[p] for p in keep]
+        self.pending = {keep.index(p): x for p, x in self.pending.items()
+                        if p in keep}
 
 
 def solve_batch(A, bs, cs, dims, *, eps=1e-8, max_iters=100000,
@@ -567,6 +781,7 @@ def solve_batch(A, bs, cs, dims, *, eps=1e-8, max_iters=100000,
     if len(cols) == 1:
         # one program runs on vectors
         u, v = u[:, 0], v[:, 0]
+    aa = _Anderson(list(cols), u, v)
     it = 0
     while True:
         capped = it >= max_iters
@@ -608,6 +823,7 @@ def solve_batch(A, bs, cs, dims, *, eps=1e-8, max_iters=100000,
                     # v's y block is s / scale: rescale it so s stays put
                     v.reshape(N, -1)[n:n + m, p] *= col.scale / new
                     col.set_scale(new, workspace)
+                    aa.reset(p, u, v)
                     rescaled = True
         if capped:
             break
@@ -620,6 +836,7 @@ def solve_batch(A, bs, cs, dims, *, eps=1e-8, max_iters=100000,
             u, v = u[:, keep], v[:, keep]
             if len(keep) == 1:
                 u, v = u[:, 0], v[:, 0]
+            aa.keep(keep)
         if rescaled:
             workspace.retain({col.scale for col in cols})
         if leaving or rescaled:
@@ -629,8 +846,12 @@ def solve_batch(A, bs, cs, dims, *, eps=1e-8, max_iters=100000,
         while it < stop:
             it += 1
             ut = step(u + v)
-            rel = _ALPHA * ut + (1.0 - _ALPHA) * u
-            u_next = pi.project(rel - v, rho)
-            v = v - rel + u_next
-            u = u_next
+            # w = T(w) is the relaxed step minus v, written in place
+            w = aa.out()
+            np.multiply(_ALPHA, ut, out=w)
+            w += (1.0 - _ALPHA) * u
+            w -= v
+            w = aa.advance(it)
+            u = pi.project(w, rho)
+            v = u - w
     return done

@@ -128,6 +128,18 @@ def test_solve_text_reports_the_scale(capsys):
     assert int(facts.removeprefix("factorizations: ")) > 1
 
 
+def test_solve_reports_the_acceleration(capsys):
+    code, doc, _ = run_json(capsys, "solve", "--example", "benchmark",
+                            "--n", "250")
+    stats = doc["stats"]
+    assert code == 0 and stats["accelerations"] >= 1
+    assert stats["rejections"] >= 0
+    code, out, _ = run(capsys, "solve", "--example", "benchmark", "--n", "250")
+    assert code == 0
+    assert out.splitlines()[-2] == (f"accelerations: {stats['accelerations']}"
+                                    f", rejections: {stats['rejections']}")
+
+
 def test_solve_benchmark_example(capsys):
     code, doc, _ = run_json(capsys, "solve", "--example", "benchmark",
                             "--n", "24", "--m", "3", "--seed", "0")

@@ -42,7 +42,10 @@ def test_tracer_installs_on_every_target():
 
 
 def _gp_cold():
-    assert examples.benchmark(n=60).solve() is not None
+    # the workload's smallest rung: the accelerated solves of rungs below
+    # about n=200 meet eps before the polish takes a Gauss-Newton step, so
+    # they make no LSQR call
+    assert examples.benchmark(n=250).solve() is not None
 
 
 def _gp_sweep():

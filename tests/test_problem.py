@@ -1,5 +1,7 @@
 """End-to-end Problem behavior: solving, sensitivities, and gradients."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from llcp.problem import (
 )
 
 from oracles import queuing_solution
+from test_canon import _random_program
 
 HELLO_OPT = np.array([0.5612147, 0.3149620, 0.3689206])
 
@@ -112,6 +115,35 @@ def test_large_ladder_rungs_reach_optimal(n, ceiling):
     p.solve()
     assert p.status == "optimal"
     assert p.stats["iterations"] <= ceiling
+
+
+@pytest.mark.parametrize("make, ceiling", [
+    (queuing, 150), (lambda: benchmark(n=250), 1500)],
+    ids=["queuing", "benchmark250"])
+def test_acceleration_keeps_iteration_counts_down(make, ceiling):
+    # the splitting without acceleration took 250 and 5,800 iterations
+    p = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        p.solve()
+    assert p.status == "optimal"
+    assert p.stats["iterations"] <= ceiling
+    assert p.stats["accelerations"] >= 1
+
+
+def test_random_programs_take_few_iterations():
+    # 4,025 iterations in all without acceleration
+    total = 0
+    for seed in range(100, 140):
+        objective, constraints, _ = _random_program(
+            np.random.default_rng(seed))
+        p = Problem(Minimize(objective), constraints)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            p.solve(eps=1e-10)
+        assert p.status == "optimal", seed
+        total += p.stats["iterations"]
+    assert total <= 2500
 
 
 def test_warm_resolve_keeps_the_scale():

@@ -298,8 +298,10 @@ def test_polish_retries_are_bounded(monkeypatch):
 
 def test_polish_stops_at_the_first_step_that_does_not_help(monkeypatch):
     A, b, c, dims = hello_cone_program()
-    far = solve(A, b, c, dims, max_iters=25)
+    far = solve(A, b, c, dims, max_iters=10)
     z = np.concatenate([far.x, far.y - far.s, [1.0]])
+    # the premise: z is far enough that the polish takes a step at all
+    assert np.linalg.norm(far.embedding.residual(z)) > 1e-8 * 1e-3
     evals = []
     residual = Embedding.residual
     monkeypatch.setattr(Embedding, "residual",
@@ -425,7 +427,9 @@ def test_kkt_factor_fill_is_linear():
 
 
 def test_projection_root_finds_are_warm_started(monkeypatch):
-    A, b, c, dims = cone_program(examples.benchmark(n=250))
+    # n=1000, not 250: the accelerated n=250 solve ends after 325
+    # iterations, fewer than 1,000 root finds
+    A, b, c, dims = cone_program(examples.benchmark(n=1000))
     counts = {"fun_der": 0, "boundary": 0}
     fun_der, solve_boundary = cones._fun_der, cones._solve_boundary
 
@@ -467,6 +471,8 @@ def fit_cone_programs(scale_c=1.0):
 
 def assert_solutions_agree(got, want, rel=1e-12):
     assert (got.status, got.iterations) == (want.status, want.iterations)
+    assert (got.accelerations, got.rejections) == (want.accelerations,
+                                                   want.rejections)
     for f in ("x", "y", "s"):
         g, w = getattr(got, f), getattr(want, f)
         assert np.array_equal(np.isnan(g), np.isnan(w))
@@ -533,3 +539,109 @@ def test_empty_batch_and_argument_checks():
         solver.solve_batch(A, [b, np.array([np.nan])], [c, c], dims)
     with pytest.raises(ValueError):
         solver.solve_batch(A, [b], [c], dims, eps=0.0)
+
+
+# -- acceleration ------------------------------------------------------------
+
+
+def separated_program(seed):
+    """(A, b_of, c, dims, beta) of a planted program with the rows
+    a'x <= beta and a'x >= lo added before its exponential rows, where
+    beta = a'x* + 0.5: b_of(lo) is its b, infeasible for lo > beta and
+    with the planted optimum for lo <= a'x*."""
+    rng = np.random.default_rng(seed)
+    A, b, c, dims, x, _, _ = planted_cone_program(rng, 6, 0, 4, 2)
+    a = rng.normal(size=6)
+    beta = float(a @ x) + 0.5
+    k = dims["nonneg"]
+
+    def b_of(lo):
+        return np.concatenate([b[:k], [beta, -lo], b[k:]])
+
+    A = sp.csc_matrix(np.vstack([A[:k], a, -a, A[k:]]))
+    return A, b_of, c, dict(dims, nonneg=k + 2), beta
+
+
+def loosened_program(seed):
+    """(A, b, c_of, dims) of a planted program with a variable t added
+    whose column only loosens the nonnegative rows: c_of(ct) is its c
+    with cost ct on t, unbounded for ct < 0."""
+    rng = np.random.default_rng(seed)
+    A, b, c, dims, *_ = planted_cone_program(rng, 6, 0, 4, 2)
+    col = np.zeros(A.shape[0])
+    col[:dims["nonneg"]] = -np.abs(rng.normal(size=dims["nonneg"]))
+
+    def c_of(ct):
+        return np.concatenate([c, [ct]])
+
+    return sp.csc_matrix(np.column_stack([A, col])), b, c_of, dims
+
+
+@pytest.mark.parametrize("kind", ["infeasible", "unbounded"])
+def test_certificates_after_accepted_extrapolations(kind):
+    if kind == "infeasible":
+        A, b_of, c, dims, beta = separated_program(0)
+        bs, cs = [b_of(beta + 1.0), b_of(beta - 1.0)], [c, c]
+    else:
+        A, b, c_of, dims = loosened_program(0)
+        bs, cs = [b, b], [c_of(-1.0), c_of(3.0)]
+    sol = solve(A, bs[0], cs[0], dims)
+    assert sol.status == kind
+    # the certificate is read off iterates that extrapolations moved
+    assert sol.accelerations >= 1
+    nl = dims["nonneg"]
+    if kind == "infeasible":
+        cert, cone_test = sol.y, in_dual_expcone
+        assert bs[0] @ sol.y == pytest.approx(-1.0, rel=1e-9)
+        assert np.linalg.norm(A.T @ sol.y) <= 1e-6
+    else:
+        cert, cone_test = sol.s, in_expcone
+        assert cs[0] @ sol.x == pytest.approx(-1.0, rel=1e-9)
+        assert np.linalg.norm(A @ sol.x + sol.s) <= 1e-6
+    assert np.all(cert[:nl] >= -1e-9)
+    for j in range(nl, A.shape[0], 3):
+        assert cone_test(tuple(cert[j:j + 3]), tol=1e-7)
+    # the same beside an optimal program in one batch
+    batch = solver.solve_batch(A, bs, cs, dims)
+    assert [s.status for s in batch] == [kind, "optimal"]
+    for got, b, c in zip(batch, bs, cs):
+        assert_solutions_agree(got, solve(A, b, c, dims))
+
+
+def test_batch_column_rescales_while_another_leaves():
+    A, b_of, c, dims, beta = separated_program(0)
+    bs = [b_of(beta + 1.0)] + [b_of(beta - 1.0)] * 3
+    cs = [c, c, 30.0 * c, c / 30.0]
+    batch = solver.solve_batch(A, bs, cs, dims)
+    for got, b, cc in zip(batch, bs, cs):
+        want = solve(A, b, cc, dims)
+        assert_solutions_agree(got, want)
+        assert got.scale == want.scale
+    # the premises: a column leaves at a certificate check with a memory
+    # of extrapolations, and columns that change their scale run on
+    leaving = batch[0]
+    assert leaving.status == "infeasible" and leaving.accelerations >= 1
+    assert [s.status for s in batch[1:]] == ["optimal"] * 3
+    rescaled = [s for s in batch if s.scale != solver._SCALE_START]
+    assert len(rescaled) >= 2
+    assert all(s.iterations > leaving.iterations for s in rescaled)
+
+
+@pytest.mark.parametrize("seed", [1000, 1012])
+def test_extrapolation_leaves_tau_minus_kappa_alone(seed):
+    # infeasible programs on which extrapolating tau - kappa too led the
+    # iterates to a fixed point with tau = kappa = 0, which is neither a
+    # solution nor a certificate, and kept them there until max_iters
+    rng = np.random.default_rng(seed)
+    n, nl, ne = (int(rng.integers(lo, hi)) for lo, hi in ((3, 10), (2, 8),
+                                                           (1, 4)))
+    A, b, c, dims, x, _, _ = planted_cone_program(rng, n, 0, nl, ne)
+    a = rng.normal(size=n)
+    beta = float(a @ x)
+    gap = float(rng.choice([1.0, 0.1, 1e-2]))
+    A = sp.csc_matrix(np.vstack([A[:nl], a, -a, A[nl:]]))
+    b = np.concatenate([b[:nl], [beta, -beta - gap], b[nl:]])
+    sol = solve(A, b, c, dict(dims, nonneg=nl + 2), max_iters=5000)
+    assert sol.status == "infeasible"
+    assert sol.accelerations >= 1
+
