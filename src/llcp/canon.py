@@ -27,6 +27,7 @@ variables whose values a solver would otherwise be free to pick arbitrarily.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -143,6 +144,24 @@ class ConvexProblem:
     objective: LinExpr
     constraints: list
     var_slices: list          # (Variable, start, stop)
+
+    @functools.cached_property
+    def _objective_table(self):
+        """The objective's (beta index, var index, coef) columns, -1 for
+        a missing index."""
+        rows = [(-1 if b is None else b, -1 if v is None else v, c)
+                for b, v, c in self.objective]
+        table = np.array(rows, dtype=float).reshape(-1, 3)
+        return table[:, 0].astype(np.int64), table[:, 1].astype(np.int64), \
+            table[:, 2]
+
+    def objective_value(self, beta, u) -> float:
+        """lin_eval(self.objective, beta, u) in one numpy pass: each
+        term's product is the same, their sum is pairwise."""
+        b, v, c = self._objective_table
+        # index -1 reads the appended one, a factor a term lacks
+        return float(np.sum(c * np.append(beta, 1.0)[b]
+                            * np.append(u, 1.0)[v]))
 
 
 @dataclass

@@ -130,8 +130,11 @@ class ParamToDataMap:
         self.n = n
         self.n_beta = n_beta
         self.dims = dims
-        self.csc_indptr = csc_indptr
-        self.csc_rows = csc_rows
+        # in the index type that SciPy would convert them to, so that each
+        # instantiate's CSC constructor takes them as they are
+        index = np.int32 if max(nnz, m, n) < 2**31 else np.int64
+        self.csc_indptr = csc_indptr.astype(index)
+        self.csc_rows = csc_rows.astype(index)
         self.n_x = n_x
         self._Tp = T[:, :n_beta].tocsr()
 

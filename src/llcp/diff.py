@@ -16,6 +16,21 @@ Jacobian of F there,
 
 where DPi is the derivative of the projection onto R^n x K* x R_+.
 Neither direction materializes a dense Jacobian.
+
+The solves use the embedding's ReducedJacobian, one sparse LU made on the
+first use at a point: dphi takes G rhs and dphi_adjoint G' rhs, the
+generalized inverse and its transpose, wherever that meets LSQR's own
+stopping test (a residual within _LSQR_TOL of the data).  Elsewhere the
+right-hand side lies outside M's range, as a random data direction
+does once the solution has free directions, and LSQR on M G (M' G')
+finds the least-squares solution.  Only where the remainder has no
+factor, or G gives a non-finite value, does LSQR run on M itself.  With
+one G for both directions, derivative and adjoint agree to roundoff.
+
+A free direction of the solution in an original variable, a column that
+the reduction finds empty among the first n_x unknowns, makes the
+solution non-unique there; the point reports it and warns with
+NonuniqueWarning.
 """
 
 from __future__ import annotations
@@ -26,9 +41,10 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .compiler import DimensionError
+from .embedding import ReducedJacobian
 
-__all__ = ["LsqrNoConvergence", "NonsmoothWarning", "ResidualPoint",
-           "dphi", "dphi_adjoint"]
+__all__ = ["LsqrNoConvergence", "NonsmoothWarning", "NonuniqueWarning",
+           "ResidualPoint", "dphi", "dphi_adjoint"]
 
 _LSQR_TOL = 1e-12
 
@@ -41,15 +57,24 @@ class NonsmoothWarning(UserWarning):
     """The projection is not differentiable here; results are heuristic."""
 
 
+class NonuniqueWarning(UserWarning):
+    """The solution is not unique in an original variable; derivatives
+    follow one solution of many."""
+
+
 class ResidualPoint:
     """Differentiation state at one solved cone program.
 
     Reuses the solve's embedding (ConeSolution.embedding) and caches
-    u = (x, y, 1), z = (x, y - s, 1), DPi(z) and M there.  Instances are
-    read-only after construction and safe to share across threads.
+    u = (x, y, 1), z = (x, y - s, 1), DPi(z), M and its ReducedJacobian
+    there; the reduction's factor is made by the first solve that needs
+    it.  unique is False when the reduction leaves one of the first n_x
+    unknowns free (all n by default, every unknown of a cone program
+    being an original variable).  Instances are safe to share across
+    threads: two threads that both make the factor make the same one.
     """
 
-    def __init__(self, embedding, x, y, s):
+    def __init__(self, embedding, x, y, s, n_x=None):
         self.embedding = embedding
         self.n, self.m = embedding.n, embedding.m
         self.x = np.asarray(x, dtype=float)
@@ -58,12 +83,19 @@ class ResidualPoint:
         self.z = np.concatenate([self.x, self.y - np.asarray(s, dtype=float),
                                  [1.0]])
         self.M, self.DPi, nonsmooth = embedding.jacobian(self.z)
+        self.reduced = ReducedJacobian(self.M, self.DPi)
         self.nonsmooth = bool(nonsmooth)
+        n_x = self.n if n_x is None else n_x
+        self.unique = not np.any(self.reduced.free < n_x)
+        # both reported at the caller of Problem.solve or solve_many
         if self.nonsmooth:
-            # reported at the caller of Problem.solve or solve_many
             warnings.warn("projection not differentiable at the solution; "
                           "sensitivities are a least-squares heuristic",
                           NonsmoothWarning, stacklevel=4)
+        if not self.unique:
+            warnings.warn("the solution is not unique in a variable; "
+                          "sensitivities follow one of the solutions",
+                          NonuniqueWarning, stacklevel=4)
 
 
 def _lsqr(op, rhs):
@@ -73,6 +105,25 @@ def _lsqr(op, rhs):
         raise LsqrNoConvergence(
             f"least-squares solve stopped at the {itn}-iteration cap")
     return dz
+
+
+def _solve(point, rhs, transpose=False):
+    """A least-squares solution of M dz = rhs, or M' dz = rhs with
+    transpose: G rhs (G' rhs) where its residual passes LSQR's stopping
+    test, else LSQR preconditioned by G, else plain LSQR."""
+    red, M = point.reduced, point.M
+    if red.lu is not None:
+        G, op = (red.solve_T, red.MT) if transpose else (red.solve, M)
+        dz = G(rhs)
+        if np.all(np.isfinite(dz)):
+            res = np.linalg.norm(op @ dz - rhs)
+            if res <= _LSQR_TOL * (np.linalg.norm(rhs) + np.linalg.norm(
+                    M.data) * np.linalg.norm(dz)):
+                return dz
+            return G(_lsqr(red.operator(transpose), rhs))
+    # a CSC copy, not the CSR view M.T: the two sum LSQR's products in a
+    # different order, and LSQR carries that rounding into the result
+    return _lsqr(M.T.tocsc() if transpose else M, rhs)
 
 
 def dphi(point, dtheta):
@@ -85,7 +136,7 @@ def dphi(point, dtheta):
     if dtheta.size != point.embedding.theta_size:
         raise DimensionError(f"data direction has size {dtheta.size}, "
                              f"expected {point.embedding.theta_size}")
-    dz = _lsqr(point.M, -(point.embedding.Q_of(dtheta) @ point.u))
+    dz = _solve(point, -(point.embedding.Q_of(dtheta) @ point.u))
     du = point.DPi @ dz
     return du[:point.n] - point.x * du[-1]
 
@@ -98,7 +149,5 @@ def dphi_adjoint(point, dx):
             f"solution direction has size {dx.size}, expected {point.n}")
     rhs = point.DPi.T @ np.concatenate([dx, np.zeros(point.m),
                                         [-float(point.x @ dx)]])
-    # a CSC copy, not the CSR view M.T: the two sum LSQR's products in a
-    # different order, and LSQR carries that rounding into the result
-    r = _lsqr(point.M.T.tocsc(), rhs)
+    r = _solve(point, rhs, transpose=True)
     return -point.embedding.Q_of_adjoint(r, point.u)

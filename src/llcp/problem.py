@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from .canon import canonicalize, lin_eval
+from .canon import canonicalize
 from .compiler import compile_problem
 from .diff import ResidualPoint, dphi, dphi_adjoint
 from .embedding import canonical
@@ -89,7 +89,9 @@ class Problem:
     parameter values may change freely between solves and reuse the
     cached lowering.  After ``solve`` each variable's ``value`` holds
     the optimum, and ``status``, ``value``, and ``solution`` describe
-    the solve.
+    the solve.  After ``solve(derivatives=True)``, ``nonsmooth`` tells
+    whether the solution map kinks there, and ``unique`` is False when
+    the optimum leaves a variable free (NonuniqueWarning).
     """
 
     def __init__(self, objective, constraints=()):
@@ -112,6 +114,7 @@ class Problem:
         self.solution = None
         self.stats = None
         self.nonsmooth = False
+        self.unique = True
         self._point = None
         self._alpha = None
         self._warm = None
@@ -195,6 +198,7 @@ class Problem:
         self.solution = sol
         self._point = None
         self.nonsmooth = False
+        self.unique = True
         if sol.status != "optimal":
             self.value = None
             self.stats = self._stats(sol, t_start, solver_time)
@@ -203,10 +207,12 @@ class Problem:
         for var, lo, hi in prob.var_slices:
             var.value = np.exp(sol.x[lo:hi])
         sign = -1.0 if self.objective.sense == "maximize" else 1.0
-        self.value = float(np.exp(sign * lin_eval(prob.objective, beta, sol.x)))
+        self.value = float(np.exp(sign * prob.objective_value(beta, sol.x)))
         if derivatives:
-            self._point = ResidualPoint(sol.embedding, sol.x, sol.y, sol.s)
+            self._point = ResidualPoint(sol.embedding, sol.x, sol.y, sol.s,
+                                        n_x=self._compiled[2].n_x)
             self.nonsmooth = self._point.nonsmooth
+            self.unique = self._point.unique
             self._alpha = alpha
         self.stats = self._stats(sol, t_start, solver_time)
         return self.value

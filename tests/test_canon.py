@@ -441,3 +441,19 @@ def test_lin_eval():
     beta = np.array([2.0])
     u = np.array([4.0, 5.0])
     assert lin_eval(le, beta, u) == pytest.approx(2 + 6 - 5 + 4.0)
+
+
+@pytest.mark.parametrize("seed", range(100, 110))
+def test_objective_value_matches_lin_eval(seed):
+    # the numpy pass sums the same products pairwise, so it may differ
+    # from the sequential sum by roundoff only
+    rng = np.random.default_rng(seed)
+    objective, constraints, variables = _random_program(rng)
+    prob, cmap = canonicalize("minimize", objective, constraints, variables,
+                              llcp.Problem(llcp.Minimize(objective),
+                                           constraints).parameters)
+    beta = cmap.eval_C(cmap.pack_alpha())
+    u = rng.normal(size=prob.n_vars)
+    want = lin_eval(prob.objective, beta, u)
+    scale = sum(abs(lin_eval([t], beta, u)) for t in prob.objective)
+    assert abs(prob.objective_value(beta, u) - want) <= 1e-14 * scale

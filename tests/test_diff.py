@@ -5,10 +5,12 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from llcp import diff
+from llcp import diff, examples
 from llcp.compiler import DimensionError, compile_problem
-from llcp.diff import NonsmoothWarning, ResidualPoint, dphi, dphi_adjoint
+from llcp.diff import (NonsmoothWarning, NonuniqueWarning, ResidualPoint,
+                       dphi, dphi_adjoint)
 from llcp.embedding import Embedding
 from llcp.solver import solve
 
@@ -150,9 +152,9 @@ def test_adjoint_keeps_sparsity_pattern(monkeypatch):
     assert sol.status == "optimal"
     pt = point(sol)
     solves = []
-    lsqr = diff._lsqr
-    monkeypatch.setattr(diff, "_lsqr",
-                        lambda op, rhs: solves.append(lsqr(op, rhs)) or solves[-1])
+    solve_m = diff._solve
+    monkeypatch.setattr(diff, "_solve",
+                        lambda *a, **k: solves.append(solve_m(*a, **k)) or solves[-1])
     dtheta = dphi_adjoint(pt, rng.normal(size=pt.n))
     assert dtheta.size == A.nnz + pt.m + pt.n
     # reference: one entry of r_y x' - y r_x' per nonzero of A
@@ -194,10 +196,116 @@ def test_smooth_points_do_not_warn():
 
 
 def test_degenerate_point_warns():
-    # x >= 0 with zero objective: y* = s* = 0, so the projection kinks
+    # x >= 0 with zero objective: y* = s* = 0, so the projection kinks;
+    # and x is free, as any x >= 0 is optimal
     A = sp.csc_matrix([[-1.0]])
     emb = Embedding(A, np.zeros(1), np.zeros(1),
                     {"zero": 0, "nonneg": 1, "exp": 0})
-    with pytest.warns(NonsmoothWarning):
+    with pytest.warns(NonsmoothWarning), pytest.warns(NonuniqueWarning):
         pt = ResidualPoint(emb, np.zeros(1), np.zeros(1), np.zeros(1))
     assert pt.nonsmooth
+    assert not pt.unique
+
+
+# -- the reduced factor on the bundled programs -------------------------------
+
+PROGRAMS = {
+    "hello": examples.hello_world,
+    "queuing": examples.queuing,
+    "benchmark250": lambda: examples.benchmark(n=250),
+    "benchmark500": lambda: examples.benchmark(n=500),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(PROGRAMS))
+def solved(request):
+    p = PROGRAMS[request.param]()
+    p.solve(derivatives=True)
+    # queuing's and n=500's free directions are auxiliary variables
+    assert p.status == "optimal" and p.unique and not p.nonsmooth
+    return request.param, p
+
+
+def random_sensitivities(p, rng):
+    """Random parameter deltas and variable gradients set on p; returns
+    (deltas, derivative(), gradients, backward()) flattened."""
+    for q in p.parameters:
+        q.delta = rng.normal(size=q.size) * np.abs(q.value)
+    for v in p.variables:
+        v.gradient = rng.normal(size=v.size)
+    fwd = np.concatenate(list(p.derivative().values()))
+    back = np.concatenate(list(p.backward().values()))
+    return (np.concatenate([q.delta for q in p.parameters]), fwd,
+            np.concatenate([v.gradient for v in p.variables]), back)
+
+
+def test_reduced_inverse_solves_on_the_range(solved):
+    pt = solved[1]._point
+    M, red = pt.M, pt.reduced
+    assert red.lu is not None
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        r = M @ rng.normal(size=M.shape[0])
+        assert np.linalg.norm(M @ red.solve(r) - r) <= 1e-12 * np.linalg.norm(r)
+        s = M.T @ rng.normal(size=M.shape[0])
+        assert (np.linalg.norm(M.T @ red.solve_T(s) - s)
+                <= 1e-12 * np.linalg.norm(s))
+
+
+def test_adjoint_identity_to_roundoff(solved, monkeypatch):
+    p = solved[1]
+    # every solve takes G or G', none falls back to LSQR
+    monkeypatch.setattr(diff, "_lsqr", None)
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        dalpha, fwd, g, back = random_sensitivities(p, rng)
+        scale = max(np.linalg.norm(fwd) * np.linalg.norm(g),
+                    np.linalg.norm(back) * np.linalg.norm(dalpha))
+        assert abs(fwd @ g - back @ dalpha) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name", ["hello", "queuing", "benchmark250"])
+def test_plain_lsqr_fallback_matches_the_factor(name, monkeypatch):
+    # not n=500: there plain LSQR's own backward() error is 4e-9 relative
+    # (its 1e-12 stop on an M with singular values below 1e-15)
+    p, twin = PROGRAMS[name](), PROGRAMS[name]()
+    p.solve(derivatives=True)
+    twin.solve(derivatives=True)
+    want = random_sensitivities(p, np.random.default_rng(14))
+    assert p._point.reduced.lu is not None
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    # after the solves, whose factors of K the patch would break
+    monkeypatch.setattr(spla, "splu", singular)
+    got = random_sensitivities(twin, np.random.default_rng(14))
+    assert twin._point.reduced.lu is None
+    for a, b in zip(got, want):
+        assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(b)
+
+
+def test_direction_outside_the_range_takes_preconditioned_lsqr(monkeypatch):
+    # queuing's 20 free auxiliary variables put a random data direction
+    # outside M's range, where G's residual fails LSQR's stopping test
+    p = examples.queuing()
+    p.solve(derivatives=True)
+    sol, n_x = p.solution, p._compiled[2].n_x
+    dtheta = np.random.default_rng(15).normal(size=sol.embedding.theta_size)
+    ops = []
+    lsqr = diff._lsqr
+    monkeypatch.setattr(diff, "_lsqr",
+                        lambda op, rhs: ops.append(op) or lsqr(op, rhs))
+    got = dphi(p._point, dtheta)
+    assert len(ops) == 1 and not sp.issparse(ops[0])
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", singular)
+    want = dphi(ResidualPoint(sol.embedding, sol.x, sol.y, sol.s, n_x=n_x),
+                dtheta)
+    assert len(ops) == 2 and sp.issparse(ops[1])
+    # least-squares solutions differ along the free directions only
+    assert (np.linalg.norm(got[:n_x] - want[:n_x])
+            <= 1e-9 * np.linalg.norm(want[:n_x]))

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from llcp import canon, solver
+from llcp import NonuniqueWarning, canon, solver
 from llcp.examples import benchmark, hello_world, queuing
 from llcp.expr import (
     Constant,
@@ -195,6 +195,19 @@ def test_warm_resolve_matches_a_solve_without_workspace(name, min_factors):
     a, f = p.solution, fresh.solution
     assert _bits(a.x, a.y, a.s) == _bits(f.x, f.y, f.s)
     assert a.iterations == f.iterations
+
+
+def test_free_original_variable_is_reported():
+    # y is anywhere in [0.5, 2] at the optimum: neither bound is active and
+    # the objective does not involve it
+    x, y = Variable("x"), Variable("y")
+    p = Problem(Minimize(x), [x >= 1.0, y >= 0.5, y <= 2.0])
+    with pytest.warns(NonuniqueWarning):
+        p.solve(derivatives=True)
+    assert p.status == "optimal" and not p.unique and not p.nonsmooth
+    assert p.derivative()["x"] == pytest.approx(0.0)
+    p.solve()
+    assert p.unique
 
 
 def test_infeasible_reports_and_blocks_derivatives():

@@ -319,6 +319,23 @@ def test_polish_stops_at_the_first_step_that_does_not_help(monkeypatch):
     assert len(evals) == 2
 
 
+def test_polish_takes_few_lsqr_iterations_per_step(monkeypatch):
+    # LSQR on J G, G the reduced factor's generalized inverse, against
+    # about 34 iterations per step of LSQR on J alone
+    itns = []
+    lsqr = solver.spla.lsqr
+
+    def counted(*args, **kwargs):
+        out = lsqr(*args, **kwargs)
+        itns.append(out[2])
+        return out
+
+    monkeypatch.setattr(solver.spla, "lsqr", counted)
+    sol = solve(*cone_program(examples.benchmark(n=250)))
+    assert sol.status == "optimal"
+    assert itns and max(itns) <= 5
+
+
 def test_hello_world_through_solver():
     sol = solve(*hello_cone_program())
     assert sol.status == "optimal"
