@@ -17,15 +17,15 @@ Jacobian of F there,
 where DPi is the derivative of the projection onto R^n x K* x R_+.
 Neither direction materializes a dense Jacobian.
 
-The solves use the embedding's ReducedJacobian, one sparse LU made on the
-first use at a point: dphi takes G rhs and dphi_adjoint G' rhs, the
-generalized inverse and its transpose, wherever that meets LSQR's own
-stopping test (a residual within _LSQR_TOL of the data).  Elsewhere the
-right-hand side lies outside M's range, as a random data direction
-does once the solution has free directions, and LSQR on M G (M' G')
-finds the least-squares solution.  Only where the remainder has no
-factor, or G gives a non-finite value, does LSQR run on M itself.  With
-one G for both directions, derivative and adjoint agree to roundoff.
+The solves go through the point's ReducedJacobian.lstsq, on one sparse
+LU made on the first use at the point: dphi takes G rhs and dphi_adjoint
+G' rhs, the generalized inverse and its transpose, wherever that meets
+LSQR's own stopping test.  Elsewhere the right-hand side lies outside
+M's range, as a random data direction does once the solution has free
+directions, and LSQR on M G (M' G') finds the least-squares solution.
+Only where the remainder has no factor, is numerically singular, or G
+gives a non-finite value does LSQR run on M itself.  With one G for both
+directions, derivative and adjoint agree to roundoff.
 
 A free direction of the solution in an original variable, a column that
 the reduction finds empty among the first n_x unknowns, makes the
@@ -38,15 +38,12 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .compiler import DimensionError
 from .embedding import ReducedJacobian
 
 __all__ = ["LsqrNoConvergence", "NonsmoothWarning", "NonuniqueWarning",
            "ResidualPoint", "dphi", "dphi_adjoint"]
-
-_LSQR_TOL = 1e-12
 
 
 class LsqrNoConvergence(RuntimeError):
@@ -68,13 +65,13 @@ class ResidualPoint:
     Reuses the solve's embedding (ConeSolution.embedding) and caches
     u = (x, y, 1), z = (x, y - s, 1), DPi(z), M and its ReducedJacobian
     there; the reduction's factor is made by the first solve that needs
-    it.  unique is False when the reduction leaves one of the first n_x
-    unknowns free (all n by default, every unknown of a cone program
-    being an original variable).  Instances are safe to share across
-    threads: two threads that both make the factor make the same one.
+    it.  unique is False when the reduction leaves free one of the first
+    n_x unknowns, the original variables' logarithms.  Instances are safe
+    to share across threads: two threads that both make the factor make
+    the same one.
     """
 
-    def __init__(self, embedding, x, y, s, n_x=None):
+    def __init__(self, embedding, x, y, s, n_x):
         self.embedding = embedding
         self.n, self.m = embedding.n, embedding.m
         self.x = np.asarray(x, dtype=float)
@@ -85,7 +82,6 @@ class ResidualPoint:
         self.M, self.DPi, nonsmooth = embedding.jacobian(self.z)
         self.reduced = ReducedJacobian(self.M, self.DPi)
         self.nonsmooth = bool(nonsmooth)
-        n_x = self.n if n_x is None else n_x
         self.unique = not np.any(self.reduced.free < n_x)
         # both reported at the caller of Problem.solve or solve_many
         if self.nonsmooth:
@@ -98,32 +94,14 @@ class ResidualPoint:
                           NonuniqueWarning, stacklevel=4)
 
 
-def _lsqr(op, rhs):
-    dz, istop, itn = spla.lsqr(op, rhs, atol=_LSQR_TOL, btol=_LSQR_TOL,
-                               iter_lim=10 * rhs.size)[:3]
-    if istop == 7:
-        raise LsqrNoConvergence(
-            f"least-squares solve stopped at the {itn}-iteration cap")
-    return dz
-
-
 def _solve(point, rhs, transpose=False):
     """A least-squares solution of M dz = rhs, or M' dz = rhs with
-    transpose: G rhs (G' rhs) where its residual passes LSQR's stopping
-    test, else LSQR preconditioned by G, else plain LSQR."""
-    red, M = point.reduced, point.M
-    if red.lu is not None:
-        G, op = (red.solve_T, red.MT) if transpose else (red.solve, M)
-        dz = G(rhs)
-        if np.all(np.isfinite(dz)):
-            res = np.linalg.norm(op @ dz - rhs)
-            if res <= _LSQR_TOL * (np.linalg.norm(rhs) + np.linalg.norm(
-                    M.data) * np.linalg.norm(dz)):
-                return dz
-            return G(_lsqr(red.operator(transpose), rhs))
-    # a CSC copy, not the CSR view M.T: the two sum LSQR's products in a
-    # different order, and LSQR carries that rounding into the result
-    return _lsqr(M.T.tocsc() if transpose else M, rhs)
+    transpose; raises LsqrNoConvergence if LSQR hit its cap."""
+    dz, capped = point.reduced.lstsq(rhs, transpose)
+    if capped:
+        raise LsqrNoConvergence(f"least-squares solve stopped at the "
+                                f"{10 * rhs.size}-iteration cap")
+    return dz
 
 
 def dphi(point, dtheta):

@@ -34,6 +34,12 @@ nonsingular), with G' from the same factor.  A column left empty is a
 direction along which no equation moves: a variable that appears only in
 constraints whose dual is zero, and not in the objective.
 
+ReducedJacobian.lstsq is the one least-squares solve with M or M' that
+the polish and the derivatives share: G r where that solves the system to
+LSQR's stopping test, LSQR on M G where r lies outside the range G
+reaches, and plain LSQR on M where the remainder has no factor, is
+numerically singular, or G gives a non-finite value.
+
 Q is linear in the data theta = (A.data, b, c), A's entries in sorted
 CSC order with duplicates summed, and the embedding writes that map
 once, as the signed gather Q.data = sign * theta[src].  Q_of(dtheta) is
@@ -57,6 +63,12 @@ import scipy.sparse.linalg as spla
 from .cones import dproject_cone, project_cone
 
 __all__ = ["Embedding", "ReducedJacobian", "canonical"]
+
+# LSQR's atol and btol, and the stopping test G r must meet
+_LSQR_TOL = 1e-12
+# a remainder whose smallest U pivot is this far below its largest has
+# lost half the digits of G r, so it counts as singular
+_PIVOT_RATIO = 1.5e-8
 
 
 def canonical(A):
@@ -172,14 +184,17 @@ class ReducedJacobian:
 
     The unknowns whose DPi column is zero are eliminated (M's column there
     is the unit vector), the tau unknown is pinned to zero, and the rows
-    and columns left without an entry are dropped.  The constructor assembles that
-    remainder from M's CSC arrays; the first use of lu factors it.
+    and columns left without an entry are dropped.  The constructor
+    assembles that remainder from M's CSC arrays; the first use of lu
+    factors it.
     solve(r) is G r: the remainder's solution on the kept unknowns, zero
     on the dropped ones and back-substitution for the eliminated ones.
     solve_T(s) is G' s.  free holds the indices of the dropped empty
     columns, unknowns that no kept equation involves.  The remainder has
-    no factor (lu is None) when it is not square or SuperLU finds it
-    singular.  MT is the CSR view M' that the transposed products use.
+    no factor (lu is None) when it is not square, SuperLU finds it
+    singular, or its pivots span more than 1/_PIVOT_RATIO.  lstsq is the
+    least-squares solve with M or M' built on G.  MT is the CSR view M'
+    that the transposed products use.
     """
 
     def __init__(self, M, DPi):
@@ -209,16 +224,22 @@ class ReducedJacobian:
 
     @functools.cached_property
     def lu(self):
-        """SuperLU of the remainder, or None where there is none."""
+        """SuperLU of the remainder, or None where there is none or it
+        is numerically singular."""
         if self._B is None:
             return None
         try:
             # SuperLU keeps its L and U storage at a size estimated from
             # the panel size; one-column panels cut a factor at 59
             # unknowns from 85 to 26 KB, and at 1,000 from 405 to 61 KB
-            return spla.splu(self._B, panel_size=1)
+            lu = spla.splu(self._B, panel_size=1)
         except RuntimeError:  # exactly singular
             return None
+        # cond(U) is at least the ratio of its largest to smallest pivot
+        pivots = np.abs(lu.U.diagonal())
+        if pivots.size and not pivots.min() > _PIVOT_RATIO * pivots.max():
+            return None
+        return lu
 
     def solve(self, r):
         """G r; lu must not be None."""
@@ -239,16 +260,38 @@ class ReducedJacobian:
         out[self._rows] = self.lu.solve(w, trans="T")
         return out
 
-    def operator(self, transpose=False):
-        """M G, or (G M)' = M' G' with transpose, as a LinearOperator: the
-        right-preconditioned matrix of a least-squares solve with M (M')
-        whose solution y gives dz = G y (G' y)."""
-        M, MT = self.M, self.MT
-        if transpose:
-            M, MT = MT, M
-            G, GT = self.solve_T, self.solve
-        else:
-            G, GT = self.solve, self.solve_T
-        return spla.LinearOperator(M.shape, matvec=lambda y: M @ G(y),
-                                   rmatvec=lambda s: GT(MT @ s),
-                                   dtype=float)
+    def lstsq(self, rhs, transpose=False):
+        """A least-squares solution of M dz = rhs (M' dz = rhs with
+        transpose), and whether LSQR stopped at its iteration cap.
+
+        G rhs (G' rhs) where its residual meets LSQR's stopping test;
+        else dz = G y (G' y) with y from LSQR on M G (M' G'), which the
+        factor preconditions to a few iterations; plain LSQR on M (M')
+        where there is no factor or G gives a non-finite value."""
+        M, MT = (self.MT, self.M) if transpose else (self.M, self.MT)
+        if self.lu is not None:
+            G, GT = ((self.solve_T, self.solve) if transpose
+                     else (self.solve, self.solve_T))
+            dz = G(rhs)
+            if np.all(np.isfinite(dz)):
+                res = np.linalg.norm(M @ dz - rhs)
+                if res <= _LSQR_TOL * (np.linalg.norm(rhs) + np.linalg.norm(
+                        M.data) * np.linalg.norm(dz)):
+                    return dz, False
+                op = spla.LinearOperator(M.shape, matvec=lambda y: M @ G(y),
+                                         rmatvec=lambda s: GT(MT @ s),
+                                         dtype=float)
+                y, capped = _lsqr(op, rhs)
+                dz = G(y)
+                if np.all(np.isfinite(dz)):
+                    return dz, capped
+        # a CSC copy, not the CSR view M.T: the two sum LSQR's products in
+        # a different order, and LSQR carries that rounding into the result
+        return _lsqr(self.M.T.tocsc() if transpose else self.M, rhs)
+
+
+def _lsqr(op, rhs):
+    """LSQR at _LSQR_TOL: the solution, and whether it hit the cap."""
+    out = spla.lsqr(op, rhs, atol=_LSQR_TOL, btol=_LSQR_TOL,
+                    iter_lim=10 * rhs.size)
+    return out[0], out[1] == 7

@@ -203,8 +203,12 @@ def fit(X_train, Y_train, X_val, Y_val, *, iters: int = 10,
     Each iteration records the train and validation mean squared error
     at the current weights, then takes one descent step; the final row
     of ``history`` reflects the returned weights.  ``iters=0`` returns
-    the least-squares initialization itself.  Raises ValueError, before
-    any solve, for iters < 0 or an empty training or validation set.
+    the least-squares initialization itself.  The descent stops early,
+    at the current weights, once the training MSE is at most eps^2 times
+    the mean squared norm of the training outputs: the solves, accurate
+    to eps, resolve no descent below that (an exactly fittable dataset
+    starts there).  Raises ValueError, before any solve, for iters < 0 or
+    an empty training or validation set.
     """
     if iters < 0:
         raise ValueError(f"iters must be at least 0, got {iters}")
@@ -215,6 +219,7 @@ def fit(X_train, Y_train, X_val, Y_val, *, iters: int = 10,
     Y_val = np.asarray(Y_val, dtype=float)
     A_mat, c_vec = least_squares_monomials(X_train, Y_train)
     m, n = A_mat.shape
+    floor = eps ** 2 * float(np.mean(np.sum(Y_train ** 2, axis=1)))
 
     A = Parameter("A", m * n, value=A_mat.ravel())
     c = Parameter("c", m, positive=True, value=c_vec)
@@ -241,7 +246,8 @@ def fit(X_train, Y_train, X_val, Y_val, *, iters: int = 10,
         val_mse, _, _, val_skipped = _mse_and_grad(
             val_problems, Y_val, A, c, want_grad=False)
         result.skipped_solves += skipped + val_skipped
-        if last:
+        done = last or train_mse <= floor
+        if done:
             result.val_predictions = [
                 {v.name: v.value for v in p.variables}["y"]
                 if p.status == "optimal" else None for p in val_problems]
@@ -249,7 +255,8 @@ def fit(X_train, Y_train, X_val, Y_val, *, iters: int = 10,
                                "train_mse": train_mse, "val_mse": val_mse})
         logger.info("iteration %d: train mse %.6g, val mse %.6g",
                     iteration, train_mse, val_mse)
-        if not last:
-            result.A = result.A - step * grad_A.reshape(m, n)
-            result.c = np.maximum(result.c - step * grad_c, C_FLOOR)
+        if done:
+            break
+        result.A = result.A - step * grad_A.reshape(m, n)
+        result.c = np.maximum(result.c - step * grad_c, C_FLOOR)
     return result

@@ -21,10 +21,11 @@ rho_x is fixed; rho_y, the scale, follows the ratio of the dual to the
 primal residual, and each change of it refactors K.  A Gauss-Newton
 polish on the normalized residual map pushes the returned point to tight
 tolerances once ADMM has found the neighborhood.  Each of its steps is a
-least-squares solve with the map's Jacobian J: LSQR on J G, where G is
-the generalized inverse from one sparse LU of J's reduced matrix
-(embedding.ReducedJacobian), takes a few iterations where LSQR on J
-alone takes dozens.
+least-squares solve with the map's Jacobian J (ReducedJacobian.lstsq).
+Its right-hand side -F(z) = J(-z) leans on tau, which the reduction
+pins, so G alone does not solve it; LSQR on J G, where G is the
+generalized inverse from one sparse LU of J's reduced matrix, takes a
+few iterations where LSQR on J alone takes dozens.
 
 The iteration is a fixed-point map w -> T(w) of w = u - v, the vector it
 projects, and type-II Anderson acceleration (Walker & Ni, 2011) extends
@@ -370,7 +371,7 @@ def _refine(emb, z, eps):
     for _ in range(_POLISH_STEPS):
         if norm <= eps * 1e-3:
             break
-        dz = _gauss_newton_step(*emb.jacobian(z)[:2], -Fz)
+        dz = ReducedJacobian(*emb.jacobian(z)[:2]).lstsq(-Fz)[0]
         cand = norm_tau(z + dz)
         Fc = emb.residual(cand)
         nc = np.linalg.norm(Fc)
@@ -378,21 +379,6 @@ def _refine(emb, z, eps):
             break
         z, Fz, norm = cand, Fc, nc
     return z
-
-
-def _gauss_newton_step(J, DPi, rhs):
-    """A least-squares solution of J dz = rhs: dz = G y with y from LSQR
-    on J G, G from J's ReducedJacobian; LSQR on J where there is no
-    factor or G gives a non-finite step."""
-    red = ReducedJacobian(J, DPi)
-    if red.lu is not None:
-        y = spla.lsqr(red.operator(), rhs, atol=1e-12, btol=1e-12,
-                      iter_lim=10 * rhs.size)[0]
-        dz = red.solve(y)
-        if np.all(np.isfinite(dz)):
-            return dz
-    return spla.lsqr(J, rhs, atol=1e-12, btol=1e-12,
-                     iter_lim=10 * rhs.size)[0]
 
 
 def _candidate(emb, A, b, c, u, v):

@@ -7,15 +7,16 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from llcp import diff, examples
+import llcp
+from llcp import examples
 from llcp.compiler import DimensionError, compile_problem
 from llcp.diff import (NonsmoothWarning, NonuniqueWarning, ResidualPoint,
                        dphi, dphi_adjoint)
-from llcp.embedding import Embedding
+from llcp.embedding import Embedding, ReducedJacobian
 from llcp.solver import solve
 
 from oracles import planted_regular_program
-from test_canon import canon_hello
+from test_canon import _random_program, canon_hello
 
 
 def solved_point(rng, n=5, ne=1):
@@ -33,7 +34,9 @@ def random_direction(rng, A):
 
 
 def point(sol):
-    return ResidualPoint(sol.embedding, sol.x, sol.y, sol.s)
+    # every unknown of a bare cone program is an original variable
+    return ResidualPoint(sol.embedding, sol.x, sol.y, sol.s,
+                         n_x=sol.embedding.n)
 
 
 def test_splitting_reconstructs_solution():
@@ -152,9 +155,10 @@ def test_adjoint_keeps_sparsity_pattern(monkeypatch):
     assert sol.status == "optimal"
     pt = point(sol)
     solves = []
-    solve_m = diff._solve
-    monkeypatch.setattr(diff, "_solve",
-                        lambda *a, **k: solves.append(solve_m(*a, **k)) or solves[-1])
+    lstsq = ReducedJacobian.lstsq
+    monkeypatch.setattr(ReducedJacobian, "lstsq",
+                        lambda *a, **k: solves.append(lstsq(*a, **k)[0])
+                        or (solves[-1], False))
     dtheta = dphi_adjoint(pt, rng.normal(size=pt.n))
     assert dtheta.size == A.nnz + pt.m + pt.n
     # reference: one entry of r_y x' - y r_x' per nonzero of A
@@ -202,7 +206,8 @@ def test_degenerate_point_warns():
     emb = Embedding(A, np.zeros(1), np.zeros(1),
                     {"zero": 0, "nonneg": 1, "exp": 0})
     with pytest.warns(NonsmoothWarning), pytest.warns(NonuniqueWarning):
-        pt = ResidualPoint(emb, np.zeros(1), np.zeros(1), np.zeros(1))
+        pt = ResidualPoint(emb, np.zeros(1), np.zeros(1), np.zeros(1),
+                           n_x=1)
     assert pt.nonsmooth
     assert not pt.unique
 
@@ -246,7 +251,8 @@ def test_reduced_inverse_solves_on_the_range(solved):
     rng = np.random.default_rng(12)
     for _ in range(3):
         r = M @ rng.normal(size=M.shape[0])
-        assert np.linalg.norm(M @ red.solve(r) - r) <= 1e-12 * np.linalg.norm(r)
+        assert (np.linalg.norm(M @ red.solve(r) - r)
+                <= 1e-12 * np.linalg.norm(r))
         s = M.T @ rng.normal(size=M.shape[0])
         assert (np.linalg.norm(M.T @ red.solve_T(s) - s)
                 <= 1e-12 * np.linalg.norm(s))
@@ -255,7 +261,7 @@ def test_reduced_inverse_solves_on_the_range(solved):
 def test_adjoint_identity_to_roundoff(solved, monkeypatch):
     p = solved[1]
     # every solve takes G or G', none falls back to LSQR
-    monkeypatch.setattr(diff, "_lsqr", None)
+    monkeypatch.setattr(spla, "lsqr", None)
     rng = np.random.default_rng(13)
     for _ in range(3):
         dalpha, fwd, g, back = random_sensitivities(p, rng)
@@ -293,9 +299,9 @@ def test_direction_outside_the_range_takes_preconditioned_lsqr(monkeypatch):
     sol, n_x = p.solution, p._compiled[2].n_x
     dtheta = np.random.default_rng(15).normal(size=sol.embedding.theta_size)
     ops = []
-    lsqr = diff._lsqr
-    monkeypatch.setattr(diff, "_lsqr",
-                        lambda op, rhs: ops.append(op) or lsqr(op, rhs))
+    lsqr = spla.lsqr
+    monkeypatch.setattr(spla, "lsqr",
+                        lambda op, *a, **k: ops.append(op) or lsqr(op, *a, **k))
     got = dphi(p._point, dtheta)
     assert len(ops) == 1 and not sp.issparse(ops[0])
 
@@ -309,3 +315,47 @@ def test_direction_outside_the_range_takes_preconditioned_lsqr(monkeypatch):
     # least-squares solutions differ along the free directions only
     assert (np.linalg.norm(got[:n_x] - want[:n_x])
             <= 1e-9 * np.linalg.norm(want[:n_x]))
+
+
+def test_near_singular_remainder_has_no_factor():
+    # tau's row and column drop out; the remainder [[1, 1], [1, 1 + d]]
+    # has pivots 1 and d
+    def reduced(d):
+        M = sp.csc_matrix([[1.0, 1.0, 0.0], [1.0, 1.0 + d, 0.0],
+                           [0.0, 0.0, 1.0]])
+        return ReducedJacobian(M, sp.identity(3, format="csr"))
+
+    assert reduced(1e-4).lu is not None
+    assert reduced(1e-12).lu is None
+    # plain LSQR then gives the least-squares solution
+    red = reduced(1e-12)
+    dz, capped = red.lstsq(np.array([1.0, 1.0, 2.0]))
+    assert not capped
+    assert np.allclose(red.M @ dz, [1.0, 1.0, 2.0])
+
+
+def _random_program_124():
+    objective, constraints, _ = _random_program(np.random.default_rng(124))
+    return llcp.Problem(llcp.Minimize(objective), constraints)
+
+
+def test_non_unique_point_without_free_column_takes_plain_lsqr(monkeypatch):
+    # the optimum of this program is not unique, but no empty column shows
+    # it: the reduced remainder is singular at the solution and its pivots
+    # span 1e16 at the polish's first point, so both take plain LSQR.
+    # The polish then ends at the first check within its tolerance.
+    p, twin = _random_program_124(), _random_program_124()
+    p.solve(eps=1e-10, derivatives=True)
+    assert p.status == "optimal" and p.solution.iterations <= 75
+    assert p._point.reduced.lu is None
+    want = random_sensitivities(p, np.random.default_rng(16))
+    assert all(np.all(np.isfinite(w)) for w in want)
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    twin.solve(eps=1e-10, derivatives=True)
+    monkeypatch.setattr(spla, "splu", singular)
+    got = random_sensitivities(twin, np.random.default_rng(16))
+    for a, b in zip(got, want):
+        assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(b)

@@ -196,3 +196,19 @@ def test_fit_counts_its_solves_and_one_factor():
     assert res.iterations >= 25 * res.solves
     # all samples share one cone matrix, factored once at the one scale
     assert res.factorizations == 1
+
+
+def test_exact_fit_stops_at_the_warm_start():
+    # four samples, three features and an intercept: the least-squares
+    # start fits the training set exactly, to roundoff, so no descent
+    # step is taken
+    X, Y, Xv, Yv, *_ = synthetic_data(4, 3, 2, seed=3)
+    res = fit(X, Y, Xv, Yv, iters=2)
+    assert res.initial_train_mse <= 1e-20
+    assert len(res.history) == 1 and res.solves == 4 + 2
+    assert np.array_equal(res.A, res.A_init)
+    assert np.array_equal(res.c, res.c_init)
+    assert len(res.val_predictions) == 2
+    # a dataset the model family does not fit runs every iteration
+    X, Y, Xv, Yv, *_ = synthetic_data(6, 3, 2, seed=3)
+    assert len(fit(X, Y, Xv, Yv, iters=2).history) == 3
