@@ -342,7 +342,8 @@ def _fit_regression(args, csv) -> int:
     lines = [f"iteration {h['iteration']:3d}: train mse {h['train_mse']:.6g}, "
              f"validation mse {h['val_mse']:.6g}" for h in result.history]
     lines.append(f"training mse {result.initial_train_mse:.6g} -> "
-                 f"{result.final_train_mse:.6g} after {args.iters} steps")
+                 f"{result.final_train_mse:.6g} after "
+                 f"{len(result.history) - 1} steps")
     lines.append(f"{result.solves} solves, {result.iterations} iterations, "
                  f"{result.factorizations} factorizations")
     if result.skipped_solves:

@@ -322,6 +322,15 @@ def test_fit_regression_zero_iters(capsys, tmp_path):
     assert len(rows) == 3  # half of N for validation
 
 
+def test_fit_regression_counts_the_steps_it_took(capsys):
+    # four samples of three features are fitted exactly by the
+    # least-squares start, so the descent stops before its first step
+    code, out, _ = run(capsys, "fit-regression", "--N", "4", "--n", "3",
+                       "--m", "2", "--iters", "2")
+    assert code == 0
+    assert "after 0 steps" in out and "6 solves" in out
+
+
 def test_fit_regression_reports_its_counts(capsys):
     code, doc, _ = run_json(capsys, "fit-regression", "--N", "6", "--n", "3",
                             "--m", "2", "--iters", "1")
