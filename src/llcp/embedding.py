@@ -34,11 +34,12 @@ nonsingular), with G' from the same factor.  A column left empty is a
 direction along which no equation moves: a variable that appears only in
 constraints whose dual is zero, and not in the objective.
 
-ReducedJacobian.lstsq is the one least-squares solve with M or M' that
-the polish and the derivatives share: G r where that solves the system to
-LSQR's stopping test, LSQR on M G where r lies outside the range G
-reaches, and plain LSQR on M where the remainder has no factor, is
-numerically singular, or G gives a non-finite value.
+ReducedJacobian.lstsq is the least-squares solve with M or M' of the
+derivatives: G r where that solves the system to LSQR's stopping test,
+else ReducedJacobian.lsqr, which the polish calls directly: LSQR on M G,
+and plain LSQR on M where the remainder has no factor, is numerically
+singular, or G gives a non-finite value.  The polish's right-hand side
+leans on the pinned tau, so G r never solves it.
 
 Q is linear in the data theta = (A.data, b, c), A's entries in sorted
 CSC order with duplicates summed, and the embedding writes that map
@@ -192,9 +193,9 @@ class ReducedJacobian:
     solve_T(s) is G' s.  free holds the indices of the dropped empty
     columns, unknowns that no kept equation involves.  The remainder has
     no factor (lu is None) when it is not square, SuperLU finds it
-    singular, or its pivots span more than 1/_PIVOT_RATIO.  lstsq is the
-    least-squares solve with M or M' built on G.  MT is the CSR view M'
-    that the transposed products use.
+    singular, or its pivots span more than 1/_PIVOT_RATIO.  lstsq and
+    lsqr are the least-squares solves with M or M' built on G.  MT is
+    the CSR view M' that the transposed products use.
     """
 
     def __init__(self, M, DPi):
@@ -262,29 +263,36 @@ class ReducedJacobian:
 
     def lstsq(self, rhs, transpose=False):
         """A least-squares solution of M dz = rhs (M' dz = rhs with
-        transpose), and whether LSQR stopped at its iteration cap.
-
-        G rhs (G' rhs) where its residual meets LSQR's stopping test;
-        else dz = G y (G' y) with y from LSQR on M G (M' G'), which the
-        factor preconditions to a few iterations; plain LSQR on M (M')
-        where there is no factor or G gives a non-finite value."""
-        M, MT = (self.MT, self.M) if transpose else (self.M, self.MT)
+        transpose), and whether LSQR stopped at its iteration cap: G rhs
+        (G' rhs) where it is finite and its residual meets LSQR's stopping
+        test, else lsqr(rhs, transpose)."""
         if self.lu is not None:
+            dz = (self.solve_T if transpose else self.solve)(rhs)
+            M = self.MT if transpose else self.M
+            if np.all(np.isfinite(dz)) and np.linalg.norm(
+                    M @ dz - rhs) <= _LSQR_TOL * (np.linalg.norm(rhs) + (
+                        np.linalg.norm(M.data) * np.linalg.norm(dz))):
+                return dz, False
+        return self.lsqr(rhs, transpose)
+
+    def lsqr(self, rhs, transpose=False):
+        """lstsq without the G rhs attempt, for a right-hand side that G
+        alone does not solve, as the polish's -F(z) = M (-z), which leans
+        on the pinned tau: dz = G y (G' y) with y from LSQR on M G
+        (M' G'), which the factor preconditions to a few iterations;
+        plain LSQR on M (M') where there is no factor or G gives a
+        non-finite value."""
+        if self.lu is not None:
+            M, MT = (self.MT, self.M) if transpose else (self.M, self.MT)
             G, GT = ((self.solve_T, self.solve) if transpose
                      else (self.solve, self.solve_T))
-            dz = G(rhs)
+            op = spla.LinearOperator(M.shape, matvec=lambda y: M @ G(y),
+                                     rmatvec=lambda s: GT(MT @ s),
+                                     dtype=float)
+            y, capped = _lsqr(op, rhs)
+            dz = G(y)
             if np.all(np.isfinite(dz)):
-                res = np.linalg.norm(M @ dz - rhs)
-                if res <= _LSQR_TOL * (np.linalg.norm(rhs) + np.linalg.norm(
-                        M.data) * np.linalg.norm(dz)):
-                    return dz, False
-                op = spla.LinearOperator(M.shape, matvec=lambda y: M @ G(y),
-                                         rmatvec=lambda s: GT(MT @ s),
-                                         dtype=float)
-                y, capped = _lsqr(op, rhs)
-                dz = G(y)
-                if np.all(np.isfinite(dz)):
-                    return dz, capped
+                return dz, capped
         # a CSC copy, not the CSR view M.T: the two sum LSQR's products in
         # a different order, and LSQR carries that rounding into the result
         return _lsqr(self.M.T.tocsc() if transpose else self.M, rhs)

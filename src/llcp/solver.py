@@ -21,24 +21,27 @@ rho_x is fixed; rho_y, the scale, follows the ratio of the dual to the
 primal residual, and each change of it refactors K.  A Gauss-Newton
 polish on the normalized residual map pushes the returned point to tight
 tolerances once ADMM has found the neighborhood.  Each of its steps is a
-least-squares solve with the map's Jacobian J (ReducedJacobian.lstsq).
+least-squares solve with the map's Jacobian J (ReducedJacobian.lsqr).
 Its right-hand side -F(z) = J(-z) leans on tau, which the reduction
-pins, so G alone does not solve it; LSQR on J G, where G is the
-generalized inverse from one sparse LU of J's reduced matrix, takes a
-few iterations where LSQR on J alone takes dozens.
+pins, so G alone does not solve it, and the step goes straight to LSQR
+on J G, where G is the generalized inverse from one sparse LU of J's
+reduced matrix: a few iterations where LSQR on J alone takes dozens.
 
 The iteration is a fixed-point map w -> T(w) of w = u - v, the vector it
 projects, and type-II Anderson acceleration (Walker & Ni, 2011) extends
 it: every _AA_EVERY iterations the next w is extrapolated from the last
-_AA_MEM differences of w and of its residual T(w) - w, by a regularized
-least-squares fit in the metric R; its tau - kappa coordinate is left as
-the plain step has it.  A safeguard (as in Zhang, O'Donoghue & Boyd,
-2020) tests each extrapolation on the next iteration: if its residual,
-relative to its size, exceeds that of the point before it, the
-iteration goes back to the plain w and the memory is cleared.  A change
-of scale, which changes the map, clears the memory too.  The
-acceleration has no setting; it only moves the iterates, so the checks,
-certificates and polish read iterates as before.
+_AA_MEM differences of T(w) and of its residual T(w) - w, by a
+regularized least-squares fit in the metric R; its tau - kappa
+coordinate is left as the plain step has it.  A safeguard (as in Zhang,
+O'Donoghue & Boyd, 2020) tests each extrapolation on the next iteration:
+if its residual, relative to its size, exceeds that of the point before
+it, the iteration goes back to the plain w and the memory is cleared.  A
+change of scale, which changes the map, clears the memory too.  The
+memories of all programs form one stack of rings (_Anderson): one
+batched product gives every program's Gram matrix and right-hand side,
+and one its step, and each program's arithmetic is that of its own
+solve.  The acceleration has no setting; it only moves the iterates, so
+the checks, certificates and polish read iterates as before.
 
 What depends on A alone (the equilibration, the pattern of Q and the
 factors of K) lives in a Workspace, which a caller that re-solves with
@@ -50,12 +53,14 @@ one scale share one factor of K, and each iteration makes one solve with
 it on all their columns and one projection of all their exponential
 triples, which are then enough to run the root finds as one numpy loop.
 Each program keeps its own tau elimination, checks, polish, certificates,
-scale and acceleration memory, and leaves the stack when it ends.  solve
-is the batch of one, which runs on vectors.
+scale and acceleration memory, a column of the acceleration's stack, and
+leaves the stack when it ends.  solve is the batch of one, which runs on
+vectors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,7 +82,9 @@ _CERT_EVERY = 100
 # past a multiple of it, from the last _AA_MEM secant pairs, with a
 # Tikhonov term _AA_REG * ||G'G|| on their Gram matrix G'G.  No
 # extrapolation falls on a check iteration, so the safeguard has decided
-# on each before a check reads the iterate or changes the scale
+# on each before a check reads the iterate or changes the scale.
+# _AA_MEM <= _AA_EVERY: the rings hold the pairs since the last
+# extrapolation
 _AA_MEM = 10
 _AA_EVERY = 10
 _AA_PHASE = 1
@@ -292,7 +299,7 @@ class _HsdStep:
         self._h = np.asfortranarray(h if h.ndim == 2 else h[:, None])
         self._p = lu.solve(sign * self._h)
         self._r_tau = float(r[-1])
-        self._denom = self._r_tau + _coldots(self._h, self._p)
+        self._denom = self._r_tau + _dots(self._h.T, self._p.T)
         self._signed_r = sign * r[:-1, None]
         self._out = np.empty((sign.size + 1, self._h.shape[1]))
         # one program's columns as vectors, for solve on a vector
@@ -311,7 +318,7 @@ class _HsdStep:
             out[-1] = tau
             return out
         z = self._lu.solve(self._signed_r * w[:-1])
-        tau = (self._r_tau * w[-1] + _coldots(self._h, z)) / self._denom
+        tau = (self._r_tau * w[-1] + _dots(self._h.T, z.T)) / self._denom
         head = self._out[:-1]
         np.multiply(tau, self._p, out=head)
         np.subtract(z, head, out=head)
@@ -319,11 +326,11 @@ class _HsdStep:
         return self._out
 
 
-def _coldots(H, Z):
-    """The dot product of each column of H with the same column of Z,
-    each a BLAS dot of its own, as h @ z of the two columns would take
-    it; H and Z are column-major."""
-    return (H.T[:, None, :] @ Z.T[:, :, None])[:, 0, 0]
+def _dots(X, Y):
+    """The dot product of each row of the stack X with the same row of
+    Y, each a BLAS dot of its own, as x @ y of the two rows would take
+    it."""
+    return (X[..., None, :] @ Y[..., :, None])[..., 0, 0]
 
 
 def _residuals(A, b, c, x, y, s):
@@ -371,7 +378,7 @@ def _refine(emb, z, eps):
     for _ in range(_POLISH_STEPS):
         if norm <= eps * 1e-3:
             break
-        dz = ReducedJacobian(*emb.jacobian(z)[:2]).lstsq(-Fz)[0]
+        dz = ReducedJacobian(*emb.jacobian(z)[:2]).lsqr(-Fz)[0]
         cand = norm_tau(z + dz)
         Fc = emb.residual(cand)
         nc = np.linalg.norm(Fc)
@@ -445,8 +452,6 @@ class _Column:
         m, n = workspace.As.shape
         self.scale = scale
         self.r = _metric(n, m, scale)
-        # the acceleration's norms are those of R
-        self.r_half = np.sqrt(self.r)
         self.lu, computed = workspace.factor(scale)
         self.factorizations += computed
 
@@ -532,184 +537,183 @@ def _stack_step(cols):
 
 
 class _Anderson:
-    """Safeguarded type-II Anderson acceleration of the ADMM map, per
-    column (Walker & Ni, 2011; Zhang, O'Donoghue & Boyd, 2020).
+    """Safeguarded type-II Anderson acceleration of the ADMM map on a
+    stack of columns (Walker & Ni, 2011; Zhang, O'Donoghue & Boyd, 2020).
 
     The ADMM state is w = u - v, the vector each iteration projects:
-    u = Pi(w), v = u - w, and one iteration maps w to g = T(w).  Each
-    iteration writes g to out(), and advance() returns the next iterate:
-    g, except where the acceleration changes it.  The ring F holds the
-    residuals f = g - w of the last _AA_MEM + 1 iterates, as an
-    (_AA_MEM + 1, N, k) stack for k programs or (_AA_MEM + 1, N) for
-    one, and age[p] counts column p's iterates in it since its memory
-    was cleared.  The secant pairs of T are the differences of
-    consecutive iterates, df = f_j - f_(j-1) and dg = g_j - g_(j-1).
-    A plain step has w_j = g_(j-1), so there dg = f_j; an extrapolated
-    one adds its step e = w_j - g_(j-1), which is kept until the next
-    extrapolation.  _AA_MEM <= _AA_EVERY, so no window of pairs holds
-    two extrapolated steps.
+    u = Pi(w), v = u - w, and one iteration maps w to g = T(w).  W holds
+    the iterates as a (k, N) stack, one row per column, and the rings G
+    and F the g and the residuals f = g - w, in the metric R, of the last
+    _AA_EVERY + 1 iterations as (_AA_EVERY + 1, k, N) stacks.  Each
+    iteration writes g to out(), its row of G, and advance() returns the
+    next iterate: g, except where the acceleration changes it.  The rings
+    follow the extrapolations: the one at iteration i writes their last
+    row and copies it to row 0, so at the next, rows 0 to _AA_EVERY hold
+    iterations i to i + _AA_EVERY in order, and the secant pairs of T are
+    the differences of consecutive rows, df = f_j - f_(j-1) and
+    dg = g_j - g_(j-1).  A column's memory is its iterates from the
+    iteration stamp[p] on, the last _AA_MEM + 1 at most, and pairs
+    outside it get no weight.
 
     Every _AA_EVERY iterations, a column with a secant pair extrapolates
-    g - dG gamma, where gamma minimizes ||f - dF gamma|| over its last
-    _AA_MEM pairs with the Tikhonov term, in the norm of the metric R.
-    A singular system or a non-finite gamma skips it.  The next
-    iteration tests it.  T is positively homogeneous, so the test takes
-    the residual relative to the point's norm: a step toward the trivial
+    g - dG gamma, where gamma minimizes ||f - dF gamma|| over its pairs
+    with the Tikhonov term.  One batched product [dF; f] dF' over all
+    pairs gives each column its Gram matrix and right-hand side, of
+    which it solves the block of its memory with one Cholesky call; a
+    singular system or a non-finite gamma skips it.  dG gamma telescopes
+    to one product with G's rows.  The next iteration tests the
+    extrapolation.  T is positively homogeneous, so the test takes the
+    residual relative to the point's norm: a step toward the trivial
     fixed point w = 0 shrinks the residual, not the relative one.  If
     the extrapolated point's relative residual exceeds the one before
-    it, the column goes back to the plain g, which the other g buffer
-    still holds, and its memory is cleared; otherwise the extrapolation
-    counts as accepted.  A scale change, which changes T, clears the
-    memory too.  Each column's arithmetic runs on contiguous copies of
-    its own, as for that program alone.  An iteration adds one
-    subtraction to the loop; the rest is done at the extrapolations.
+    it, the column goes back to the plain g of the last iteration and
+    its memory is cleared; otherwise the extrapolation counts as
+    accepted.  A scale change, which changes T, clears the memory too.
+    Every product is taken per column on the whole ring, so a column's
+    arithmetic is that of its program alone.
     """
 
     def __init__(self, cols, u, v):
         self.cols = cols
-        self.F = np.zeros((_AA_MEM + 1,) + u.shape)
+        # the row of the rings that iteration 1 writes
+        self.slot = (-_AA_PHASE) % _AA_EVERY + 1
+        # the start need not be a projection, so the f of iteration 1 is
+        # no residual of T
+        self.stamp = [2] * len(cols)
+        # column -> the norms in the metric R of f and w at the point w
+        # before an extrapolation, and of the extrapolated point, which
+        # the next iteration tests
+        self.pending = {}
+        ring = np.zeros((_AA_EVERY + 1,) + _rows(u).shape)
+        self._hold(ring, ring.copy(), np.array(_rows(u - v)),
+                   np.array([np.sqrt(col.r) for col in cols]), u.shape)
+
+    def _hold(self, G, F, W, rh, shape):
+        """Take the stacks; the loop's have the given shape."""
+        self.G, self.F, self.W, self.rh, self.shape = G, F, W, rh, shape
+        self._views = [g.T.reshape(shape) for g in G]
         # buffers kept from call to call: fresh arrays of their size can
         # cost more in page faults than the arithmetic on them
-        self._ring = np.empty((_AA_MEM + 1, u.shape[0]))
-        self._diffs = np.empty((_AA_MEM, u.shape[0]))
-        self.slot = 0
-        # g of this iteration and the last, alternating
-        self.g = [np.zeros(u.shape), np.zeros(u.shape)]
-        self.w = u - v
-        # the start need not be a projection, so its f is no residual of
-        # T; the last extrapolation's step, and the slot of the f of the
-        # point it made, per column
-        self.age = [-1] * len(cols)
-        self.e = np.zeros(u.shape)
-        self.e_slot = [None] * len(cols)
-        # column -> (residual norm, norm) of the point before an
-        # extrapolation that the next iteration tests, in the metric R
-        self.pending = {}
+        self._buf = np.empty(W.shape)
+        self._z = np.empty((2,) + W.shape)
+        self._dF = np.empty((len(W), _AA_EVERY + 1, W.shape[1]))
 
     def out(self):
         """The buffer that the iteration writes g = T(w) to."""
-        return self.g[0]
+        return self._views[self.slot]
 
     def advance(self, it):
         """The iterate after g = T(w) in out(), with the safeguard's tests
         and the extrapolations due at iteration it."""
-        g, g_last = self.g
-        f = self.F[self.slot]
-        np.subtract(g, self.w, out=f)
-        self.age = [min(a + 1, _AA_MEM + 1) for a in self.age]
+        s = self.slot
+        g, f = self.G[s], self.F[s]
+        np.subtract(g, self.W, out=f)
+        f *= self.rh
         w = g
-        for p, (f_before, w_before) in self.pending.items():
-            r_half = self.cols[p].r_half
-            f_norm = np.linalg.norm(self._col(f, p) * r_half)
-            w_norm = np.linalg.norm(self._col(self.w, p) * r_half)
-            # f_norm / w_norm > f_before / w_before, with no division
-            if f_norm * w_before > f_before * w_norm:
-                # back to the plain g of the last iteration
-                self._set(w, p, self._col(g_last, p))
-                self.age[p] = 0
-                self.cols[p].rejections += 1
-            else:
-                self.cols[p].accelerations += 1
-        self.pending = {}
-        if it % _AA_EVERY == _AA_PHASE:
-            for p, a in enumerate(self.age):
-                w = self._extrapolate(w, p, a)
-        self.slot = (self.slot + 1) % len(self.F)
-        self.g.reverse()
-        self.w = w
-        return w
+        if self.pending:
+            f_norm = np.sqrt(_dots(f, f))
+            for p, (f_before, w_before, w_norm) in self.pending.items():
+                # f_norm / w_norm > f_before / w_before, with no division
+                if f_norm[p] * w_before > f_before * w_norm:
+                    # back to the plain g of the last iteration
+                    if w is g:
+                        w = self._buf
+                        np.copyto(w, g)
+                    w[p] = self.G[s - 1][p]
+                    self.stamp[p] = it + 1
+                    self.cols[p].rejections += 1
+                else:
+                    self.cols[p].accelerations += 1
+            self.pending = {}
+        if s == _AA_EVERY:
+            w = self._extrapolate(it, w)
+            self.G[0], self.F[0] = g, f
+        self.slot = s % _AA_EVERY + 1
+        self.W = w
+        return self._views[s] if w is g else w.T.reshape(self.shape)
 
-    def _extrapolate(self, w, p, size):
-        """w with column p extrapolated from its last size iterates, if it
-        has a secant pair; a copy when w is still g, which the next
-        iteration's step needs."""
-        e_slot, self.e_slot[p] = self.e_slot[p], None
-        if size < 2:
+    def _extrapolate(self, it, w):
+        """The stack w with the columns that extrapolate at iteration it
+        changed; w itself when none does."""
+        first = [max(st - it + _AA_EVERY, _AA_EVERY - _AA_MEM)
+                 for st in self.stamp]
+        if min(first) >= _AA_EVERY:
             return w
-        # column p's ring, whose iterates from first on run to row R - 1
-        # and go on from row 0: in two runs of consecutive rows at most
-        ring = self.F
-        if self.w.ndim == 2:
-            ring = self._ring
-            np.copyto(ring, self.F[..., p])
-        R = len(ring)
-        first = (self.slot - size + 1) % R
-        end = min(first + size, R)
-        dF = self._diffs[:size - 1]
-        k = end - first - 1
-        np.subtract(ring[first + 1:end], ring[first:end - 1], out=dF[:k])
-        if first + size > R:
-            np.subtract(ring[0], ring[R - 1], out=dF[k])
-            np.subtract(ring[1:first + size - R], ring[:first + size - R - 1],
-                        out=dF[k + 1:])
-        # the least squares and the safeguard measure in the metric R
-        r_half = self.cols[p].r_half
-        dF *= r_half
-        f = ring[self.slot] * r_half
-        gram = dF @ dF.T
-        gram.flat[::size] += _AA_REG * np.linalg.norm(gram)
-        # a Cholesky solve: the Gram matrix is positive semidefinite, and
-        # one LAPACK call costs a fraction of np.linalg.solve's wrapping
-        gamma, singular = lapack.dposv(gram, dF @ f)[1:]
-        if singular or not np.isfinite(gamma).all():
+        # [dF; f] dF' per column: the Gram matrix of all pairs, and the
+        # right-hand side in the last row.  One gemm: at 10 pairs and N of
+        # 1,500 to 6,000 it takes about half the time of a syrk of dF and
+        # a gemv
+        dF = self._dF
+        np.subtract(self.F[1:], self.F[:-1],
+                    out=dF[:, :-1].transpose(1, 0, 2))
+        np.copyto(dF[:, -1], self.F[-1])
+        prods = dF @ dF[:, :-1].transpose(0, 2, 1)
+        # g - dG gamma as one combination of G's rows, per column
+        coef = np.zeros((len(first), _AA_EVERY + 1))
+        coef[:, -1] = 1.0
+        ext = []
+        for p, (j, prod) in enumerate(zip(first, prods)):
+            if j >= _AA_EVERY:
+                continue
+            # the pairs of the memory alone
+            a = prod[j:-1, j:].copy()
+            flat = a.ravel()
+            flat[::len(a) + 1] += _AA_REG * math.sqrt(flat @ flat)
+            # a Cholesky solve: the Gram matrix is positive semidefinite, and
+            # one LAPACK call costs a fraction of np.linalg.solve's wrapping
+            gamma, singular = lapack.dposv(a, prod[-1, j:])[1:]
+            if singular or not np.isfinite(gamma).all():
+                continue
+            coef[p, j + 1:] -= gamma
+            coef[p, j:-1] += gamma
+            ext.append(p)
+        if not ext:
             return w
-        # dG gamma: a pair's dg is the f of its later iterate, plus the
-        # step of that iterate if it was extrapolated
-        step = gamma[:k] @ ring[first + 1:end]
-        if first + size > R:
-            step += gamma[k:] @ ring[:first + size - R]
-        t = size if e_slot is None else (e_slot - first) % R
-        if 0 < t < size:
-            step += gamma[t - 1] * self._col(self.e, p)
-        np.negative(step, out=step)
+        g, out = self.G[-1], self._buf
+        # W's norm before out takes the new iterates: after a reset, W is
+        # out
+        np.multiply(self.W, self.rh, out=self._z[0])
+        np.matmul(coef[:, None, :], self.G.transpose(1, 0, 2),
+                  out=out[:, None, :])
         # tau - kappa stays the plain step's: extrapolated, it led
         # iterates of infeasible and unbounded programs to fixed points
         # with tau = kappa = 0, which are neither solution nor certificate
-        step[-1] = 0.0
-        self._set(self.e, p, step)
-        self.e_slot[p] = (self.slot + 1) % len(self.F)
-        self.pending[p] = (np.linalg.norm(f), np.linalg.norm(
-            self._col(self.w, p) * r_half))
-        point = self._col(self.g[0], p) + step
-        if self.w.ndim == 1:
-            return point
-        if w is self.g[0]:
-            w = w.copy()
-        w[:, p] = point
-        return w
+        out[:, -1] = g[:, -1]
+        for p in range(len(first)):
+            if p not in ext:
+                out[p] = g[p]
+        np.multiply(out, self.rh, out=self._z[1])
+        f_norm = np.sqrt(_dots(self.F[-1], self.F[-1]))
+        w_norm, out_norm = np.sqrt(_dots(self._z, self._z))
+        for p in ext:
+            self.pending[p] = (f_norm[p], w_norm[p], out_norm[p])
+        return out
 
-    def _col(self, a, p):
-        """Column p of a stack a (N, k) as a contiguous vector; a itself
-        for one program, whose stacks are vectors."""
-        return a if self.w.ndim == 1 else np.ascontiguousarray(a[:, p])
-
-    def _set(self, a, p, col):
-        if self.w.ndim == 1:
-            a[:] = col
-        else:
-            a[:, p] = col
-
-    def reset(self, p, u, v):
-        """Clear column p's memory after its v changed: its iterate is
-        now u - v."""
-        self._set(self.w, p, self._col(u, p) - self._col(v, p))
-        self.age[p] = 0
-        self.e_slot[p] = None
+    def reset(self, p, u, v, it):
+        """Clear column p's memory after its v and scale changed at
+        iteration it: its iterate is now u - v."""
+        if self.W is not self._buf:
+            np.copyto(self._buf, self.W)
+            self.W = self._buf
+        self.W[p] = _rows(u)[p] - _rows(v)[p]
+        self.rh[p] = np.sqrt(self.cols[p].r)
+        self.stamp[p] = it + 1
         self.pending.pop(p, None)
 
-    def keep(self, keep):
-        """Keep the columns keep of the stacks, in that order."""
-        def pick(a):
-            a = a[..., keep]
-            return np.ascontiguousarray(a[..., 0] if len(keep) == 1 else a)
-
-        self.F, self.e, self.w = pick(self.F), pick(self.e), pick(self.w)
-        self.g = [pick(a) for a in self.g]
+    def keep(self, keep, shape):
+        """Keep the columns keep of the stacks, in that order; the loop's
+        stacks have the given shape from now on."""
+        self._hold(self.G[:, keep], self.F[:, keep], self.W[keep],
+                   self.rh[keep], shape)
         self.cols = [self.cols[p] for p in keep]
-        self.age = [self.age[p] for p in keep]
-        self.e_slot = [self.e_slot[p] for p in keep]
+        self.stamp = [self.stamp[p] for p in keep]
         self.pending = {keep.index(p): x for p, x in self.pending.items()
                         if p in keep}
+
+
+def _rows(a):
+    """The (N,) or (N, k) stack a as a (k, N) view, one row per column."""
+    return a.reshape(a.shape[0], -1).T
 
 
 def solve_batch(A, bs, cs, dims, *, eps=1e-8, max_iters=100000,
@@ -826,7 +830,7 @@ def solve_batch(A, bs, cs, dims, *, eps=1e-8, max_iters=100000,
                     # v's y block is s / scale: rescale it so s stays put
                     v.reshape(N, -1)[n:n + m, p] *= col.scale / new
                     col.set_scale(new, workspace)
-                    aa.reset(p, u, v)
+                    aa.reset(p, u, v, it)
                     rescaled = True
         if capped:
             break
@@ -839,7 +843,7 @@ def solve_batch(A, bs, cs, dims, *, eps=1e-8, max_iters=100000,
             u, v = u[:, keep], v[:, keep]
             if len(keep) == 1:
                 u, v = u[:, 0], v[:, 0]
-            aa.keep(keep)
+            aa.keep(keep, u.shape)
         if rescaled:
             workspace.retain({col.scale for col in cols})
         if leaving or rescaled:

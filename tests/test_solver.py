@@ -1,6 +1,7 @@
 """Operator-splitting solver: exactness, certificates, and edge shapes."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -592,6 +593,92 @@ def loosened_program(seed):
         return np.concatenate([c, [ct]])
 
     return sp.csc_matrix(np.column_stack([A, col])), b, c_of, dims
+
+
+def _run_anderson(B, c, w0, scales, resets, iters):
+    """The iterates of solver._Anderson on T(w) = B w + c, one column per
+    entry of scales (its c[:, j], w0[:, j] and metric scale), as the loop
+    of solve_batch runs it: a lone column on vectors.  resets maps an
+    iteration to the columns whose memory is cleared after it."""
+    n, m = 4, B.shape[0] - 5
+    cols = [SimpleNamespace(r=np.concatenate([np.full(n, 1e-2),
+                                              np.full(m, s), [1.0]]),
+                            accelerations=0, rejections=0) for s in scales]
+    shape = w0[:, 0].shape if len(scales) == 1 else w0.shape
+    w = w0.reshape(shape)
+    aa = solver._Anderson(cols, w, np.zeros(shape))
+    out = []
+    for it in range(1, iters + 1):
+        # T per column, so that a column's g does not depend on the others
+        wk = w.reshape(len(B), -1)
+        g = np.column_stack([B @ wk[:, j] + c[:, j] for j in range(len(cols))])
+        np.copyto(aa.out(), g.reshape(shape))
+        w = aa.advance(it).copy()
+        out.append(w.reshape(len(B), -1))
+        for p in resets.get(it, ()):
+            aa.reset(p, w, np.zeros(shape), it)
+    return out, cols, aa.pending
+
+
+def test_anderson_matches_a_dense_reference():
+    rng = np.random.default_rng(3)
+    N, k = 24, 3
+    B = rng.normal(size=(N, N))
+    B *= 0.9 / np.linalg.norm(B, 2)
+    c = rng.normal(size=(N, k))
+    w0 = rng.normal(size=(N, k))
+    scales = [1.0, 3.0, 0.2]
+    # the first extrapolation with secant pairs falls on iteration
+    # _AA_EVERY + _AA_PHASE; clearing column 1's memory three iterations
+    # before it and column 2's one before leaves them 2 pairs and none
+    first = solver._AA_EVERY + solver._AA_PHASE
+    resets = {first - 3: [1], first - 1: [2]}
+    stacked, cols, pending = _run_anderson(B, c, w0, scales, resets, first)
+    for p, s in enumerate(scales):
+        # the plain iteration up to there, from the start on
+        ws = [w0[:, p]]
+        for _ in range(first):
+            ws.append(B @ ws[-1] + c[:, p])
+        gs = ws[1:]
+        # the memory: iterates from the start (whose f is no residual of
+        # T) or the reset on, the last _AA_MEM + 1 at most
+        start = max({0: 2, 1: first - 2, 2: first}[p],
+                    first - solver._AA_MEM)
+        W = np.array(ws[start - 1:first])
+        G = np.array(gs[start - 1:first])
+        F = G - W
+        dF, dG = np.diff(F, axis=0).T, np.diff(G, axis=0).T
+        g, f = G[-1], F[-1]
+        got = stacked[-1][:, p]
+        if dF.shape[1] == 0:
+            # no pair: the plain step
+            assert np.array_equal(got, B @ stacked[-2][:, p] + c[:, p])
+            continue
+        rh = np.sqrt(cols[p].r)
+        gram = (rh[:, None] * dF).T @ (rh[:, None] * dF)
+        lam = solver._AA_REG * np.linalg.norm(gram)
+        # min ||R^(1/2) (f - dF gamma)||^2 + lam ||gamma||^2
+        lhs = np.vstack([rh[:, None] * dF, np.sqrt(lam) * np.eye(dF.shape[1])])
+        rhs = np.concatenate([rh * f, np.zeros(dF.shape[1])])
+        gamma = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+        want = g - dG @ gamma
+        # tau - kappa stays the plain step's
+        want[-1] = g[-1]
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert not np.array_equal(got, g)
+        # what the safeguard tests next: the norms of f and w before it,
+        # and of the point it made
+        norms = [np.linalg.norm(rh * x) for x in (f, W[-1], want)]
+        assert np.allclose(pending[p], norms, rtol=1e-12, atol=0.0)
+    # and each column, run for longer, is the column run alone, to the bit
+    stacked, cols, _ = _run_anderson(B, c, w0, scales, resets, 60)
+    assert sum(col.accelerations + col.rejections for col in cols) >= 6
+    for p, s in enumerate(scales):
+        alone, *_ = _run_anderson(B, c[:, p:p + 1], w0[:, p:p + 1], [s],
+                                 {it: [0] for it, ps in resets.items()
+                                  if p in ps}, 60)
+        for a, b in zip(stacked, alone):
+            assert np.array_equal(a[:, p], b[:, 0])
 
 
 @pytest.mark.parametrize("kind", ["infeasible", "unbounded"])
