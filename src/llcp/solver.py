@@ -679,9 +679,10 @@ class _Anderson:
         # iterates of infeasible and unbounded programs to fixed points
         # with tau = kappa = 0, which are neither solution nor certificate
         out[:, -1] = g[:, -1]
-        for p in range(len(first)):
-            if p not in ext:
-                out[p] = g[p]
+        if len(ext) < len(first):
+            plain = np.ones(len(first), dtype=bool)
+            plain[ext] = False
+            np.copyto(out, g, where=plain[:, None])
         np.multiply(out, self.rh, out=self._z[1])
         f_norm = np.sqrt(_dots(self.F[-1], self.F[-1]))
         w_norm, out_norm = np.sqrt(_dots(self._z, self._z))
