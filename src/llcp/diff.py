@@ -17,15 +17,13 @@ Jacobian of F there,
 where DPi is the derivative of the projection onto R^n x K* x R_+.
 Neither direction materializes a dense Jacobian.
 
-The solves go through the point's ReducedJacobian.lstsq, on one sparse
-LU made on the first use at the point: dphi takes G rhs and dphi_adjoint
-G' rhs, the generalized inverse and its transpose, wherever that meets
-LSQR's own stopping test.  Elsewhere the right-hand side lies outside
-M's range, as a random data direction does once the solution has free
-directions, and LSQR on M G (M' G') finds the least-squares solution.
-Only where the remainder has no factor, is numerically singular, or G
-gives a non-finite value does LSQR run on M itself.  With one G for both
-directions, derivative and adjoint agree to roundoff.
+Both solves go through the point's ReducedJacobian.lstsq, whose
+docstring states the policy: G rhs and G' rhs, from one sparse LU made
+on the first use at the point, wherever they meet LSQR's own stopping
+test, and LSQR elsewhere.  With one G for both directions, derivative
+and adjoint agree to roundoff.  DPi's x rows and its tau row are unit
+rows at tau = 1, so the derivative reads dx = dz_x - x dz_tau off the
+solution dz, and DPi enters only through M.
 
 A free direction of the solution in an original variable, a column that
 the reduction finds empty among the first n_x unknowns, makes the
@@ -40,14 +38,10 @@ import warnings
 import numpy as np
 
 from .compiler import DimensionError
-from .embedding import ReducedJacobian
+from .embedding import LsqrNoConvergence
 
 __all__ = ["LsqrNoConvergence", "NonsmoothWarning", "NonuniqueWarning",
            "ResidualPoint", "dphi", "dphi_adjoint"]
-
-
-class LsqrNoConvergence(RuntimeError):
-    """The least-squares solve hit its iteration cap."""
 
 
 class NonsmoothWarning(UserWarning):
@@ -63,12 +57,11 @@ class ResidualPoint:
     """Differentiation state at one solved cone program.
 
     Reuses the solve's embedding (ConeSolution.embedding) and caches
-    u = (x, y, 1), z = (x, y - s, 1), DPi(z), M and its ReducedJacobian
-    there; the reduction's factor is made by the first solve that needs
-    it.  unique is False when the reduction leaves free one of the first
-    n_x unknowns, the original variables' logarithms.  Instances are safe
-    to share across threads: two threads that both make the factor make
-    the same one.
+    u = (x, y, 1), z = (x, y - s, 1) and jacobian, the ReducedJacobian at
+    z, whose factor the first solve that needs it makes.  unique is False
+    when the reduction leaves free one of the first n_x unknowns, the
+    original variables' logarithms.  Instances are safe to share across
+    threads: two threads that both make the factor make the same one.
     """
 
     def __init__(self, embedding, x, y, s, n_x):
@@ -79,10 +72,9 @@ class ResidualPoint:
         self.u = np.concatenate([self.x, self.y, [1.0]])
         self.z = np.concatenate([self.x, self.y - np.asarray(s, dtype=float),
                                  [1.0]])
-        self.M, self.DPi, nonsmooth = embedding.jacobian(self.z)
-        self.reduced = ReducedJacobian(self.M, self.DPi)
-        self.nonsmooth = bool(nonsmooth)
-        self.unique = not np.any(self.reduced.free < n_x)
+        self.jacobian = embedding.jacobian(self.z)
+        self.nonsmooth = self.jacobian.nonsmooth
+        self.unique = not np.any(self.jacobian.free < n_x)
         # both reported at the caller of Problem.solve or solve_many
         if self.nonsmooth:
             warnings.warn("projection not differentiable at the solution; "
@@ -92,16 +84,6 @@ class ResidualPoint:
             warnings.warn("the solution is not unique in a variable; "
                           "sensitivities follow one of the solutions",
                           NonuniqueWarning, stacklevel=4)
-
-
-def _solve(point, rhs, transpose=False):
-    """A least-squares solution of M dz = rhs, or M' dz = rhs with
-    transpose; raises LsqrNoConvergence if LSQR hit its cap."""
-    dz, capped = point.reduced.lstsq(rhs, transpose)
-    if capped:
-        raise LsqrNoConvergence(f"least-squares solve stopped at the "
-                                f"{10 * rhs.size}-iteration cap")
-    return dz
 
 
 def dphi(point, dtheta):
@@ -114,9 +96,8 @@ def dphi(point, dtheta):
     if dtheta.size != point.embedding.theta_size:
         raise DimensionError(f"data direction has size {dtheta.size}, "
                              f"expected {point.embedding.theta_size}")
-    dz = _solve(point, -(point.embedding.Q_of(dtheta) @ point.u))
-    du = point.DPi @ dz
-    return du[:point.n] - point.x * du[-1]
+    dz = point.jacobian.lstsq(-(point.embedding.Q_of(dtheta) @ point.u))
+    return dz[:point.n] - point.x * dz[-1]
 
 
 def dphi_adjoint(point, dx):
@@ -125,7 +106,6 @@ def dphi_adjoint(point, dx):
     if dx.size != point.n:
         raise DimensionError(
             f"solution direction has size {dx.size}, expected {point.n}")
-    rhs = point.DPi.T @ np.concatenate([dx, np.zeros(point.m),
-                                        [-float(point.x @ dx)]])
-    r = _solve(point, rhs, transpose=True)
+    rhs = np.concatenate([dx, np.zeros(point.m), [-float(point.x @ dx)]])
+    r = point.jacobian.lstsq(rhs, transpose=True)
     return -point.embedding.Q_of_adjoint(r, point.u)

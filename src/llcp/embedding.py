@@ -24,22 +24,10 @@ The solver's polish drives F to zero with M, and the solution-map
 derivatives solve least-squares problems with M and M'.
 
 M is singular at a solution (M z = F(z) = 0, F being positively
-homogeneous), so it has no inverse to factor; ReducedJacobian factors a
-square part of it instead.  Where DPi's column is zero, M's column is the
-unit vector: those unknowns are eliminated and recovered by
-back-substitution.  tau is pinned, the rows and columns left empty are
-dropped, and one sparse LU of the square remainder gives a generalized
-inverse G of M (M G r = r for r in M's range when the remainder is
-nonsingular), with G' from the same factor.  A column left empty is a
-direction along which no equation moves: a variable that appears only in
-constraints whose dual is zero, and not in the objective.
-
-ReducedJacobian.lstsq is the least-squares solve with M or M' of the
-derivatives: G r where that solves the system to LSQR's stopping test,
-else ReducedJacobian.lsqr, which the polish calls directly: LSQR on M G,
-and plain LSQR on M where the remainder has no factor, is numerically
-singular, or G gives a non-finite value.  The polish's right-hand side
-leans on the pinned tau, so G r never solves it.
+homogeneous), so it has no inverse to factor.  jacobian(z) returns the
+point's ReducedJacobian: M with a generalized inverse G from one sparse
+LU of a square part of M, which the polish and the derivatives share.
+Its docstring states how the least-squares solves with M and M' use G.
 
 Q is linear in the data theta = (A.data, b, c), A's entries in sorted
 CSC order with duplicates summed, and the embedding writes that map
@@ -63,13 +51,18 @@ import scipy.sparse.linalg as spla
 
 from .cones import dproject_cone, project_cone
 
-__all__ = ["Embedding", "ReducedJacobian", "canonical"]
+__all__ = ["Embedding", "LsqrNoConvergence", "ReducedJacobian",
+           "canonical"]
 
 # LSQR's atol and btol, and the stopping test G r must meet
 _LSQR_TOL = 1e-12
 # a remainder whose smallest U pivot is this far below its largest has
 # lost half the digits of G r, so it counts as singular
 _PIVOT_RATIO = 1.5e-8
+
+
+class LsqrNoConvergence(RuntimeError):
+    """The least-squares solve hit its iteration cap."""
 
 
 def canonical(A):
@@ -166,10 +159,11 @@ class Embedding:
         return self.Q @ u - u + z
 
     def jacobian(self, z):
-        """M = (Q - I) DPi(z) + I as CSC, with DPi and the nonsmooth flag."""
+        """The ReducedJacobian of F at z, M = (Q - I) DPi(z) + I as CSC."""
         DPi, nonsmooth = self.dproject(z)
         eye = sp.eye(self.n + self.m + 1, format="csc")
-        return ((self.Q - eye) @ DPi + eye).tocsc(), DPi, nonsmooth
+        return ReducedJacobian(((self.Q - eye) @ DPi + eye).tocsc(), DPi,
+                               nonsmooth)
 
     def split(self, u, v):
         """(x, y, s) from a pair (u, v), or None if tau is not positive."""
@@ -181,25 +175,44 @@ class Embedding:
 
 
 class ReducedJacobian:
-    """A generalized inverse G of M = (Q - I) DPi(z) + I from one sparse LU.
+    """M = (Q - I) DPi(z) + I at one point z, and a generalized inverse G
+    of M from one sparse LU.
 
-    The unknowns whose DPi column is zero are eliminated (M's column there
-    is the unit vector), the tau unknown is pinned to zero, and the rows
-    and columns left without an entry are dropped.  The constructor
-    assembles that remainder from M's CSC arrays; the first use of lu
-    factors it.
+    M is singular at a solution, so G comes from a square part of it.
+    Where DPi's column is zero, M's column is the unit vector: those
+    unknowns are eliminated and recovered by back-substitution.  The tau
+    unknown is pinned to zero, and the rows and columns left without an
+    entry are dropped.  The constructor assembles that remainder from M's
+    CSC arrays, reading DPi only for its zero columns; the first use of
+    lu factors it.  When the remainder is nonsingular, M G r = r for r in
+    M's range.  free holds the indices of the dropped empty columns,
+    unknowns that no kept equation involves: a variable that appears only
+    in constraints whose dual is zero, and not in the objective.  The
+    remainder has no factor (lu is None) when it is not square, SuperLU
+    finds it singular, or its pivots span more than 1/_PIVOT_RATIO.
+    nonsmooth says that Pi kinks at z, and MT is the CSR view M' that the
+    transposed products use.
+
     solve(r) is G r: the remainder's solution on the kept unknowns, zero
     on the dropped ones and back-substitution for the eliminated ones.
-    solve_T(s) is G' s.  free holds the indices of the dropped empty
-    columns, unknowns that no kept equation involves.  The remainder has
-    no factor (lu is None) when it is not square, SuperLU finds it
-    singular, or its pivots span more than 1/_PIVOT_RATIO.  lstsq and
-    lsqr are the least-squares solves with M or M' built on G.  MT is
-    the CSR view M' that the transposed products use.
+    solve_T(s) is G' s, from the same factor.  The least-squares solves
+    with M, or M' with transpose, take the first of these that works:
+    - G rhs (G' rhs), where it is finite and its residual meets LSQR's
+      stopping test;
+    - dz = G y (G' y) with y from LSQR on M G (M' G'), which the factor
+      preconditions to a few iterations;
+    - plain LSQR on M (M'), where there is no factor or G gives a
+      non-finite value.
+    lstsq, the derivatives' solve, runs all three and raises
+    LsqrNoConvergence where LSQR stops at its iteration cap.  lsqr, the
+    polish's solve, starts at the second: its right-hand side
+    -F(z) = M (-z) leans on tau, which the reduction pins, so G alone
+    never solves it.
     """
 
-    def __init__(self, M, DPi):
+    def __init__(self, M, DPi, nonsmooth):
         self.M, self.MT = M, M.T
+        self.nonsmooth = bool(nonsmooth)
         N = M.shape[0]
         live = np.bincount(DPi.indices[DPi.data != 0.0], minlength=N) > 0
         self._elim = np.flatnonzero(~live)
@@ -263,25 +276,23 @@ class ReducedJacobian:
 
     def lstsq(self, rhs, transpose=False):
         """A least-squares solution of M dz = rhs (M' dz = rhs with
-        transpose), and whether LSQR stopped at its iteration cap: G rhs
-        (G' rhs) where it is finite and its residual meets LSQR's stopping
-        test, else lsqr(rhs, transpose)."""
+        transpose); raises LsqrNoConvergence if LSQR hit its cap."""
         if self.lu is not None:
             dz = (self.solve_T if transpose else self.solve)(rhs)
             M = self.MT if transpose else self.M
             if np.all(np.isfinite(dz)) and np.linalg.norm(
                     M @ dz - rhs) <= _LSQR_TOL * (np.linalg.norm(rhs) + (
                         np.linalg.norm(M.data) * np.linalg.norm(dz))):
-                return dz, False
-        return self.lsqr(rhs, transpose)
+                return dz
+        dz, capped = self.lsqr(rhs, transpose)
+        if capped:
+            raise LsqrNoConvergence(f"least-squares solve stopped at the "
+                                    f"{10 * rhs.size}-iteration cap")
+        return dz
 
     def lsqr(self, rhs, transpose=False):
-        """lstsq without the G rhs attempt, for a right-hand side that G
-        alone does not solve, as the polish's -F(z) = M (-z), which leans
-        on the pinned tau: dz = G y (G' y) with y from LSQR on M G
-        (M' G'), which the factor preconditions to a few iterations;
-        plain LSQR on M (M') where there is no factor or G gives a
-        non-finite value."""
+        """lstsq without the G rhs attempt: the solution, and whether
+        LSQR stopped at its iteration cap."""
         if self.lu is not None:
             M, MT = (self.MT, self.M) if transpose else (self.M, self.MT)
             G, GT = ((self.solve_T, self.solve) if transpose

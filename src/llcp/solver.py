@@ -21,11 +21,10 @@ rho_x is fixed; rho_y, the scale, follows the ratio of the dual to the
 primal residual, and each change of it refactors K.  A Gauss-Newton
 polish on the normalized residual map pushes the returned point to tight
 tolerances once ADMM has found the neighborhood.  Each of its steps is a
-least-squares solve with the map's Jacobian J (ReducedJacobian.lsqr).
-Its right-hand side -F(z) = J(-z) leans on tau, which the reduction
-pins, so G alone does not solve it, and the step goes straight to LSQR
-on J G, where G is the generalized inverse from one sparse LU of J's
-reduced matrix: a few iterations where LSQR on J alone takes dozens.
+least-squares solve with the map's Jacobian M at the point
+(Embedding.jacobian, whose ReducedJacobian docstring states the policy):
+LSQR on M G, with G the generalized inverse from one sparse LU of M's
+reduced matrix, a few iterations where LSQR on M alone takes dozens.
 
 The iteration is a fixed-point map w -> T(w) of w = u - v, the vector it
 projects, and type-II Anderson acceleration (Walker & Ni, 2011) extends
@@ -69,7 +68,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .cones import project_cone
-from .embedding import Embedding, ReducedJacobian, canonical
+from .embedding import Embedding, canonical
 
 __all__ = ["ConeSolution", "DataError", "Workspace", "solve", "solve_batch"]
 
@@ -378,7 +377,7 @@ def _refine(emb, z, eps):
     for _ in range(_POLISH_STEPS):
         if norm <= eps * 1e-3:
             break
-        dz = ReducedJacobian(*emb.jacobian(z)[:2]).lsqr(-Fz)[0]
+        dz = emb.jacobian(z).lsqr(-Fz)[0]
         cand = norm_tau(z + dz)
         Fc = emb.residual(cand)
         nc = np.linalg.norm(Fc)

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 import mpmath as mp
+import scipy.sparse as sp
 from scipy.optimize import minimize
 
 from llcp.expr import evaluate, variables_of
@@ -423,6 +424,39 @@ def planted_regular_program(rng, n, ne=1, extra=2, density=1.0):
     b = A @ x + s
     c = -A.T @ y
     return A, b, c, dims, x, y, s
+
+
+def separated_program(seed):
+    """(A, b_of, c, dims, beta) of a planted program with the rows
+    a'x <= beta and a'x >= lo added before its exponential rows, where
+    beta = a'x* + 0.5: b_of(lo) is its b, infeasible for lo > beta and
+    with the planted optimum for lo <= a'x*."""
+    rng = np.random.default_rng(seed)
+    A, b, c, dims, x, _, _ = planted_cone_program(rng, 6, 0, 4, 2)
+    a = rng.normal(size=6)
+    beta = float(a @ x) + 0.5
+    k = dims["nonneg"]
+
+    def b_of(lo):
+        return np.concatenate([b[:k], [beta, -lo], b[k:]])
+
+    A = sp.csc_matrix(np.vstack([A[:k], a, -a, A[k:]]))
+    return A, b_of, c, dict(dims, nonneg=k + 2), beta
+
+
+def loosened_program(seed):
+    """(A, b, c_of, dims) of a planted program with a variable t added
+    whose column only loosens the nonnegative rows: c_of(ct) is its c
+    with cost ct on t, unbounded for ct < 0."""
+    rng = np.random.default_rng(seed)
+    A, b, c, dims, *_ = planted_cone_program(rng, 6, 0, 4, 2)
+    col = np.zeros(A.shape[0])
+    col[:dims["nonneg"]] = -np.abs(rng.normal(size=dims["nonneg"]))
+
+    def c_of(ct):
+        return np.concatenate([c, [ct]])
+
+    return sp.csc_matrix(np.column_stack([A, col])), b, c_of, dims
 
 
 # ---------------------------------------------------------------------------

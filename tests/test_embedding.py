@@ -24,11 +24,11 @@ def test_jacobian_matches_central_differences(seed):
     z0 = np.concatenate([sol.x, sol.y - sol.s, [1.0]])
     checked = 0
     for z in (z0, z0 + 1e-2 * rng.normal(size=z0.size)):
-        M, _, nonsmooth = emb.jacobian(z)
-        if nonsmooth:
+        J = emb.jacobian(z)
+        if J.nonsmooth:
             continue
         fd = central_jacobian(emb.residual, z, h=1e-6)
-        err = np.linalg.norm(M.toarray() - fd) / np.linalg.norm(fd)
+        err = np.linalg.norm(J.M.toarray() - fd) / np.linalg.norm(fd)
         assert err <= 1e-6
         checked += 1
     assert checked
@@ -141,7 +141,7 @@ def test_resolve_leaves_held_embedding_and_point_unchanged():
     problem = examples.benchmark(n=60)
     problem.solve(derivatives=True)
     sol, point = problem.solution, problem._point
-    Q, M = sol.embedding.Q, point.M
+    Q, M = sol.embedding.Q, point.jacobian.M
 
     def held():
         return [a.tobytes() for a in (Q.data, Q.indices, Q.indptr, M.data,
@@ -156,6 +156,6 @@ def test_resolve_leaves_held_embedding_and_point_unchanged():
     problem.solve(derivatives=True)
     assert problem.status == "optimal"
     assert problem.solution.embedding is not sol.embedding
-    assert sol.embedding.Q is Q and point.M is M
+    assert sol.embedding.Q is Q and point.jacobian.M is M
     assert held() == before
     assert dphi(point, dtheta).tobytes() == dx.tobytes()

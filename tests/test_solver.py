@@ -17,7 +17,7 @@ from llcp.fitting import least_squares_monomials, model_problem, synthetic_data
 from llcp.solver import (ConeSolution, DataError, _equilibrate, _factor_kkt,
                          _HsdStep, solve)
 
-from oracles import planted_cone_program
+from oracles import loosened_program, planted_cone_program, separated_program
 from test_canon import canon_hello
 
 NONNEG1 = {"zero": 0, "nonneg": 1, "exp": 0}
@@ -487,15 +487,15 @@ def fit_cone_programs(scale_c=1.0):
     return A0, [p[1] for p in progs], [p[2] for p in progs], dims
 
 
-def assert_solutions_agree(got, want, rel=1e-12):
+def assert_solutions_agree(got, want):
+    """The counts equal, and (x, y, s), the residuals and the scale bit
+    for bit, NaNs included."""
     assert (got.status, got.iterations) == (want.status, want.iterations)
     assert (got.accelerations, got.rejections) == (want.accelerations,
                                                    want.rejections)
-    for f in ("x", "y", "s"):
-        g, w = getattr(got, f), getattr(want, f)
-        assert np.array_equal(np.isnan(g), np.isnan(w))
-        g, w = np.nan_to_num(g), np.nan_to_num(w)
-        assert np.linalg.norm(g - w) <= rel * np.linalg.norm(w)
+    for f in ("x", "y", "s", "pres", "dres", "gap", "scale"):
+        g, w = np.asarray(getattr(got, f)), np.asarray(getattr(want, f))
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), f
 
 
 @pytest.mark.parametrize("warm", [False, True])
@@ -560,39 +560,6 @@ def test_empty_batch_and_argument_checks():
 
 
 # -- acceleration ------------------------------------------------------------
-
-
-def separated_program(seed):
-    """(A, b_of, c, dims, beta) of a planted program with the rows
-    a'x <= beta and a'x >= lo added before its exponential rows, where
-    beta = a'x* + 0.5: b_of(lo) is its b, infeasible for lo > beta and
-    with the planted optimum for lo <= a'x*."""
-    rng = np.random.default_rng(seed)
-    A, b, c, dims, x, _, _ = planted_cone_program(rng, 6, 0, 4, 2)
-    a = rng.normal(size=6)
-    beta = float(a @ x) + 0.5
-    k = dims["nonneg"]
-
-    def b_of(lo):
-        return np.concatenate([b[:k], [beta, -lo], b[k:]])
-
-    A = sp.csc_matrix(np.vstack([A[:k], a, -a, A[k:]]))
-    return A, b_of, c, dict(dims, nonneg=k + 2), beta
-
-
-def loosened_program(seed):
-    """(A, b, c_of, dims) of a planted program with a variable t added
-    whose column only loosens the nonnegative rows: c_of(ct) is its c
-    with cost ct on t, unbounded for ct < 0."""
-    rng = np.random.default_rng(seed)
-    A, b, c, dims, *_ = planted_cone_program(rng, 6, 0, 4, 2)
-    col = np.zeros(A.shape[0])
-    col[:dims["nonneg"]] = -np.abs(rng.normal(size=dims["nonneg"]))
-
-    def c_of(ct):
-        return np.concatenate([c, [ct]])
-
-    return sp.csc_matrix(np.column_stack([A, col])), b, c_of, dims
 
 
 def _run_anderson(B, c, w0, scales, resets, iters):

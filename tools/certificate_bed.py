@@ -6,7 +6,8 @@ of iterations and of accepted and rejected extrapolations.
 
 With OUT.json, each program's (status, iterations, accelerations,
 rejections) is written there, to compare two trees program by program.
-The bed takes about 150,000 ADMM iterations, so tier-1 does not run it.
+The bed takes about 150,000 ADMM iterations, so tier-1 does not run it;
+CI runs it as a step of its own and checks the statuses in OUT.json.
 
 Four constructions of 200 programs each, at max_iters 5,000:
 - infeasible, seeds 1000-1199: a planted program with the rows
@@ -14,8 +15,10 @@ Four constructions of 200 programs each, at max_iters 5,000:
   tests/test_solver.py::test_extrapolation_leaves_tau_minus_kappa_alone);
 - unbounded, seeds 1000-1199: the same draws, then one more variable whose
   column loosens the nonnegative rows, with cost -1;
-- separated, seeds 0-199: separated_program(seed) with lo = beta + 1;
-- loosened, seeds 0-199: loosened_program(seed) with cost -1 on t.
+- separated, seeds 0-199: separated_program(seed) of tests/oracles.py
+  with lo = beta + 1;
+- loosened, seeds 0-199: loosened_program(seed) of tests/oracles.py with
+  cost -1 on t.
 """
 
 import json
@@ -27,8 +30,8 @@ import numpy as np
 import scipy.sparse as sp
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
-from oracles import planted_cone_program  # noqa: E402
-from test_solver import loosened_program, separated_program  # noqa: E402
+from oracles import (loosened_program, planted_cone_program,  # noqa: E402
+                     separated_program)
 
 from llcp.solver import solve  # noqa: E402
 
