@@ -383,6 +383,18 @@ def _tolerance(text: str) -> float:
     return eps
 
 
+def _iterations(text: str) -> int:
+    # checked while parsing, so a bad --max-iters costs no solve
+    try:
+        max_iters = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if max_iters < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be nonnegative, got {text!r}")
+    return max_iters
+
+
 def _add_problem_source(sub):
     sub.add_argument("file", nargs="?", help="problem file (JSON)")
     sub.add_argument("--example", choices=["hello", "queuing", "benchmark"],
@@ -399,7 +411,7 @@ def _add_problem_source(sub):
 def _add_solver_flags(sub):
     sub.add_argument("--eps", type=_tolerance, default=1e-8,
                      help="solver tolerance")
-    sub.add_argument("--max-iters", type=int, default=100000)
+    sub.add_argument("--max-iters", type=_iterations, default=100000)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -452,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit_cmd.add_argument("--step", type=float, default=0.1)
     fit_cmd.add_argument("--seed", type=int, default=0)
     fit_cmd.add_argument("--eps", type=_tolerance, default=1e-8)
-    fit_cmd.add_argument("--max-iters", type=int, default=100000)
+    fit_cmd.add_argument("--max-iters", type=_iterations, default=100000)
     fit_cmd.add_argument("--csv", metavar="PATH",
                          help="write validation predictions as CSV")
     fit_cmd.set_defaults(func=cmd_fit_regression)

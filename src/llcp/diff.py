@@ -79,11 +79,11 @@ class ResidualPoint:
         if self.nonsmooth:
             warnings.warn("projection not differentiable at the solution; "
                           "sensitivities are a least-squares heuristic",
-                          NonsmoothWarning, stacklevel=4)
+                          NonsmoothWarning, stacklevel=5)
         if not self.unique:
             warnings.warn("the solution is not unique in a variable; "
                           "sensitivities follow one of the solutions",
-                          NonuniqueWarning, stacklevel=4)
+                          NonuniqueWarning, stacklevel=5)
 
 
 def dphi(point, dtheta):

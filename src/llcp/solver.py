@@ -60,6 +60,7 @@ vectors.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -424,7 +425,8 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None,
     confirmed on the unscaled data ends the solve; otherwise the scale
     adapts to the check's raw iterate.  At the cap the best candidate of
     all checks is returned as "max_iters".  eps must be finite and
-    positive, or ValueError is raised before any work.
+    positive and max_iters a nonnegative integer, or ValueError is raised
+    before any work.
 
     This is solve_batch with one program.
     """
@@ -738,6 +740,13 @@ def solve_batch(A, bs, cs, dims, *, eps=1e-8, max_iters=100000,
     """
     if not 0.0 < eps < np.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
+    try:
+        valid = operator.index(max_iters) >= 0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"max_iters must be a nonnegative integer, got "
+                         f"{max_iters!r}")
     A = canonical(A)
     m, n = A.shape
     bs = [np.asarray(b, dtype=float) for b in bs]

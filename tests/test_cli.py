@@ -435,6 +435,32 @@ def test_bad_eps_fails_before_any_solve(capsys, monkeypatch, command, eps):
     assert "argument --eps: " in captured.err and repr(eps) in captured.err
 
 
+@pytest.mark.parametrize("command", ["solve", "sensitivity", "backward",
+                                     "fit-regression"])
+@pytest.mark.parametrize("max_iters", ["-1", "-3", "2.5", "many"])
+def test_bad_max_iters_fails_before_any_solve(capsys, monkeypatch, command,
+                                              max_iters):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved despite a bad --max-iters")
+
+    monkeypatch.setattr(solver, "solve", no_solve)
+    monkeypatch.setattr(solver, "solve_batch", no_solve)
+    source = [] if command == "fit-regression" else ["--example", "hello"]
+    with pytest.raises(SystemExit) as exit_:
+        main(["--json", command, *source, f"--max-iters={max_iters}"])
+    captured = capsys.readouterr()
+    assert exit_.value.code == 1 and captured.out == ""
+    assert "argument --max-iters: " in captured.err
+    assert repr(max_iters) in captured.err
+
+
+def test_zero_max_iters_is_a_capped_solve(capsys):
+    # a valid cap: the solve runs and reports that it ended there
+    code, doc, _ = run_json(capsys, "solve", "--example", "hello",
+                            "--max-iters", "0")
+    assert code == 2 and doc["status"] == "max_iters"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "1,-inf"])
 @pytest.mark.parametrize("command,flag,name", [
     ("sensitivity", "--delta", "a"), ("backward", "--grad", "x"),

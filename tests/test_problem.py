@@ -26,6 +26,7 @@ from llcp.problem import (
 
 from oracles import queuing_solution
 from test_canon import _random_program
+from test_diff import _random_problem
 
 HELLO_OPT = np.array([0.5612147, 0.3149620, 0.3689206])
 
@@ -558,3 +559,74 @@ def test_solve_many_checks_the_flags():
     with pytest.raises(ValueError, match="derivative flags"):
         solve_many(problems, derivatives=[True, False])
     assert solve_many([]) == []
+
+
+@pytest.mark.parametrize("entry", ["solve", "solve_many"])
+def test_one_problem_warns_at_the_caller_through_one_solve(monkeypatch,
+                                                           entry):
+    # seed 110's optimum leaves a variable free: NonuniqueWarning
+    calls = []
+    original = solver.solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve", counted)
+    p = _random_problem(110)
+    with pytest.warns(NonuniqueWarning) as record:
+        if entry == "solve":
+            p.solve(derivatives=True, eps=1e-10)
+        else:
+            solve_many([p], derivatives=True, eps=1e-10)
+    assert p.status == "optimal" and not p.unique
+    assert [w.filename for w in record] == [__file__]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("max_iters", [2.5, -1])
+def test_problem_rejects_a_bad_max_iters(max_iters):
+    p = hello_world()
+    with pytest.raises(ValueError, match="max_iters"):
+        p.solve(max_iters=max_iters)
+    with pytest.raises(ValueError, match="max_iters"):
+        solve_many([p, hello_world()], max_iters=max_iters)
+    assert p.status is None
+
+
+def test_solve_releases_the_old_derivative_state(monkeypatch):
+    p = hello_world()
+    p.solve(derivatives=True)
+    point = p._point
+    seen = []
+    original = solver.solve_batch
+
+    def raising(*args, **kwargs):
+        seen.append(p._point)
+        raise solver.DataError("non-finite data")
+
+    monkeypatch.setattr(solver, "solve_batch", raising)
+    with pytest.raises(solver.DataError):
+        p.solve(derivatives=True)
+    # the old point was gone while the solver ran, and stays gone
+    assert seen == [None]
+    with pytest.raises(NoDerivativeStateError):
+        p.derivative()
+    monkeypatch.setattr(solver, "solve_batch", original)
+    p.solve(derivatives=True)
+    assert p._point is not point and p.derivative()
+
+
+def test_bad_problem_leaves_every_problem_as_it_was():
+    good = hello_world()
+    good.solve(derivatives=True)
+    point, stats = good._point, good.stats
+    x = Variable("x")
+    unset = Problem(Minimize(x), [Constant(1.0) <= Parameter("b",
+                                                             positive=True) * x])
+    for bad, error in ((Problem(Minimize(log(x))), NotDgpError),
+                       (unset, DomainError)):
+        with pytest.raises(error):
+            solve_many([good, bad], derivatives=True)
+        assert good._point is point and good.stats is stats
+    assert good.derivative()

@@ -146,6 +146,27 @@ def test_invalid_eps_raises(eps):
         solve(*lp_geq_one(), eps=eps)
 
 
+@pytest.mark.parametrize("max_iters", [-1, 2.5, 10.0, "10", None])
+def test_invalid_max_iters_raises_before_any_work(monkeypatch, max_iters):
+    def no_workspace(*args, **kwargs):
+        raise AssertionError("built a workspace despite a bad max_iters")
+
+    monkeypatch.setattr(solver, "Workspace", no_workspace)
+    A, b, c, dims = lp_geq_one()
+    with pytest.raises(ValueError, match="max_iters"):
+        solve(A, b, c, dims, max_iters=max_iters)
+    with pytest.raises(ValueError, match="max_iters"):
+        solver.solve_batch(A, [b, b], [c, c], dims, max_iters=max_iters)
+
+
+def test_numpy_integer_max_iters_is_accepted():
+    A, b, c, dims = lp_geq_one()
+    want = solve(A, b, c, dims, max_iters=10)
+    got = solve(A, b, c, dims, max_iters=np.int64(10))
+    assert got.iterations == want.iterations == 10
+    assert got.x.tobytes() == want.x.tobytes()
+
+
 def test_dims_mismatch_raises():
     A, b, c, _ = lp_geq_one()
     with pytest.raises(ValueError):
