@@ -158,8 +158,13 @@ def _solution_doc(problem, command: str, derivatives: bool = True) -> dict:
 
 
 def _failure(problem, args, command: str) -> int:
-    doc = {"command": command, "status": problem.status, "value": None}
-    _emit(args, doc, [f"status: {problem.status}"])
+    stats = problem.stats
+    doc = {"command": command, "status": problem.status, "value": None,
+           "stats": dict(stats)}
+    _emit(args, doc, [f"status: {problem.status}",
+                      f"iterations: {stats['iterations']}, "
+                      f"solver {stats['solver_time']:.4g}s of "
+                      f"{stats['total_time']:.4g}s total"])
     return 2
 
 

@@ -29,6 +29,11 @@ A free direction of the solution in an original variable, a column that
 the reduction finds empty among the first n_x unknowns, makes the
 solution non-unique there; the point reports it and warns with
 NonuniqueWarning.
+
+The point also seeds the next warm solve (solver.solve): where only b
+and c move, its factor gives Gauss-Newton steps from the solution, and
+the first of them is this module's derivative of the solution in the
+data's change.
 """
 
 from __future__ import annotations
@@ -62,6 +67,10 @@ class ResidualPoint:
     when the reduction leaves free one of the first n_x unknowns, the
     original variables' logarithms.  Instances are safe to share across
     threads: two threads that both make the factor make the same one.
+
+    A warm start (x, y, s, scale, point) hands the point to the next
+    solve, which steps from z with its factor while A is unchanged
+    (solver.solve); Problem does so after solve(derivatives=True).
     """
 
     def __init__(self, embedding, x, y, s, n_x):

@@ -110,6 +110,18 @@ class Embedding:
         other.Q = self.Q_of(theta)
         return other
 
+    def shares_A(self, other):
+        """Whether other is an embedding of data with this one's A (its
+        pattern, values and dims), so that only b and c can differ."""
+        if not (other.dims == self.dims and other._shape == self._shape
+                and other.theta_size == self.theta_size
+                and np.array_equal(other._indptr, self._indptr)
+                and np.array_equal(other._rows, self._rows)):
+            return False
+        # Q's entries that come from A
+        of_A = self._src < self.theta_size - self.m - self.n
+        return np.array_equal(other.Q.data[of_A], self.Q.data[of_A])
+
     def Q_of(self, theta):
         """Q at the data vector theta = (A.data, b, c); linear in theta."""
         return sp.csc_matrix((self._sign * theta[self._src], self._rows,
@@ -153,9 +165,10 @@ class Embedding:
         N = n + m + 1
         return sp.csr_matrix((data, indices, indptr), shape=(N, N)), nonsmooth
 
-    def residual(self, z):
-        """F(z) = Q Pi(z) - Pi(z) + z."""
-        u = self.project(z)
+    def residual(self, z, u=None):
+        """F(z) = Q Pi(z) - Pi(z) + z; u is Pi(z) where the caller has it."""
+        if u is None:
+            u = self.project(z)
         return self.Q @ u - u + z
 
     def jacobian(self, z):
@@ -164,6 +177,20 @@ class Embedding:
         eye = sp.eye(self.n + self.m + 1, format="csc")
         return ReducedJacobian(((self.Q - eye) @ DPi + eye).tocsc(), DPi,
                                nonsmooth)
+
+    def tau_row(self, red, b, c):
+        """M's tau row at the point z of red for the data (A, b, c), where
+        red is jacobian(z) on data with the same A.
+
+        Such a point has tau = 1, and there M = (Q - I) DPi(z) + I
+        involves b and c only in its tau row and column; the reduced
+        remainder, and every other row, are red's.  The row is
+        -(c, Jy'b, 0), where Jy, DPi's K* block, is I minus M's block of
+        the K* rows and columns."""
+        n, m = self.n, self.m
+        pad = np.zeros(n + m + 1)
+        pad[n:n + m] = b
+        return np.concatenate([-c, (red.MT @ pad)[n:n + m] - b, [0.0]])
 
     def split(self, u, v):
         """(x, y, s) from a pair (u, v), or None if tau is not positive."""
@@ -207,7 +234,9 @@ class ReducedJacobian:
     LsqrNoConvergence where LSQR stops at its iteration cap.  lsqr, the
     polish's solve, starts at the second: its right-hand side
     -F(z) = M (-z) leans on tau, which the reduction pins, so G alone
-    never solves it.
+    never solves it.  bordered(t) gives the solution that LSQR on M G
+    converges to in closed form, for M with its tau row replaced by t:
+    the solver's steps from a held point, on data whose b and c moved.
     """
 
     def __init__(self, M, DPi, nonsmooth):
@@ -273,6 +302,19 @@ class ReducedJacobian:
         out = se
         out[self._rows] = self.lu.solve(w, trans="T")
         return out
+
+    def bordered(self, t):
+        """rhs -> dz = G y, where y minimizes ||M' G y - rhs|| and M' is
+        M with its tau row replaced by t; lu must not be None.
+
+        M' G y is y on the kept rows and the eliminated unknowns, zero on
+        the dropped rows, and h'y with h = G' t in the tau row, so the
+        minimizer is y = rhs + h (rhs_tau - h'rhs) / (1 + h'h): the
+        solution that LSQR on M' G converges to, for one transposed solve
+        per t and one solve per rhs."""
+        h = self.solve_T(t)
+        hh = 1.0 + float(h @ h)
+        return lambda rhs: self.solve(rhs + h * ((rhs[-1] - h @ rhs) / hh))
 
     def lstsq(self, rhs, transpose=False):
         """A least-squares solution of M dz = rhs (M' dz = rhs with

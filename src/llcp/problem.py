@@ -166,8 +166,12 @@ class Problem:
         Returns None and leaves variable values untouched when the
         solver reports anything but optimality; the outcome is always
         recorded in ``status``.  With derivatives=True a successful
-        solve retains the state consumed by derivative() and backward().
-        This is solve_many with one problem.
+        solve retains the state consumed by derivative() and backward(),
+        and with warm_start the next solve starts from it: when only
+        parameters that leave the cone matrix A unchanged moved, that
+        solve first takes Gauss-Newton steps from this solution with its
+        derivative state's factor, and ends at 0 iterations when they
+        meet eps.  This is solve_many with one problem.
         """
         return _solve([self], [derivatives], eps, max_iters, warm_start)[0]
 
@@ -182,7 +186,6 @@ class Problem:
         self.nonsmooth = False
         self.unique = True
         if sol.status == "optimal":
-            self._warm = (sol.x, sol.y, sol.s, sol.scale)
             for var, lo, hi in prob.var_slices:
                 var.value = np.exp(sol.x[lo:hi])
             sign = -1.0 if self.objective.sense == "maximize" else 1.0
@@ -194,6 +197,8 @@ class Problem:
                 self.nonsmooth = self._point.nonsmooth
                 self.unique = self._point.unique
                 self._alpha = alpha
+            # the point also seeds the next warm solve (solver.solve_batch)
+            self._warm = (sol.x, sol.y, sol.s, sol.scale, self._point)
         self.stats = {"total_time": time.perf_counter() - t_start,
                       "solver_time": solver_time,
                       "iterations": sol.iterations,
@@ -202,6 +207,14 @@ class Problem:
                       "accelerations": sol.accelerations,
                       "rejections": sol.rejections}
         return self.value
+
+    def _take_warm(self, warm_start):
+        """The warm start (x, y, s, scale, point) if warm_start, else None;
+        either way the problem keeps (x, y, s, scale) without the point."""
+        warm = self._warm
+        if warm is not None:
+            self._warm = warm[:4]
+        return warm if warm_start else None
 
     # -- sensitivities ---------------------------------------------------
 
@@ -302,17 +315,19 @@ def _solve(problems, derivatives, eps, max_iters, warm_start):
         workspace = held[0] if held else solver.Workspace(A, dims)
         bs = [data[k][3] for k in members]
         cs = [data[k][4] for k in members]
-        warm = [problems[k]._warm if warm_start else None for k in members]
         for k in members:
-            # the old point's factor is freed before the solver allocates;
-            # only now, so that a bad problem above left every one as it was
+            # the old derivative state goes before the solver runs; only
+            # now, so that a bad problem above left every one as it was
             problems[k]._point = None
+        # the solver takes each warm start as it reads it, and with it the
+        # point, which then lives until its column has used it
+        warm = (problems[k]._take_warm(warm_start) for k in members)
         t_solver = time.perf_counter()
         # one program enters by solver.solve, a span the benchmark's
         # tracer requires (REQUIRED_ALL, tests/test_perfbench_targets.py)
         if len(members) == 1:
             sols = [solver.solve(A, bs[0], cs[0], dims, eps=eps,
-                                 max_iters=max_iters, warm_start=warm[0],
+                                 max_iters=max_iters, warm_start=next(warm),
                                  workspace=workspace)]
         else:
             sols = solver.solve_batch(A, bs, cs, dims, eps=eps,

@@ -46,6 +46,16 @@ What depends on A alone (the equilibration, the pattern of Q and the
 factors of K) lives in a Workspace, which a caller that re-solves with
 new b and c passes back to skip that work.
 
+A warm start may also hold the diff.ResidualPoint of its solution, the
+linearization that derivatives use.  When only b and c moved since, the
+program first takes Gauss-Newton steps from that solution with the
+point's factor (_held_steps), the refinement of Busseti, Moursi & Boyd
+("Solution refinement at regular points of conic problems", 2019), and
+the first step is the solution map's first-order sensitivity.  A program
+whose steps meet eps ends at iteration 0, before any factor of K or
+ADMM iteration; any other runs the ADMM loop from its warm start as if
+it had held no point.
+
 solve_batch runs this loop for many programs with one A and one cone,
 in lockstep on stacks of iterates, one column per program.  Programs at
 one scale share one factor of K, and each iteration makes one solve with
@@ -127,9 +137,12 @@ class ConeSolution:
     scale, plus one for the starting scale unless the workspace already
     held that factor, so 0 on a re-solve with unchanged A and scale.
     accelerations counts the Anderson extrapolations that the safeguard
-    kept, and rejections those it reverted.
+    kept, and rejections those it reverted.  A solve that ends in the
+    Gauss-Newton steps from a held point (see solve) reports iterations
+    0, factorizations 0, no acceleration, and the warm start's scale.
     Pass (x, y, s, scale) of a previous solution as warm_start when
-    re-solving with nearby data.
+    re-solving with nearby data, and its diff.ResidualPoint as a fifth
+    part when there is one.
 
     embedding is the Embedding of the unscaled (A, b, c) that the solve
     polished with; diff.ResidualPoint reuses it.  Each solve has its own,
@@ -388,6 +401,59 @@ def _refine(emb, z, eps):
     return z
 
 
+def _held_steps(pi, A, cols, points, eps):
+    """The solutions of the columns cols whose Gauss-Newton steps from
+    their held points meet eps, each at iteration 0, else None.
+
+    Each point is the diff.ResidualPoint of a previous solution (x, y, s)
+    on data with A; column p starts at its z0 = (x, y - s, 1), where its
+    data moved b and c alone.  Every step is the tau-pinned least-squares
+    step with the point's M, its tau row that of the column's b and c
+    (Embedding.tau_row, ReducedJacobian.bordered), so no step linearizes
+    or factors anything.  The first right-hand side is -F(z0) = -dQ u
+    for the held u = Pi(z0), the first-order sensitivity of the
+    solution.  The columns step in lockstep, with one projection of all
+    their candidates per step.  Like _refine, a column keeps a step
+    while it lowers ||F||, at most _POLISH_STEPS, and once ||F|| <=
+    eps * 1e-3 it takes one more, kept if ||F|| still falls.  Then its
+    point is a candidate on the unscaled data.
+    """
+    steps = [pt.jacobian.bordered(pi.tau_row(pt.jacobian, col.b, col.c))
+             for col, pt in zip(cols, points)]
+    # (k, N) stacks, one contiguous row per column, so that each column's
+    # arithmetic is that of its program alone
+    z = np.array([pt.z for pt in points])
+    u = np.array([pt.u for pt in points])
+    F = np.array([col.emb.residual(zp, up) for col, zp, up in zip(cols, z, u)])
+    norm = np.sqrt(_dots(F, F))
+    last = norm <= eps * 1e-3
+    running = list(range(len(cols)))
+    for _ in range(_POLISH_STEPS):
+        if not running:
+            break
+        cand = z[running] + np.array([steps[p](-F[p]) for p in running])
+        cand /= np.maximum(cand[:, -1:], 1e-300)
+        uc = np.ascontiguousarray(pi.project(np.ascontiguousarray(cand.T)).T)
+        Fc = np.array([cols[p].emb.residual(zp, up)
+                       for p, zp, up in zip(running, cand, uc)])
+        nc = np.sqrt(_dots(Fc, Fc))
+        still = []
+        for q, p in enumerate(running):
+            if not nc[q] < norm[p]:  # a NaN residual stops it too
+                continue
+            z[p], u[p], F[p], norm[p] = cand[q], uc[q], Fc[q], nc[q]
+            if not last[p]:
+                last[p] = norm[p] <= eps * 1e-3
+                still.append(p)
+        running = still
+    out = []
+    for col, up, zp in zip(cols, u, z):
+        cand = _candidate(col.emb, A, col.b, col.c, up, up - zp)
+        ok = cand is not None and max(cand[3:]) <= eps
+        out.append(col._ending("optimal", 0, *cand) if ok else None)
+    return out
+
+
 def _candidate(emb, A, b, c, u, v):
     """(x, y, s, pres, dres, gap) of an unscaled pair (u, v), or None if
     tau is not positive."""
@@ -405,9 +471,14 @@ def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None,
     counts triples; rows are ordered zero, nonneg, then exponential.
     Returns a ConeSolution; infeasibility and iteration exhaustion are
     reported through its status, while non-finite numeric data raises
-    DataError.  warm_start takes (x, y, s) or (x, y, s, scale) from a
-    previous solution; parts of the wrong shape, or a scale that is not
-    finite and positive, are ignored.  workspace is a Workspace of an
+    DataError.  warm_start takes (x, y, s), (x, y, s, scale) or
+    (x, y, s, scale, point) from a previous solution, point being the
+    diff.ResidualPoint of that (x, y, s) (or None); parts of the wrong
+    shape, or a scale that is not finite and positive, are ignored.  A
+    point counts when it was made on data with this A (pattern, values
+    and dims) and its reduction has a factor: the solve then first takes
+    Gauss-Newton steps from it, and ends at iteration 0 when they meet
+    eps, else runs as without the point.  workspace is a Workspace of an
     earlier solve with A's pattern and dims, which this solve reuses and
     updates; without one the solve builds its own.  The result does not
     depend on the workspace passed.
@@ -718,6 +789,37 @@ def _rows(a):
     return a.reshape(a.shape[0], -1).T
 
 
+def _starts(cols, warm_starts, d, e):
+    """The scaled iterates (u, v), (N, k) stacks with one column per
+    program, and the usable held points by column.
+
+    A warm start sets its column's pair and scale, and a point in it
+    counts where it was made on data with the column's A and its
+    reduction has a factor."""
+    n, m = e.size, d.size
+    u = np.zeros((n + m + 1, len(cols)))
+    v = np.zeros((n + m + 1, len(cols)))
+    u[-1] = 1.0
+    v[-1] = 1.0
+    held = {}
+    for j, (col, warm) in enumerate(zip(cols, warm_starts)):
+        if warm is None:
+            continue
+        wx, wy, ws = (np.asarray(w, dtype=float) for w in warm[:3])
+        ok = (wx.shape, wy.shape, ws.shape) == ((n,), (m,), (m,))
+        if not (ok and all(np.isfinite(w).all() for w in (wx, wy, ws))):
+            continue
+        if len(warm) > 3 and 0.0 < warm[3] < np.inf:
+            col.scale = min(max(float(warm[3]), _SCALE_MIN), _SCALE_MAX)
+        u[:, j] = np.concatenate([wx / e, wy / d, [1.0]])
+        v[:, j] = np.concatenate([np.zeros(n), ws * d / col.scale, [0.0]])
+        point = warm[4] if len(warm) > 4 else None
+        if (point is not None and point.embedding.shares_A(col.emb)
+                and point.jacobian.lu is not None):
+            held[j] = point
+    return u, v, held
+
+
 def solve_batch(A, bs, cs, dims, *, eps=1e-8, max_iters=100000,
                 warm_starts=None, workspace=None):
     """Solve the cone programs (A, bs[j], cs[j], dims) together.
@@ -733,10 +835,14 @@ def solve_batch(A, bs, cs, dims, *, eps=1e-8, max_iters=100000,
     polish, certificates and scale rule run per program at solve()'s
     iterations; a program that ends there leaves the stack, so the
     others do not wait for it, nor it for them.  warm_starts holds one
-    warm start (or None) per program.  A factor is counted in the
-    factorizations of the first program that needed it, so over one call
-    they sum to the factors it computed.  Programs at different scales
-    never share a factor.  Argument rules are solve()'s.
+    warm start (or None) per program, in any iterable.  The programs
+    with a held point take their Gauss-Newton steps first, in lockstep,
+    with one projection of all their candidates per step; those that
+    meet eps never join the stack, and a point is dropped once its steps
+    end.  A factor is counted in the factorizations of the first program
+    that needed it, so over one call they sum to the factors it
+    computed.  Programs at different scales never share a factor.
+    Argument rules are solve()'s.
     """
     if not 0.0 < eps < np.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
@@ -751,8 +857,8 @@ def solve_batch(A, bs, cs, dims, *, eps=1e-8, max_iters=100000,
     m, n = A.shape
     bs = [np.asarray(b, dtype=float) for b in bs]
     cs = [np.asarray(c, dtype=float) for c in cs]
-    if warm_starts is None:
-        warm_starts = [None] * len(bs)
+    warm_starts = [None] * len(bs) if warm_starts is None else list(
+        warm_starts)
     if not len(bs) == len(cs) == len(warm_starts):
         raise ValueError(f"{len(bs)} b, {len(cs)} c and {len(warm_starts)} "
                          "warm starts")
@@ -771,33 +877,30 @@ def solve_batch(A, bs, cs, dims, *, eps=1e-8, max_iters=100000,
     N = n + m + 1
 
     cols = [_Column(workspace, A, b, c) for b, c in zip(bs, cs)]
-    # the iterates, one column per program still running
-    u = np.zeros((N, len(cols)))
-    v = np.zeros((N, len(cols)))
-    u[-1] = 1.0
-    v[-1] = 1.0
-    for j, warm in enumerate(warm_starts):
-        scale = _SCALE_START
-        if warm is not None:
-            wx, wy, ws = (np.asarray(w, dtype=float) for w in warm[:3])
-            ok = (wx.shape, wy.shape, ws.shape) == ((n,), (m,), (m,))
-            if ok and all(np.isfinite(w).all() for w in (wx, wy, ws)):
-                if len(warm) > 3 and 0.0 < warm[3] < np.inf:
-                    scale = min(max(float(warm[3]), _SCALE_MIN), _SCALE_MAX)
-                u[:, j] = np.concatenate([wx / e, wy / d, [1.0]])
-                v[:, j] = np.concatenate([np.zeros(n), ws * d / scale, [0.0]])
-        cols[j].set_scale(scale, workspace)
-    workspace.retain({col.scale for col in cols})
+    u, v, held = _starts(cols, warm_starts, d, e)
+    # the held points live in held alone, until their columns end
+    del warm_starts
     done = [None] * len(cols)
-    active = list(range(len(cols)))
-    step = _stack_step(cols)
+    if held:
+        for j, sol in zip(held, _held_steps(pi, A, [cols[j] for j in held],
+                                            list(held.values()), eps)):
+            done[j] = sol
+        del held
+    active = [j for j in range(len(cols)) if done[j] is None]
+    if not active:
+        return done
+    for j in active:
+        cols[j].set_scale(cols[j].scale, workspace)
+    workspace.retain({col.scale for col in cols})
+    step = _stack_step([cols[j] for j in active])
     # root of each exponential triple's last boundary projection, the
     # triples of each running program in turn
-    rho = np.full(len(cols) * dims["exp"], np.nan)
-    if len(cols) == 1:
+    rho = np.full(len(active) * dims["exp"], np.nan)
+    u, v = u[:, active], v[:, active]
+    if len(active) == 1:
         # one program runs on vectors
         u, v = u[:, 0], v[:, 0]
-    aa = _Anderson(list(cols), u, v)
+    aa = _Anderson([cols[j] for j in active], u, v)
     it = 0
     while True:
         capped = it >= max_iters

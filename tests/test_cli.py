@@ -11,7 +11,7 @@ from llcp.cli import main
 from llcp.diff import NonsmoothWarning
 from llcp.expr import Parameter
 from llcp.fitting import model_problem
-from llcp.probfile import save_problem, validate_result
+from llcp.probfile import ProblemFileError, save_problem, validate_result
 from llcp.examples import hello_world
 
 from test_probfile import unreadable_path
@@ -459,6 +459,23 @@ def test_zero_max_iters_is_a_capped_solve(capsys):
     code, doc, _ = run_json(capsys, "solve", "--example", "hello",
                             "--max-iters", "0")
     assert code == 2 and doc["status"] == "max_iters"
+
+
+def test_failed_solve_reports_its_stats(capsys):
+    # a solve that ends short of optimal reports what it did
+    code, doc, _ = run_json(capsys, "solve", "--example", "hello",
+                            "--max-iters", "0")
+    assert code == 2 and doc["value"] is None
+    assert doc["stats"]["iterations"] == 0
+    assert doc["stats"]["factorizations"] == 1
+    assert doc["stats"]["solver_time"] >= 0.0
+    code, out, _ = run(capsys, "solve", "--example", "hello", "--max-iters",
+                       "0")
+    assert code == 2 and "iterations: 0" in out
+    # a document with a status and no stats fails the schema
+    with pytest.raises(ProblemFileError, match="stats"):
+        validate_result({"command": "solve", "status": "max_iters",
+                         "value": None})
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "1,-inf"])

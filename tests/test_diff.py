@@ -441,3 +441,145 @@ def test_capped_lsqr_raises(monkeypatch):
     with pytest.raises(llcp.LsqrNoConvergence, match="30-iteration cap"):
         red.lstsq(np.array([1.0, 1.0, 2.0]))
     assert llcp.LsqrNoConvergence is llcp.diff.LsqrNoConvergence
+
+
+# -- the held point seeds the next warm solve ---------------------------------
+
+
+def _moved(p, size, rng):
+    """Move p's positive parameters, which enter b and c alone, by
+    exp(size N(0, 1)) each."""
+    for q in p.parameters:
+        if q.positive:
+            q.set_value(q.value * np.exp(size * rng.standard_normal(q.size)))
+
+
+def test_moved_b_and_c_keep_the_point_reduction(solved):
+    # at z, the reduced remainder involves A and DPi(z) alone; b and c
+    # enter M only in tau's row and column
+    pt = solved[1]._point
+    held, emb = pt.jacobian, pt.embedding
+    assert held.lu is not None
+    rng = np.random.default_rng(17)
+    _, cmap, pmap = solved[1]._compiled
+    A, b, c = pmap.instantiate(cmap.eval_C(cmap.pack_alpha()))
+    b = b * (1.0 + 0.01 * rng.standard_normal(b.size))
+    c = c * (1.0 + 0.01 * rng.standard_normal(c.size))
+    moved = emb.at(np.concatenate([A.data, b, c]))
+    assert emb.shares_A(moved)
+    red = moved.jacobian(pt.z)
+    for part in ("_rows", "_cols", "_elim", "free"):
+        assert np.array_equal(getattr(red, part), getattr(held, part)), part
+    # splu sorted the held remainder's indices in place: compare matrices
+    assert red._B.shape == held._B.shape and (red._B != held._B).nnz == 0
+    diff = (red.M - held.M).tocoo()
+    tau = red.M.shape[0] - 1
+    off = (diff.row != tau) & (diff.col != tau) & (diff.data != 0.0)
+    assert not off.any() and np.any(diff.data != 0.0)
+    # the tau row the held steps use is the relinearized one
+    row = red.M.tocsr()[tau].toarray().ravel()
+    assert (np.abs(moved.tau_row(held, b, c) - row).max()
+            <= 1e-15 * np.abs(row).max())
+    # and the bordered step is LSQR's on the relinearized M
+    rhs = -moved.residual(pt.z)
+    want = red.lsqr(rhs)[0]
+    got = held.bordered(moved.tau_row(held, b, c))(rhs)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_moved_A_takes_no_held_steps(monkeypatch):
+    # the exponents A enter the cone matrix: a held point made on the old
+    # A does not count, and the solve factors K and runs ADMM
+    p = examples.benchmark(n=60)
+    p.solve(derivatives=True)
+    pt = p._point
+    a = {q.name: q for q in p.parameters}["A"]
+    a.set_value(1.05 * a.value)
+    calls = []
+    from llcp import solver
+    held_steps = solver._held_steps
+    monkeypatch.setattr(solver, "_held_steps",
+                        lambda *args: calls.append(1) or held_steps(*args))
+    p.solve(derivatives=True)
+    assert p.status == "optimal" and not calls
+    assert p.stats["iterations"] > 0 and p.stats["factorizations"] >= 1
+    assert not pt.embedding.shares_A(p.solution.embedding)
+    # M moved outside tau's row and column, so the point's factor is no
+    # longer the one of its z on the new data
+    diff = (p.solution.embedding.jacobian(pt.z).M - pt.jacobian.M).tocoo()
+    tau = diff.shape[0] - 1
+    assert np.any((diff.row != tau) & (diff.col != tau) & (diff.data != 0.0))
+
+
+@pytest.mark.parametrize("name, size", [
+    ("hello", 0.01), ("queuing", 3e-4), ("benchmark250", 1e-3),
+    ("benchmark500", 0.01)])
+def test_warm_solves_step_from_the_held_point(name, size, monkeypatch):
+    # ten moves of the parameters in b and c: each re-solve ends at
+    # iteration 0 on the previous point's factor, so the step's one
+    # sparse LU is the new point's, made by derivative().  Larger moves
+    # leave the steps' reach on queuing (1e-3 from the 8th move on, where
+    # a piece of the projection changes) and n=250 (3e-3 at the 10th)
+    p = PROGRAMS[name]()
+    p.solve(derivatives=True)
+    rng = np.random.default_rng(18)
+    random_sensitivities(p, rng)
+    factors = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu",
+                        lambda *a, **k: factors.append(1) or splu(*a, **k))
+    for _ in range(10):
+        _moved(p, size, rng)
+        factors.clear()
+        p.solve(derivatives=True)
+        assert p.status == "optimal"
+        assert (p.stats["iterations"], p.stats["factorizations"]) == (0, 0)
+        dalpha, fwd, g, back = random_sensitivities(p, rng)
+        assert len(factors) == 1
+        scale = max(np.linalg.norm(fwd) * np.linalg.norm(g),
+                    np.linalg.norm(back) * np.linalg.norm(dalpha))
+        assert abs(fwd @ g - back @ dalpha) <= 1e-12 * scale
+
+
+def test_missed_held_steps_leave_the_solve_as_without_the_point():
+    # a 0.5 log-scale move is too far for the held steps on queuing: the
+    # solve then runs ADMM from the warm start, bit for bit as without
+    # the point
+    from llcp import solver
+    p = examples.queuing()
+    p.solve(derivatives=True)
+    prev, pt = p.solution, p._point
+    _moved(p, 0.5, np.random.default_rng(19))
+    _, cmap, pmap = p._compiled
+    A, b, c = pmap.instantiate(cmap.eval_C(cmap.pack_alpha()))
+    warm = (prev.x, prev.y, prev.s, prev.scale)
+    got = solver.solve(A, b, c, pmap.dims, warm_start=warm + (pt,))
+    want = solver.solve(A, b, c, pmap.dims, warm_start=warm)
+    assert got.status == "optimal" and got.iterations > 0
+    assert (got.iterations, got.factorizations) == (want.iterations,
+                                                   want.factorizations)
+    for f in ("x", "y", "s", "pres", "dres", "gap", "scale"):
+        assert (np.asarray(getattr(got, f)).tobytes()
+                == np.asarray(getattr(want, f)).tobytes()), f
+
+
+def test_held_steps_across_the_random_grammar():
+    # chains of moves of the positive parameters, each re-solve stepping
+    # from the last solve's point: every one optimal, no RuntimeWarning
+    held = solves = 0
+    for seed in range(100, 140):
+        if seed == 124:  # no factor at its point, so no held steps
+            continue
+        p = _random_problem(seed)
+        rng = np.random.default_rng(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonuniqueWarning)
+            warnings.simplefilter("error", RuntimeWarning)
+            p.solve(derivatives=True, eps=1e-10)
+            for size in (1e-6, 1e-3, 0.1, 0.5):
+                _moved(p, size, rng)
+                p.solve(derivatives=True, eps=1e-10)
+                assert p.status == "optimal", (seed, size)
+                solves += 1
+                held += p.stats["iterations"] == 0
+    assert solves == 156 and held == 141

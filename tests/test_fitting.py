@@ -188,12 +188,28 @@ def test_bad_sizes_raise_before_any_solve(monkeypatch):
         synthetic_data(1, 3, 2)
 
 
-def test_fit_counts_its_solves_and_one_factor():
+def test_fit_counts_its_solves_and_one_factor(monkeypatch):
     X, Y, Xv, Yv, *_ = synthetic_data(6, 3, 3, seed=2)
+    from llcp import solver
+
+    batches = []
+    original = solver.solve_batch
+
+    def recorded(*args, **kwargs):
+        sols = original(*args, **kwargs)
+        batches.append([s.iterations for s in sols])
+        return sols
+
+    monkeypatch.setattr(solver, "solve_batch", recorded)
     res = fit(X, Y, Xv, Yv, iters=2)
     # three evaluations of the weights, each solving every sample
     assert res.solves == 3 * (6 + 3)
-    assert res.iterations >= 25 * res.solves
+    # the cold first evaluation runs ADMM on every sample; after it the
+    # training samples step from their derivative points and end at
+    # iteration 0, and the validation samples, which have none, run ADMM
+    # from their warm starts
+    assert batches == [[50] * 9] + [[0] * 6 + [25] * 3] * 2
+    assert res.iterations == 600
     # all samples share one cone matrix, factored once at the one scale
     assert res.factorizations == 1
 

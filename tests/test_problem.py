@@ -554,6 +554,26 @@ def test_solve_many_ends_each_problem_as_solve_does():
                        atol=1e-4)
 
 
+def test_held_points_batch_as_each_problem_alone():
+    # a weight step of fit: every program re-solves from its point, in one
+    # batch of held steps, each as its own solve() does it
+    from test_solver import assert_solutions_agree
+    batch, A_batch = _fit_problems(8, seed=4)
+    solo, A_solo = _fit_problems(8, seed=4)
+    solve_many(batch, derivatives=True)
+    for p in solo:
+        p.solve(derivatives=True)
+    for step in range(3):
+        for a in (A_batch, A_solo):
+            a.set_value(a.value * 1.01)
+        solve_many(batch, derivatives=True)
+        for got, want in zip(batch, solo):
+            want.solve(derivatives=True)
+            assert got.solution.iterations == 0
+            assert got.solution.factorizations == 0
+            assert_solutions_agree(got.solution, want.solution)
+
+
 def test_solve_many_checks_the_flags():
     problems = [hello_world()]
     with pytest.raises(ValueError, match="derivative flags"):
