@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import llcp
-from llcp import examples
+from llcp import examples, solver
 from llcp.compiler import DimensionError, compile_problem
 from llcp.diff import (NonsmoothWarning, NonuniqueWarning, ResidualPoint,
                        dphi, dphi_adjoint)
@@ -496,7 +496,6 @@ def test_moved_A_takes_no_held_steps(monkeypatch):
     a = {q.name: q for q in p.parameters}["A"]
     a.set_value(1.05 * a.value)
     calls = []
-    from llcp import solver
     held_steps = solver._held_steps
     monkeypatch.setattr(solver, "_held_steps",
                         lambda *args: calls.append(1) or held_steps(*args))
@@ -545,7 +544,6 @@ def test_missed_held_steps_leave_the_solve_as_without_the_point():
     # a 0.5 log-scale move is too far for the held steps on queuing: the
     # solve then runs ADMM from the warm start, bit for bit as without
     # the point
-    from llcp import solver
     p = examples.queuing()
     p.solve(derivatives=True)
     prev, pt = p.solution, p._point
