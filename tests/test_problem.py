@@ -574,6 +574,28 @@ def test_held_points_batch_as_each_problem_alone():
             assert_solutions_agree(got.solution, want.solution)
 
 
+def test_held_points_are_gone_before_the_new_ones(monkeypatch):
+    # the solver takes each point with its warm start and drops it after
+    # the held steps, so no old point lives on beside the new ones
+    import weakref
+    batch, A = _fit_problems(8, seed=4)
+    solve_many(batch, derivatives=True)
+    old = [weakref.ref(p._point) for p in batch]
+    seen = []
+    finish = Problem._finish
+
+    def spied(self, *args, **kwargs):
+        seen.append([ref() is None for ref in old])
+        return finish(self, *args, **kwargs)
+
+    monkeypatch.setattr(Problem, "_finish", spied)
+    A.set_value(A.value * 1.01)
+    solve_many(batch, derivatives=True)
+    assert [p.solution.iterations for p in batch] == [0] * 8
+    assert seen[0] == [True] * 8
+    assert all(p._warm[4] is p._point for p in batch)
+
+
 def test_solve_many_checks_the_flags():
     problems = [hello_world()]
     with pytest.raises(ValueError, match="derivative flags"):
