@@ -533,7 +533,9 @@ def project_cone(v, dims, dual=False, rho=None):
 
 def _blockdiag_csr(diag, J):
     """diag(diag) followed by the 3x3 blocks J[0], ..., J[-1] down the
-    diagonal, as one CSR matrix that stores no zero entries."""
+    diagonal, as one CSR matrix that stores every block entry, zeros
+    included: its data is diag followed by J's entries row by row, a
+    layout fixed by the block counts."""
     nd, ne = diag.size, J.shape[0]
     m = nd + 3 * ne
     first = nd + 3 * np.arange(ne)
@@ -541,16 +543,17 @@ def _blockdiag_csr(diag, J):
     cols = np.concatenate([
         np.arange(nd),
         (first[:, None, None] + np.arange(3)).repeat(3, axis=1).ravel()])
-    rows = np.concatenate([np.arange(nd), np.arange(nd, m).repeat(3)])
-    keep = data != 0.0
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[keep], minlength=m), out=indptr[1:])
-    return sp.csr_matrix((data[keep], cols[keep], indptr), shape=(m, m))
+    indptr = np.concatenate([np.arange(nd), nd + 3 * np.arange(3 * ne + 1)])
+    return sp.csr_matrix((data, cols, indptr), shape=(m, m))
 
 
 def dproject_cone(v, dims, dual=False):
     """Derivative of ``project_cone`` as a sparse matrix, plus a flag set
-    when any block sits within tolerance of a nondifferentiable point."""
+    when any block sits within tolerance of a nondifferentiable point.
+
+    The matrix stores the zero and nonnegative rows' diagonal and then
+    each exponential triple's 3x3 block row by row, zeros included
+    (_blockdiag_csr), so its data has one layout for all points."""
     v = np.asarray(v, dtype=float)
     nz, nl, ne, m = _exp_blocks(dims)
     if v.shape != (m,):

@@ -29,6 +29,15 @@ point's ReducedJacobian: M with a generalized inverse G from one sparse
 LU of a square part of M, which the polish and the derivatives share.
 Its docstring states how the least-squares solves with M and M' use G.
 
+DPi is block-diagonal with a fixed layout, so M's pattern, and the
+terms each entry sums, depend on Q's pattern and the dims alone.
+jacobian(z) fills M by gathers over one index map of those terms
+(_JacobianMap), which the first linearization builds and every
+embedding that at() makes from this one shares, one per solver
+workspace.  A point then costs dproject_cone, one gather and multiply
+over the terms and a bincount, and M is SciPy's (Q - I) @ DPi + I to
+the bit.
+
 Q is linear in the data theta = (A.data, b, c), A's entries in sorted
 CSC order with duplicates summed, and the embedding writes that map
 once, as the signed gather Q.data = sign * theta[src].  Q_of(dtheta) is
@@ -44,6 +53,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import threading
 
 import numpy as np
 import scipy.sparse as sp
@@ -102,6 +112,9 @@ class Embedding:
         self._rows, self._indptr = Qid.indices, Qid.indptr
         self._shape = Qid.shape
         self.Q = self.Q_of(np.concatenate([A.data, b, c]))
+        # M's pattern at any point, built on the first jacobian() of this
+        # embedding or of a copy that at() makes, which all share it
+        self._jmap = _JacobianMap(self._rows, self._indptr, n, dims)
 
     def at(self, theta):
         """The embedding of the data theta = (A.data, b, c) on this
@@ -149,22 +162,6 @@ class Embedding:
                                                              tau)
         return out
 
-    def dproject(self, w):
-        """Derivative of project at w, and whether Pi kinks there.
-
-        The CSR arrays of the K* block are shifted past the n identity
-        rows and closed by the tau row, so the whole matrix is one
-        constructor."""
-        n, m = self.n, self.m
-        Jy, nonsmooth = dproject_cone(w[n:n + m], self.dims, dual=True)
-        data = np.concatenate([np.ones(n), Jy.data,
-                               [1.0 if w[-1] > 0.0 else 0.0]])
-        indices = np.concatenate([np.arange(n), Jy.indices + n, [n + m]])
-        indptr = np.concatenate([np.arange(n + 1), Jy.indptr[1:] + n,
-                                 [n + Jy.nnz + 1]])
-        N = n + m + 1
-        return sp.csr_matrix((data, indices, indptr), shape=(N, N)), nonsmooth
-
     def residual(self, z, u=None):
         """F(z) = Q Pi(z) - Pi(z) + z; u is Pi(z) where the caller has it."""
         if u is None:
@@ -173,10 +170,11 @@ class Embedding:
 
     def jacobian(self, z):
         """The ReducedJacobian of F at z, M = (Q - I) DPi(z) + I as CSC."""
-        DPi, nonsmooth = self.dproject(z)
-        eye = sp.eye(self.n + self.m + 1, format="csc")
-        return ReducedJacobian(((self.Q - eye) @ DPi + eye).tocsc(), DPi,
-                               nonsmooth)
+        n, m = self.n, self.m
+        Jy, nonsmooth = dproject_cone(z[n:n + m], self.dims, dual=True)
+        M, live, cols = self._jmap(self.Q.data, Jy,
+                                   1.0 if z[-1] > 0.0 else 0.0)
+        return ReducedJacobian(M, live, nonsmooth, Jy, cols)
 
     def tau_row(self, red, b, c):
         """M's tau row at the point z of red for the data (A, b, c), where
@@ -185,12 +183,8 @@ class Embedding:
         Such a point has tau = 1, and there M = (Q - I) DPi(z) + I
         involves b and c only in its tau row and column; the reduced
         remainder, and every other row, are red's.  The row is
-        -(c, Jy'b, 0), where Jy, DPi's K* block, is I minus M's block of
-        the K* rows and columns."""
-        n, m = self.n, self.m
-        pad = np.zeros(n + m + 1)
-        pad[n:n + m] = b
-        return np.concatenate([-c, (red.MT @ pad)[n:n + m] - b, [0.0]])
+        -(c, Jy'b, 0), with Jy, DPi's K* block, the one red keeps."""
+        return np.concatenate([-c, -(red.Jy.T @ b), [0.0]])
 
     def split(self, u, v):
         """(x, y, s) from a pair (u, v), or None if tau is not positive."""
@@ -199,6 +193,105 @@ class Embedding:
         if tau <= 0.0:
             return None
         return u[:n] / tau, u[n:n + m] / tau, v[n:n + m] / tau
+
+
+class _JacobianMap:
+    """M = (Q - I) DPi(z) + I by gathers from Q's data and DPi's blocks.
+
+    DPi is block-diagonal with a fixed layout: the identity on x, a
+    diagonal on the zero and nonnegative rows of K*, one 3x3 block per
+    exponential triple, and tau's scalar; dproject_cone stores its K*
+    block in that layout, zeros included.  So M at any point sums the
+    products (Q - I)[i, k] DPi[k, j] over one set of terms per entry.
+    The first call lists them, sorted by entry and, within one, by k:
+    the order in which SciPy's sparse product adds them.  Each call then
+    makes the products by two gathers, sums them with bincount, which
+    adds in that order from zero, and drops the entries that come out
+    zero, as the sparse operations do; the columns where DPi is zero go
+    with them.  A product that SciPy never forms has a zero factor, and
+    adding it changes no sum of finite terms but a zero's sign, so M is
+    SciPy's sum (Q - I) @ DPi + I, entry for entry and bit for bit, with
+    sorted indices.  On the diagonal, -d + 1 is the one term 1 * (1 - d), and
+    the x columns, where it is 1 - 1, have none.
+
+    One map serves a Q pattern and is shared by the embeddings that at()
+    makes; a lock makes two threads that call first list the terms once.
+    """
+
+    def __init__(self, rows, indptr, n, dims):
+        self._pattern = rows, indptr, n, dims
+        self._lock = threading.Lock()
+        self._maps = None
+
+    def __call__(self, Qdata, Jy, tau):
+        """M at the point where DPi's K* block is Jy, dproject_cone's
+        matrix, and its tau entry is tau; the mask of DPi's nonzero
+        columns; and the column of each of M's entries."""
+        if self._maps is None:
+            with self._lock:
+                if self._maps is None:
+                    self._maps = self._build(*self._pattern)
+        entry, src, blk, rows, cols, d_col, d_blk = self._maps
+        # q: Q's data, then -1 and 1; d: DPi's K* block and tau entry,
+        # then 1 (DPi on x) and each of them as 1 - d
+        q = np.concatenate([Qdata, [-1.0, 1.0]])
+        d = np.append(Jy.data, tau)
+        d = np.concatenate([d, [1.0], 1.0 - d])
+        # bincount adds each entry's terms in their order, from zero
+        full = np.bincount(entry, np.take(q, src) * np.take(d, blk),
+                           minlength=rows.size)
+        kept = np.flatnonzero(full != 0.0)
+        cols = np.take(cols, kept)
+        N = self._pattern[1].size - 1
+        indptr = np.zeros(N + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=N), out=indptr[1:])
+        M = sp.csc_matrix((full[kept], np.take(rows, kept), indptr),
+                          shape=(N, N))
+        live = np.bincount(d_col, np.take(d, d_blk) != 0.0, minlength=N)
+        return M, live > 0.0, cols
+
+    @staticmethod
+    def _build(rows, indptr, n, dims):
+        """The terms of M's entries, each the product q[src] * d[blk]
+        for entry entry, sorted by entry and, within one, by the row of
+        DPi they come through; the rows and columns of the entries,
+        sorted by column and row; and DPi's pattern, its entries' columns
+        and slots in d."""
+        N, nq = indptr.size - 1, rows.size
+        nd, ne = dims["zero"] + dims["nonneg"], dims["exp"]
+        nj = nd + 9 * ne
+        # DPi's pattern by rows: one entry in a diagonal block's row,
+        # three in a triple's, each with its column and its slot in d
+        per = np.ones(N, dtype=np.intp)
+        per[n + nd:N - 1] = 3
+        t, _, c = np.unravel_index(np.arange(9 * ne), (ne, 3, 3))
+        d_col = np.concatenate([np.arange(n + nd), n + nd + 3 * t + c,
+                                [N - 1]])
+        d_blk = np.concatenate([np.full(n, nj + 1), np.arange(nj + 1)])
+        # Q - I without the diagonal on x, where DPi's 1 makes it 0
+        i = np.concatenate([rows, np.arange(n, N)])
+        k = np.concatenate([np.repeat(np.arange(N), np.diff(indptr)),
+                            np.arange(n, N)])
+        src = np.append(np.arange(nq), np.full(N - n, nq))
+        # a term per entry (i, k) of Q - I and entry (k, j) of DPi; Q's
+        # come in the order of k, and an entry with a diagonal term has
+        # no other, so a stable sort by entry keeps each one's in order
+        reps = per[k]
+        term = np.repeat(np.cumsum(per)[k] - np.cumsum(reps), reps) \
+            + np.arange(reps.sum())
+        i, k, src = (np.repeat(a, reps) for a in (i, k, src))
+        j, blk = d_col[term], d_blk[term]
+        # on the diagonal, -d + 1 is the term 1 * (1 - d)
+        on = (i == k) & (k == j)
+        src[on], blk[on] = nq + 1, nj + 2 + blk[on]
+        ij = j * N + i
+        order = np.argsort(ij, kind="stable")
+        ij = ij[order]
+        new = np.append(True, ij[1:] != ij[:-1])
+        i32 = functools.partial(np.asarray, dtype=np.int32)
+        return (i32(np.cumsum(new) - 1), i32(src[order]), i32(blk[order]),
+                i32(i[order][new]), i32(j[order][new]), i32(d_col),
+                i32(d_blk))
 
 
 class ReducedJacobian:
@@ -210,15 +303,17 @@ class ReducedJacobian:
     unknowns are eliminated and recovered by back-substitution.  The tau
     unknown is pinned to zero, and the rows and columns left without an
     entry are dropped.  The constructor assembles that remainder from M's
-    CSC arrays, reading DPi only for its zero columns; the first use of
-    lu factors it.  When the remainder is nonsingular, M G r = r for r in
+    CSC arrays, which store no zeros, and live, the mask of DPi's nonzero
+    columns; cols, the column of each of M's entries, comes from M where
+    it is not given.  The first use of lu factors the remainder.  When the remainder is nonsingular, M G r = r for r in
     M's range.  free holds the indices of the dropped empty columns,
     unknowns that no kept equation involves: a variable that appears only
     in constraints whose dual is zero, and not in the objective.  The
     remainder has no factor (lu is None) when it is not square, SuperLU
     finds it singular, or its pivots span more than 1/_PIVOT_RATIO.
     nonsmooth says that Pi kinks at z, and MT is the CSR view M' that the
-    transposed products use.
+    transposed products use.  Jy, DPi's K* block, is kept for
+    Embedding.tau_row.
 
     solve(r) is G r: the remainder's solution on the kept unknowns, zero
     on the dropped ones and back-substitution for the eliminated ones.
@@ -239,17 +334,23 @@ class ReducedJacobian:
     the solver's steps from a held point, on data whose b and c moved.
     """
 
-    def __init__(self, M, DPi, nonsmooth):
+    def __init__(self, M, live, nonsmooth, Jy=None, cols=None):
         self.M, self.MT = M, M.T
         self.nonsmooth = bool(nonsmooth)
+        self.Jy = Jy
         N = M.shape[0]
-        live = np.bincount(DPi.indices[DPi.data != 0.0], minlength=N) > 0
         self._elim = np.flatnonzero(~live)
+        live = live.copy()
         live[-1] = False
-        rows, data = M.indices, M.data
-        cols = np.repeat(np.arange(N), np.diff(M.indptr))
-        entry = (data != 0.0) & live[rows] & live[cols]
-        rows, cols = rows[entry], cols[entry]
+        if cols is None:
+            cols = np.repeat(np.arange(N), np.diff(M.indptr))
+        # an eliminated column is M's unit vector, whose row is not live
+        # either, so an entry is kept where its row is live, but in tau's
+        # column
+        entry = np.take(live, M.indices)
+        entry[M.indptr[-2]:] = False
+        entry = np.flatnonzero(entry)
+        rows, cols = M.indices[entry], cols[entry]
         per_row = np.bincount(rows, minlength=N)
         per_col = np.bincount(cols, minlength=N)
         self._rows = np.flatnonzero(per_row)
@@ -260,10 +361,12 @@ class ReducedJacobian:
         if self._rows.size == k:
             # entries stay in M's column order, so the kept rows of each
             # kept column are its CSC segment
-            slot = np.cumsum(per_row > 0) - 1
-            indptr = np.concatenate([[0], np.cumsum(per_col[self._cols])])
-            self._B = sp.csc_matrix((data[entry], slot[rows], indptr),
-                                    shape=(k, k))
+            slot = np.zeros(N, dtype=np.int32)
+            slot[self._rows] = np.arange(k, dtype=np.int32)
+            indptr = np.zeros(k + 1, dtype=np.int32)
+            np.cumsum(per_col[self._cols], out=indptr[1:])
+            self._B = sp.csc_matrix(
+                (M.data[entry], np.take(slot, rows), indptr), shape=(k, k))
 
     @functools.cached_property
     def lu(self):

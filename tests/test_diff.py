@@ -324,7 +324,7 @@ def test_near_singular_remainder_has_no_factor():
     def reduced(d):
         M = sp.csc_matrix([[1.0, 1.0, 0.0], [1.0, 1.0 + d, 0.0],
                            [0.0, 0.0, 1.0]])
-        return ReducedJacobian(M, sp.identity(3, format="csr"), False)
+        return ReducedJacobian(M, np.ones(3, dtype=bool), False)
 
     assert reduced(1e-4).lu is not None
     assert reduced(1e-12).lu is None
@@ -433,7 +433,7 @@ def test_capped_lsqr_raises(monkeypatch):
     # factor, so lstsq runs plain LSQR; here LSQR reports its cap
     M = sp.csc_matrix([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-12, 0.0],
                        [0.0, 0.0, 1.0]])
-    red = ReducedJacobian(M, sp.identity(3, format="csr"), False)
+    red = ReducedJacobian(M, np.ones(3, dtype=bool), False)
     assert red.lu is None
     lsqr = spla.lsqr
     monkeypatch.setattr(spla, "lsqr",

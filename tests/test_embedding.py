@@ -1,13 +1,20 @@
 """The homogeneous self-dual embedding: Q as a map of the data, and M as
 the Jacobian of F."""
 
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from llcp import examples
+from llcp import embedding, examples, fitting
 from llcp.diff import dphi
 from llcp.embedding import Embedding
+from llcp.expr import Parameter
+from llcp.problem import solve_many
 from llcp.solver import solve
 
 from oracles import central_jacobian, planted_regular_program
@@ -159,3 +166,100 @@ def test_resolve_leaves_held_embedding_and_point_unchanged():
     assert sol.embedding.Q is Q and point.jacobian.M is M
     assert held() == before
     assert dphi(point, dtheta).tobytes() == dx.tobytes()
+
+
+# -- one map of M's pattern per workspace --------------------------------------
+
+
+def _counted_maps(monkeypatch):
+    builds = []
+    build = embedding._JacobianMap._build
+    monkeypatch.setattr(embedding._JacobianMap, "_build", staticmethod(
+        lambda *args: builds.append(1) or build(*args)))
+    return builds
+
+
+def test_one_map_along_a_sweep(monkeypatch):
+    # ten solves with derivatives, each warm from the last: the polish
+    # and derivative points of all of them fill one map
+    builds = _counted_maps(monkeypatch)
+    p = examples.benchmark(n=500)
+    params = {q.name: q for q in p.parameters}
+    for step in range(10):
+        for name in ("c", "u"):
+            params[name].set_value((1.0 + 0.01 * step) * params[name].value)
+        p.solve(derivatives=True)
+        assert p.status == "optimal"
+    assert len(builds) == 1
+
+
+def test_one_map_for_a_batch(monkeypatch):
+    # fit's programs share one cone matrix and so one workspace
+    builds = _counted_maps(monkeypatch)
+    rng = np.random.default_rng(5)
+    A = Parameter("A", 40, value=0.3 * rng.normal(size=40))
+    c = Parameter("c", 5, positive=True, value=rng.uniform(1.0, 2.0, 5))
+    problems = [fitting.model_problem(x, A, c)
+                for x in rng.uniform(0.5, 2.0, size=(8, 8))]
+    for scale in (1.0, 1.01):
+        c.set_value(scale * c.value)
+        solve_many(problems, derivatives=True)
+        assert all(p.status == "optimal" for p in problems)
+    assert len({id(p._workspace) for p in problems}) == 1
+    assert len(builds) == 1
+
+
+def test_a_problem_compiled_afresh_builds_its_own_map(monkeypatch):
+    builds = _counted_maps(monkeypatch)
+    first, second = examples.hello_world(), examples.hello_world()
+    first.solve(derivatives=True)
+    assert len(builds) == 1
+    second.solve(derivatives=True)
+    assert len(builds) == 2
+    assert (first.solution.embedding._jmap
+            is not second.solution.embedding._jmap)
+
+
+def test_threads_that_linearize_first_build_one_map(monkeypatch):
+    # copies of a fresh embedding linearize at once, more threads than
+    # cores, with frequent switches; the first build is held open while
+    # the others ask for the map
+    rng = np.random.default_rng(6)
+    A, b, c, dims, *_ = planted_regular_program(rng, 5, ne=2)
+    A = sp.csc_matrix(A)
+    sol = solve(A, b, c, dims)
+    z = np.concatenate([sol.x, sol.y - sol.s, [1.0]])
+    emb = Embedding(A, b, c, dims)
+    k = 2 * (os.cpu_count() or 1) + 2
+    copies = [emb.at(theta_of(A, b, c)) for _ in range(k)]
+    builds = []
+    build = embedding._JacobianMap._build
+
+    def slow(*args):
+        builds.append(1)
+        time.sleep(0.1)
+        return build(*args)
+
+    monkeypatch.setattr(embedding._JacobianMap, "_build", staticmethod(slow))
+    out = [None] * k
+    start = threading.Barrier(k, timeout=30)
+
+    def linearize(p):
+        start.wait()
+        out[p] = copies[p].jacobian(z).M
+
+    threads = [threading.Thread(target=linearize, args=(p,))
+               for p in range(k)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(builds) == 1
+    assert out[0].nnz and all((M != out[0]).nnz == 0 for M in out)
+    assert (emb.jacobian(z).M != out[0]).nnz == 0 and len(builds) == 1
