@@ -39,6 +39,7 @@ boundary are flagged as nonsmooth; callers can warn without failing.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -531,20 +532,31 @@ def project_cone(v, dims, dual=False, rho=None):
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _blockdiag_pattern(nd, ne):
+    """The CSR indices and indptr of _blockdiag_csr's matrices with nd
+    diagonal entries and ne blocks, which all of them share: read-only,
+    so that no matrix can change another's."""
+    first = nd + 3 * np.arange(ne)
+    cols = np.concatenate([
+        np.arange(nd),
+        (first[:, None, None] + np.arange(3)).repeat(3, axis=1).ravel()])
+    indptr = np.concatenate([np.arange(nd), nd + 3 * np.arange(3 * ne + 1)])
+    pattern = cols.astype(np.int32), indptr.astype(np.int32)
+    for a in pattern:
+        a.flags.writeable = False
+    return pattern
+
+
 def _blockdiag_csr(diag, J):
     """diag(diag) followed by the 3x3 blocks J[0], ..., J[-1] down the
     diagonal, as one CSR matrix that stores every block entry, zeros
     included: its data is diag followed by J's entries row by row, a
     layout fixed by the block counts."""
-    nd, ne = diag.size, J.shape[0]
-    m = nd + 3 * ne
-    first = nd + 3 * np.arange(ne)
-    data = np.concatenate([diag, J.ravel()])
-    cols = np.concatenate([
-        np.arange(nd),
-        (first[:, None, None] + np.arange(3)).repeat(3, axis=1).ravel()])
-    indptr = np.concatenate([np.arange(nd), nd + 3 * np.arange(3 * ne + 1)])
-    return sp.csr_matrix((data, cols, indptr), shape=(m, m))
+    m = diag.size + 3 * J.shape[0]
+    return sp.csr_matrix((np.concatenate([diag, J.ravel()]),
+                          *_blockdiag_pattern(diag.size, J.shape[0])),
+                         shape=(m, m))
 
 
 def dproject_cone(v, dims, dual=False):

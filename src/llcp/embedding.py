@@ -69,6 +69,8 @@ _LSQR_TOL = 1e-12
 # a remainder whose smallest U pivot is this far below its largest has
 # lost half the digits of G r, so it counts as singular
 _PIVOT_RATIO = 1.5e-8
+# held while a _JacobianMap lists its terms
+_BUILD_LOCK = threading.Lock()
 
 
 class LsqrNoConvergence(RuntimeError):
@@ -215,12 +217,12 @@ class _JacobianMap:
     the x columns, where it is 1 - 1, have none.
 
     One map serves a Q pattern and is shared by the embeddings that at()
-    makes; a lock makes two threads that call first list the terms once.
+    makes; _BUILD_LOCK makes two threads that call first list the terms
+    once, and leaves the map free of a lock that copy and pickle refuse.
     """
 
     def __init__(self, rows, indptr, n, dims):
         self._pattern = rows, indptr, n, dims
-        self._lock = threading.Lock()
         self._maps = None
 
     def __call__(self, Qdata, Jy, tau):
@@ -228,7 +230,7 @@ class _JacobianMap:
         matrix, and its tau entry is tau; the mask of DPi's nonzero
         columns; and the column of each of M's entries."""
         if self._maps is None:
-            with self._lock:
+            with _BUILD_LOCK:
                 if self._maps is None:
                     self._maps = self._build(*self._pattern)
         entry, src, blk, rows, cols, d_col, d_blk = self._maps
@@ -305,10 +307,11 @@ class ReducedJacobian:
     entry are dropped.  The constructor assembles that remainder from M's
     CSC arrays, which store no zeros, and live, the mask of DPi's nonzero
     columns; cols, the column of each of M's entries, comes from M where
-    it is not given.  The first use of lu factors the remainder.  When the remainder is nonsingular, M G r = r for r in
-    M's range.  free holds the indices of the dropped empty columns,
-    unknowns that no kept equation involves: a variable that appears only
-    in constraints whose dual is zero, and not in the objective.  The
+    it is not given.  The first use of lu factors the remainder.  When
+    it is nonsingular, M G r = r for r in M's range.  free holds the
+    indices of the dropped empty columns, unknowns that no kept equation
+    involves: a variable that appears only in constraints whose dual is
+    zero, and not in the objective.  The
     remainder has no factor (lu is None) when it is not square, SuperLU
     finds it singular, or its pivots span more than 1/_PIVOT_RATIO.
     nonsmooth says that Pi kinks at z, and MT is the CSR view M' that the

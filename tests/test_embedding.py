@@ -1,7 +1,9 @@
 """The homogeneous self-dual embedding: Q as a map of the data, and M as
 the Jacobian of F."""
 
+import copy
 import os
+import pickle
 import sys
 import threading
 import time
@@ -168,7 +170,7 @@ def test_resolve_leaves_held_embedding_and_point_unchanged():
     assert dphi(point, dtheta).tobytes() == dx.tobytes()
 
 
-# -- one map of M's pattern per workspace --------------------------------------
+# -- one map of M's pattern per workspace -------------------------------------
 
 
 def _counted_maps(monkeypatch):
@@ -263,3 +265,12 @@ def test_threads_that_linearize_first_build_one_map(monkeypatch):
     assert len(builds) == 1
     assert out[0].nnz and all((M != out[0]).nnz == 0 for M in out)
     assert (emb.jacobian(z).M != out[0]).nnz == 0 and len(builds) == 1
+
+
+def test_an_embedding_with_its_map_copies_and_pickles():
+    # the map holds arrays only, so a solved embedding still pickles
+    p = examples.hello_world()
+    p.solve(derivatives=True)
+    emb, z = p.solution.embedding, p._point.z
+    for other in (copy.deepcopy(emb), pickle.loads(pickle.dumps(emb))):
+        assert (other.jacobian(z).M != emb.jacobian(z).M).nnz == 0
