@@ -29,14 +29,13 @@ point's ReducedJacobian: M with a generalized inverse G from one sparse
 LU of a square part of M, which the polish and the derivatives share.
 Its docstring states how the least-squares solves with M and M' use G.
 
-DPi is block-diagonal with a fixed layout, so M's pattern, and the
-terms each entry sums, depend on Q's pattern and the dims alone.
-jacobian(z) fills M by gathers over one index map of those terms
-(_JacobianMap), which the first linearization builds and every
-embedding that at() makes from this one shares, one per solver
-workspace.  A point then costs dproject_cone, one gather and multiply
-over the terms and a bincount, and M is SciPy's (Q - I) @ DPi + I to
-the bit.
+DPi is block-diagonal with a fixed layout, so the terms that each entry
+of M can sum depend on Q's pattern and the dims alone.  jacobian(z)
+fills M by gathers over one index map of those terms (_JacobianMap),
+which the first linearization builds and every embedding that at()
+makes from this one shares, one per solver workspace.  A point then
+costs dproject_cone, two gathers, a multiply and a bincount over the
+terms, and M is SciPy's (Q - I) @ DPi + I to the bit.
 
 Q is linear in the data theta = (A.data, b, c), A's entries in sorted
 CSC order with duplicates summed, and the embedding writes that map
