@@ -5,8 +5,10 @@ products become sums, sums become log-sum-exp, literal powers become
 scalings, parameter powers become parameter-scaled affine expressions.  The
 result is a structurally fixed convex program whose data depend on the
 transformed parameter vector beta = C(alpha), where C applies an entrywise
-log to positive parameters used multiplicatively and passes exponent
-parameters through unchanged.
+log to positive parameters used multiplicatively, passes exponent
+parameters through unchanged, and maps a positive parameter p raised to a
+parameter exponent a to the product a*log(p).  C is smooth where the
+logged parameters are positive, and is the paper's parameter map.
 
 Affine expressions are represented as term lists; each term multiplies a
 coefficient, at most one beta entry, and at most one variable.  Keeping at
@@ -61,6 +63,7 @@ __all__ = [
 
 LOG = "log"
 PASSTHROUGH = "passthrough"
+PRODUCT = "product"
 
 # incremented once per canonicalization; lets callers assert that cached
 # problems are not silently re-canonicalized
@@ -169,14 +172,18 @@ class CanonMap:
     """The parameter map beta = C(alpha) and its derivative.
 
     ``entries[i]`` is (parameter, element, tag): beta_i is log of that
-    parameter element for tag "log" and the raw value for "passthrough".
-    ``alpha`` concatenates parameter values in the given parameter order;
-    ``index[i]`` is the alpha position of beta_i and ``logged[i]`` marks
-    the "log" entries.
+    parameter element for tag "log", the raw value for "passthrough", and
+    for "product" the element times log of the positive base element
+    ``bases[i]`` = (parameter, element), so that dbeta_i = log(p) da +
+    (a/p) dp.  ``alpha`` concatenates parameter values in the given
+    parameter order; ``index[i]`` is the alpha position of beta_i's
+    element and ``logged[i]`` marks the "log" entries.  A program without
+    product entries pays nothing for them.
     """
 
     params: list
     entries: list
+    bases: dict = field(default_factory=dict)
     offsets: dict = field(init=False)
 
     def __post_init__(self):
@@ -191,55 +198,92 @@ class CanonMap:
                               dtype=np.int64)
         self.logged = np.array([tag == LOG for _, _, tag in self.entries],
                                dtype=bool)
-        # the "log" sources of the last eval_C and their logs
+        # the product entries, which bases lists, and the alpha positions
+        # of their bases
+        self.product = np.fromiter(self.bases, dtype=np.int64,
+                                   count=len(self.bases))
+        self.base_index = np.array([off[id(p)] + j for p, j in
+                                    self.bases.values()], dtype=np.int64)
+        # the sources of the last eval_C and their logs
         self._logs = (np.empty(0), np.empty(0))
 
-    def pack_alpha(self) -> np.ndarray:
-        out = np.empty(self.n_alpha)
+    def pack_alpha(self, values=None) -> np.ndarray:
+        """The parameter values as alpha; with ``values``, a dict of
+        (k, size) arrays for some parameters, a (k, n_alpha) alpha whose
+        row j takes row j of each of those and the others' values."""
+        rows = () if values is None else (len(next(iter(values.values()))),)
+        out = np.empty(rows + (self.n_alpha,))
         for p in self.params:
-            if p.value is None:
+            value = p.value if values is None else values.get(p, p.value)
+            if value is None:
                 raise DomainError(f"parameter {p.name} has no value")
-            out[self.offsets[id(p)]:self.offsets[id(p)] + p.size] = p.value
+            out[..., self.offsets[id(p)]:self.offsets[id(p)] + p.size] = value
         return out
 
     @staticmethod
-    def _sized(vec, size: int, name: str) -> np.ndarray:
+    def _sized(vec, size: int, name: str, rows=False) -> np.ndarray:
         vec = np.asarray(vec, dtype=float)
-        if vec.shape != (size,):
+        if vec.shape != (size,) and not (rows and vec.ndim == 2
+                                         and vec.shape[1] == size):
             raise DomainError(
                 f"{name} has shape {vec.shape}, expected ({size},)"
             )
         return vec
 
-    def eval_C(self, alpha: np.ndarray) -> np.ndarray:
-        beta = self._sized(alpha, self.n_alpha, "alpha")[self.index]
-        sources = beta[self.logged]
-        bad = np.flatnonzero(sources <= 0)
-        if bad.size:
-            i = np.flatnonzero(self.logged)[bad[0]]
-            p, j, _ = self.entries[i]
-            raise DomainError(
-                f"parameter {p.name}[{j}] must be positive, got {beta[i]}"
-            )
+    @staticmethod
+    def _log(values: np.ndarray) -> np.ndarray:
         # math.log, not np.log: the two differ in the last bit on some
-        # inputs.  A source equal to the last call's keeps its log, so a
-        # re-solve after a change to a few parameters takes a few logs
+        # inputs
+        return np.array([math.log(a) for a in values.tolist()])
+
+    def eval_C(self, alpha: np.ndarray) -> np.ndarray:
+        """beta = C(alpha); a (k, n_alpha) alpha gives one row of beta per
+        row."""
+        alpha = self._sized(alpha, self.n_alpha, "alpha", rows=True)
+        beta = alpha[..., self.index]
+        sources = beta[..., self.logged]
+        if self.product.size:
+            sources = np.concatenate([sources, alpha[..., self.base_index]],
+                                     axis=-1)
+        flat = sources.reshape(-1)
+        bad = np.flatnonzero(flat <= 0)
+        if bad.size:
+            # the sources: the "log" entries' elements, then the bases
+            names = ([self.entries[i][:2] for i in np.flatnonzero(self.logged)]
+                     + list(self.bases.values()))
+            p, j = names[bad[0] % len(names)]
+            raise DomainError(
+                f"parameter {p.name}[{j}] must be positive, got {flat[bad[0]]}"
+            )
+        # a source equal to the last call's keeps its log, so a re-solve
+        # after a change to a few parameters takes a few logs
         last, logs = self._logs
-        if last.shape == sources.shape:
+        if last.shape == flat.shape:
             logs = logs.copy()
-            new = np.flatnonzero(sources != last)
+            new = np.flatnonzero(flat != last)
         else:
-            logs = np.empty(sources.size)
-            new = np.arange(sources.size)
-        logs[new] = [math.log(a) for a in sources[new].tolist()]
-        self._logs = (sources, logs)
-        beta[self.logged] = logs
+            logs = np.empty(flat.size)
+            new = np.arange(flat.size)
+        logs[new] = [math.log(a) for a in flat[new].tolist()]
+        self._logs = (flat, logs)
+        logs = logs.reshape(sources.shape)
+        if self.product.size:
+            n_log = sources.shape[-1] - self.product.size
+            beta[..., self.product] *= logs[..., n_log:]
+            logs = logs[..., :n_log]
+        beta[..., self.logged] = logs
         return beta
 
     def apply_DC(self, alpha: np.ndarray, dalpha: np.ndarray) -> np.ndarray:
         alpha = self._sized(alpha, self.n_alpha, "alpha")
-        dbeta = self._sized(dalpha, self.n_alpha, "dalpha")[self.index]
+        dalpha = self._sized(dalpha, self.n_alpha, "dalpha")
+        dbeta = dalpha[self.index]
         dbeta[self.logged] /= alpha[self.index[self.logged]]
+        if self.product.size:
+            a = alpha[self.index[self.product]]
+            p = alpha[self.base_index]
+            dbeta[self.product] = (self._log(p) * dbeta[self.product]
+                                   + a / p * dalpha[self.base_index])
         return dbeta
 
     def apply_DC_adjoint(self, alpha: np.ndarray,
@@ -247,9 +291,18 @@ class CanonMap:
         alpha = self._sized(alpha, self.n_alpha, "alpha")
         w = self._sized(dbeta, self.n_beta, "dbeta").copy()
         w[self.logged] /= alpha[self.index[self.logged]]
+        index = self.index
+        if self.product.size:
+            a = alpha[self.index[self.product]]
+            p = alpha[self.base_index]
+            wp = w[self.product]
+            w[self.product] = self._log(p) * wp
+            # each base's terms follow every entry's
+            index = np.concatenate([index, self.base_index])
+            w = np.concatenate([w, a / p * wp])
         # bincount sums each bin in entry order, starting from zero; with no
         # entries it returns integers, hence the cast
-        dalpha = np.bincount(self.index, weights=w, minlength=self.n_alpha)
+        dalpha = np.bincount(index, weights=w, minlength=self.n_alpha)
         return dalpha.astype(float, copy=False)
 
 
@@ -272,6 +325,7 @@ class _Canonicalizer:
         self.params = list(parameters)
         self.beta_index = {}
         self.beta_entries = []
+        self.bases = {}
         self.constraints = []
         # curvature verdicts by node id; every node analyzed stays referenced
         # by the problem for the whole call, so no id is reused
@@ -284,13 +338,19 @@ class _Canonicalizer:
         self.n_vars += 1
         return idx
 
-    def beta(self, param: Parameter, elem: int, tag: str) -> int:
-        key = (id(param), elem, tag)
+    def beta(self, param: Parameter, elem: int, tag: str,
+             base=None) -> int:
+        """The index of beta entry (param, elem, tag), with its base
+        (parameter, element) for a product entry."""
+        key = ((id(param), elem, tag) if base is None
+               else (id(param), elem, tag, id(base[0]), base[1]))
         idx = self.beta_index.get(key)
         if idx is None:
             idx = len(self.beta_entries)
             self.beta_index[key] = idx
             self.beta_entries.append((param, elem, tag))
+            if base is not None:
+                self.bases[idx] = base
         return idx
 
     def emit(self, kind, args, rhs=None):
@@ -324,14 +384,18 @@ class _Canonicalizer:
             a = e.exponent
             if isinstance(a, float):
                 return lin_scale(self.affine(base, elem), a)
-            if isinstance(a, Elem):
-                b = self.beta(a.base, a.index, PASSTHROUGH)
-            else:
-                b = self.beta(a, 0, PASSTHROUGH)
-            inner = self.affine(base, elem)
+            ref, j = (a.base, a.index) if isinstance(a, Elem) else (a, 0)
+            leaf = base.base if isinstance(base, Elem) else base
+            if isinstance(leaf, Parameter):
+                # a positive parameter base, the one parametrized base the
+                # grammar admits: log(p**a) = a*log(p), one beta entry
+                k = base.index if leaf is not base else elem
+                return [(self.beta(ref, j, PRODUCT, (leaf, k)), None, 1.0)]
+            # a base without parameters: a times its log-space form (a
+            # loop: a comprehension's call costs more on its one term)
+            b = self.beta(ref, j, PASSTHROUGH)
             out = []
-            for bb, v, c in inner:
-                assert bb is None, "parametrized base under parameter power"
+            for _, v, c in self.affine(base, elem):
                 out.append((b, v, c))
             return out
         return None
@@ -443,5 +507,6 @@ def canonicalize(sense: str, objective: Expr, constraints,
         constraints=canon.constraints,
         var_slices=canon.var_slices,
     )
-    cmap = CanonMap(params=list(parameters), entries=list(canon.beta_entries))
+    cmap = CanonMap(params=list(parameters), entries=list(canon.beta_entries),
+                    bases=canon.bases)
     return prob, cmap

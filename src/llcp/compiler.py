@@ -142,8 +142,11 @@ class ParamToDataMap:
     def data_size(self) -> int:
         return self.nnz + self.m + self.n
 
-    def _check_beta(self, beta):
-        beta = np.asarray(beta, dtype=float).ravel()
+    def _check_beta(self, beta, rows=False):
+        beta = np.asarray(beta, dtype=float)
+        if rows and beta.ndim == 2 and beta.shape[1] == self.n_beta:
+            return beta
+        beta = beta.ravel()
         if beta.size != self.n_beta:
             raise DimensionError(
                 f"beta has size {beta.size}, expected {self.n_beta}"
@@ -151,19 +154,36 @@ class ParamToDataMap:
         return beta
 
     def data_vector(self, beta) -> np.ndarray:
-        beta = self._check_beta(beta)
-        return self.T @ np.concatenate([beta, [1.0]])
+        """T [beta; 1]; a (k, n_beta) beta gives one row per row of beta,
+        from one product of T with all of them."""
+        beta = self._check_beta(beta, rows=True)
+        if beta.ndim == 1:
+            return self.T @ np.concatenate([beta, [1.0]])
+        ones = np.ones((beta.shape[0], 1))
+        return np.ascontiguousarray((self.T @ np.hstack([beta, ones]).T).T)
 
     def instantiate(self, beta):
-        """Cone data (A, b, c) at the given transformed parameters."""
+        """Cone data (A, b, c) at the given transformed parameters; for a
+        (k, n_beta) beta, a list of k of them, where rows with equal A
+        share one matrix."""
         vals = self.data_vector(beta)
-        A = sp.csc_matrix(
-            (vals[:self.nnz], self.csc_rows, self.csc_indptr),
-            shape=(self.m, self.n),
-        )
-        b = vals[self.nnz:self.nnz + self.m]
-        c = vals[self.nnz + self.m:]
-        return A, b, c
+        if vals.ndim == 1:
+            return self._cone_data(vals)
+        data, shared = [], {}
+        for row in vals:
+            key = row[:self.nnz].tobytes()
+            data.append(self._cone_data(row, shared.get(key)))
+            shared[key] = data[-1][0]
+        return data
+
+    def _cone_data(self, vals, A=None):
+        """(A, b, c) from one data vector, with A given or built."""
+        if A is None:
+            A = sp.csc_matrix(
+                (vals[:self.nnz], self.csc_rows, self.csc_indptr),
+                shape=(self.m, self.n),
+            )
+        return A, vals[self.nnz:self.nnz + self.m], vals[self.nnz + self.m:]
 
     def apply_T(self, dbeta) -> np.ndarray:
         """Directional data perturbation d(A.data, b, c) for dbeta."""

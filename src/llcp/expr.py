@@ -19,9 +19,12 @@ them, and both speak in one verdict type, ``Curvature``.
 Parameters are atoms too: a positive parameter is log-log affine, a
 parameter without declared sign has unknown curvature everywhere except as
 a power exponent.  ``power(x, a)`` with a parameter exponent is admitted
-only when the base ``x`` is not parametrized, and certifies log-log affine
-only for log-log affine bases (the exponent's sign is unknown, so the slot
-is monotonicity-unspecified).
+only when the base ``x`` is not parametrized or is a positive parameter (or
+one entry of one), and certifies log-log affine only for log-log affine
+bases (the exponent's sign is unknown, so the slot is
+monotonicity-unspecified).  A positive parameter base makes the power
+p**a a smooth function of the parameters alone, which canonicalization
+lowers to one parameter-map entry a*log(p).
 """
 
 from __future__ import annotations
@@ -78,7 +81,8 @@ class ShapeError(ExpressionError):
 
 
 class PowerRuleError(ExpressionError):
-    """Parameter exponent applied to a parametrized base."""
+    """Parameter exponent applied to a parametrized base other than a
+    positive parameter."""
 
 
 class DomainError(ExpressionError):
@@ -256,13 +260,18 @@ class Parameter(Expr):
                 f"parameter {self.name}: value has size {arr.size}, "
                 f"expected {self._size}"
             )
+        self.value = self.checked(arr)
+
+    def checked(self, arr: np.ndarray) -> np.ndarray:
+        """arr, an array of values, if each is finite and, for a positive
+        parameter, positive; else DomainError."""
         if not np.all(np.isfinite(arr)):
             raise DomainError(f"parameter {self.name}: value must be finite")
         if self.positive and np.any(arr <= 0):
             raise DomainError(
                 f"parameter {self.name} is positive but got {arr}"
             )
-        self.value = arr
+        return arr
 
     def __getitem__(self, idx: int) -> "Elem":
         return Elem(self, idx)
@@ -420,9 +429,12 @@ def _build_power(base: Expr, exponent) -> Expr:
         if exponent.size != 1:
             raise ShapeError("power exponent must be scalar")
         if _analyze(base).parametrized:
-            raise PowerRuleError(
-                "parameter exponent requires a non-parametrized base"
-            )
+            leaf = base.base if isinstance(base, Elem) else base
+            if not (isinstance(leaf, Parameter) and leaf.positive):
+                raise PowerRuleError(
+                    "parameter exponent requires a non-parametrized base or "
+                    "a positive parameter"
+                )
         return AtomApp("power", (base,), exponent=exponent)
     raise PowerRuleError(
         "power exponent must be a fixed number or a (scalar) parameter, "

@@ -13,12 +13,14 @@ The learnable weights are the exponents A and the coefficients c.
 ``fit`` trains the weights by projected gradient descent on the mean
 squared prediction loss.  Gradients flow through each training solve via
 the adjoint of the solution map, and the projection keeps c strictly
-positive by clamping.  Since the inputs are baked into each program as
-constants, one program per sample is compiled once up front.  The
-inputs enter the cone data only through b, so all samples share one cone
-matrix: each evaluation of the weights solves every sample's program in
-one batch (problem.solve_many), warm-started from the previous
-evaluation, and one factor of the matrix serves all of them.
+positive by clamping.  The input x is a positive parameter of the one
+program that ``fit`` compiles: each x[j]**A[i,j] is one entry
+A[i,j]*log(x[j]) of the parameter map, the paper's layer.  The inputs
+enter the cone data only through b, so all samples share one cone
+matrix: each evaluation of the weights solves the program at every
+sample's input in one batch (Problem.solve_batch), one column per
+sample, warm-started from the previous evaluation, and one factor of
+the matrix serves all of them.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import Constant, Parameter, Variable, add
-from .problem import Minimize, Problem, solve_many
+from .problem import Minimize, Problem
 
 __all__ = [
     "FitResult",
@@ -46,14 +48,16 @@ C_FLOOR = 1e-6
 
 
 def model_problem(x, A: Parameter, c: Parameter) -> Problem:
-    """Build the regression program for one input vector x.
+    """Build the regression program for the input vector x.
 
-    A is the row-major (m*n)-vector of exponents and c the m positive
-    coefficients; both may be shared across many inputs.
+    x is an array, which the program holds as constants, or a positive
+    Parameter, whose values solve_batch may batch.  A is the row-major
+    (m*n)-vector of exponents and c the m positive coefficients; both may
+    be shared across many inputs.
     """
-    x = np.asarray(x, dtype=float)
-    m = c.size
-    n = x.size
+    leaves = ([x[j] for j in range(x.size)] if isinstance(x, Parameter)
+              else [Constant(v) for v in np.asarray(x, dtype=float)])
+    m, n = c.size, len(leaves)
     if A.size != m * n:
         raise ValueError(f"A has size {A.size}, expected {m}*{n}")
     y = Variable("y", m)
@@ -64,7 +68,7 @@ def model_problem(x, A: Parameter, c: Parameter) -> Problem:
         terms += [z[i] / y[i], y[i] / z[i]]
         mono = c[i]
         for j in range(n):
-            mono = mono * Constant(x[j]) ** A[i * n + j]
+            mono = mono * leaves[j] ** A[i * n + j]
         constraints.append(z[i] == mono)
     for i in range(m - 1):
         constraints.append(y[i] <= y[i + 1])
@@ -161,9 +165,10 @@ class FitResult:
         return self.history[-1]["train_mse"]
 
 
-def _mse_and_grad(problems, Y, A, c, want_grad):
-    """Mean squared loss over the solved samples; optionally its A/c
-    gradient, which needs their derivative state.
+def _mse_and_grad(model, first, Y, A, c, want_grad):
+    """Mean squared loss over the solved samples, the model's columns
+    from first on, one per row of Y; optionally its A/c gradient, which
+    needs their derivative state.
 
     Samples whose solve did not reach optimality are logged and left
     out of both the average and the gradient.
@@ -173,20 +178,20 @@ def _mse_and_grad(problems, Y, A, c, want_grad):
     skipped = 0
     grad_A = np.zeros(A.size)
     grad_c = np.zeros(c.size)
-    for k, prob in enumerate(problems):
-        if prob.status != "optimal":
+    variables = {v.name: v for v in model.variables}
+    for k, column in enumerate(model.columns[first:first + len(Y)]):
+        if column.status != "optimal":
             logger.warning("sample %d: solver returned %s; skipping",
-                           k, prob.status)
+                           k, column.status)
             skipped += 1
             continue
-        variables = {v.name: v for v in prob.variables}
-        residual = variables["y"].value - Y[k]
+        residual = column.values["y"] - Y[k]
         total += float(residual @ residual)
         used += 1
         if want_grad:
             variables["y"].gradient = residual
             variables["z"].gradient = np.zeros(c.size)
-            grads = prob.backward()
+            grads = model.backward(column=first + k)
             grad_A += grads["A"]
             grad_c += grads["c"]
     if used == 0:
@@ -223,9 +228,11 @@ def fit(X_train, Y_train, X_val, Y_val, *, iters: int = 10,
 
     A = Parameter("A", m * n, value=A_mat.ravel())
     c = Parameter("c", m, positive=True, value=c_vec)
-    train_problems = [model_problem(x, A, c) for x in np.asarray(X_train)]
-    val_problems = [model_problem(x, A, c) for x in np.asarray(X_val)]
-    problems = train_problems + val_problems
+    x = Parameter("x", n, positive=True)
+    model = model_problem(x, A, c)
+    # one column per sample, the training samples first
+    inputs = {x: np.vstack([X_train, X_val])}
+    N = len(Y_train)
 
     result = FitResult(A=A_mat.copy(), c=c_vec.copy(),
                        A_init=A_mat.copy(), c_init=c_vec.copy())
@@ -234,23 +241,22 @@ def fit(X_train, Y_train, X_val, Y_val, *, iters: int = 10,
         c.set_value(result.c)
         last = iteration == iters
         # only the training samples' gradients are used
-        solve_many(problems, eps=eps, max_iters=max_iters,
-                   derivatives=([not last] * len(train_problems)
-                                + [False] * len(val_problems)))
-        for prob in problems:
-            result.solves += 1
-            result.iterations += prob.solution.iterations
-            result.factorizations += prob.solution.factorizations
+        model.solve_batch(inputs, eps=eps, max_iters=max_iters,
+                          derivatives=[not last] * N + [False] * len(Y_val))
+        result.solves += len(model.columns)
+        for column in model.columns:
+            result.iterations += column.solution.iterations
+            result.factorizations += column.solution.factorizations
         train_mse, grad_A, grad_c, skipped = _mse_and_grad(
-            train_problems, Y_train, A, c, want_grad=not last)
+            model, 0, Y_train, A, c, want_grad=not last)
         val_mse, _, _, val_skipped = _mse_and_grad(
-            val_problems, Y_val, A, c, want_grad=False)
+            model, N, Y_val, A, c, want_grad=False)
         result.skipped_solves += skipped + val_skipped
         done = last or train_mse <= floor
         if done:
             result.val_predictions = [
-                {v.name: v.value for v in p.variables}["y"]
-                if p.status == "optimal" else None for p in val_problems]
+                col.values["y"] if col.status == "optimal" else None
+                for col in model.columns[N:]]
         result.history.append({"iteration": iteration,
                                "train_mse": train_mse, "val_mse": val_mse})
         logger.info("iteration %d: train mse %.6g, val mse %.6g",

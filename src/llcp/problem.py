@@ -15,6 +15,10 @@ problem supports two linear maps:
 
 Both are chained through the parameter transform, the affine data map,
 and the cone-program solution map, without materializing Jacobians.
+
+``Problem.solve_batch`` solves one compiled problem at many values of
+some of its parameters, one column per value, and each column supports
+the same two maps.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ from .expr import (
 )
 from . import solver
 
-__all__ = ["Maximize", "Minimize", "NoDerivativeStateError", "NotDgpError",
-           "Problem", "solve_many"]
+__all__ = ["Column", "Maximize", "Minimize", "NoDerivativeStateError",
+           "NotDgpError", "Problem", "solve_many"]
 
 
 class NotDgpError(ValueError):
@@ -81,7 +85,84 @@ def _leaf_field(leaf, field, default):
     return arr
 
 
-class Problem:
+class _Outcome:
+    """What a solve leaves behind: ``status``, ``value``, ``solution`` and
+    ``stats``; after a solve with derivatives, ``nonsmooth`` tells whether
+    the solution map kinks there, and ``unique`` is False when the optimum
+    leaves a variable free (NonuniqueWarning).  It also holds the warm
+    start, derivative state and solver workspace that the next solve and
+    derivative() and backward() use."""
+
+    def __init__(self):
+        self.status = None
+        self.value = None
+        self.solution = None
+        self.stats = None
+        self.nonsmooth = False
+        self.unique = True
+        self._point = None
+        self._alpha = None
+        self._warm = None
+        self._workspace = None
+
+    def _finish(self, problem, sol, alpha, beta, derivatives, t_start,
+                solver_time):
+        """Record sol, the cone solution of problem at (alpha, beta): the
+        status, value, variable values, warm start, derivative state and
+        stats.  Returns the value, None unless optimal."""
+        prob, _, pmap = problem._compiled
+        self.status = sol.status
+        self.solution = sol
+        self.value = None
+        self.nonsmooth = False
+        self.unique = True
+        if sol.status == "optimal":
+            self._keep({var: np.exp(sol.x[lo:hi])
+                        for var, lo, hi in prob.var_slices})
+            sign = -1.0 if problem.objective.sense == "maximize" else 1.0
+            self.value = float(np.exp(sign * prob.objective_value(beta,
+                                                                  sol.x)))
+            if derivatives:
+                self._point = ResidualPoint(sol.embedding, sol.x, sol.y,
+                                            sol.s, n_x=pmap.n_x)
+                self.nonsmooth = self._point.nonsmooth
+                self.unique = self._point.unique
+                self._alpha = alpha
+            # the point also seeds the next warm solve (solver.solve_batch)
+            self._warm = (sol.x, sol.y, sol.s, sol.scale, self._point)
+        self.stats = {"total_time": time.perf_counter() - t_start,
+                      "solver_time": solver_time,
+                      "iterations": sol.iterations,
+                      "scale": sol.scale,
+                      "factorizations": sol.factorizations,
+                      "accelerations": sol.accelerations,
+                      "rejections": sol.rejections}
+        return self.value
+
+    def _take_warm(self, warm_start):
+        """The warm start (x, y, s, scale, point) if warm_start, else None;
+        either way the outcome keeps (x, y, s, scale) without the point."""
+        warm = self._warm
+        if warm is not None:
+            self._warm = warm[:4]
+        return warm if warm_start else None
+
+
+class Column(_Outcome):
+    """One column of ``Problem.solve_batch``: the outcome of the solve at
+    one row of the batched parameter values.  ``values`` maps each
+    variable's name to its optimal value there, None until a solve of
+    the column is optimal."""
+
+    def __init__(self):
+        super().__init__()
+        self.values = None
+
+    def _keep(self, values):
+        self.values = {var.name: value for var, value in values.items()}
+
+
+class Problem(_Outcome):
     """An optimization problem over positive variables.
 
     The structure (objective and constraints) is fixed at construction;
@@ -90,10 +171,12 @@ class Problem:
     the optimum, and ``status``, ``value``, and ``solution`` describe
     the solve.  After ``solve(derivatives=True)``, ``nonsmooth`` tells
     whether the solution map kinks there, and ``unique`` is False when
-    the optimum leaves a variable free (NonuniqueWarning).
+    the optimum leaves a variable free (NonuniqueWarning).  ``columns``
+    holds the Columns of the last ``solve_batch``.
     """
 
     def __init__(self, objective, constraints=()):
+        super().__init__()
         if not isinstance(objective, (Minimize, Maximize)):
             raise TypeError("objective must be Minimize(...) or Maximize(...)")
         self.objective = objective
@@ -108,16 +191,7 @@ class Problem:
         self.variables = tuple(variables_of(*sides))
         self.parameters = tuple(parameters_of(*sides))
         self._compiled = None
-        self.status = None
-        self.value = None
-        self.solution = None
-        self.stats = None
-        self.nonsmooth = False
-        self.unique = True
-        self._point = None
-        self._alpha = None
-        self._warm = None
-        self._workspace = None
+        self.columns = []
 
     # -- grammar -------------------------------------------------------
 
@@ -175,89 +249,103 @@ class Problem:
         """
         return _solve([self], [derivatives], eps, max_iters, warm_start)[0]
 
-    def _finish(self, sol, alpha, beta, derivatives, t_start, solver_time):
-        """Record sol, the cone solution at (alpha, beta): the status,
-        value, variable values, warm start, derivative state and stats.
-        Returns the value, None unless optimal."""
-        prob = self._compiled[0]
-        self.status = sol.status
-        self.solution = sol
-        self.value = None
-        self.nonsmooth = False
-        self.unique = True
-        if sol.status == "optimal":
-            for var, lo, hi in prob.var_slices:
-                var.value = np.exp(sol.x[lo:hi])
-            sign = -1.0 if self.objective.sense == "maximize" else 1.0
-            self.value = float(np.exp(sign * prob.objective_value(beta,
-                                                                  sol.x)))
-            if derivatives:
-                self._point = ResidualPoint(sol.embedding, sol.x, sol.y,
-                                            sol.s, n_x=self._compiled[2].n_x)
-                self.nonsmooth = self._point.nonsmooth
-                self.unique = self._point.unique
-                self._alpha = alpha
-            # the point also seeds the next warm solve (solver.solve_batch)
-            self._warm = (sol.x, sol.y, sol.s, sol.scale, self._point)
-        self.stats = {"total_time": time.perf_counter() - t_start,
-                      "solver_time": solver_time,
-                      "iterations": sol.iterations,
-                      "scale": sol.scale,
-                      "factorizations": sol.factorizations,
-                      "accelerations": sol.accelerations,
-                      "rejections": sol.rejections}
-        return self.value
+    def solve_batch(self, values, *, derivatives=False, eps=1e-8,
+                    max_iters=100000, warm_start=True):
+        """Solve the compiled problem at k values of some parameters.
 
-    def _take_warm(self, warm_start):
-        """The warm start (x, y, s, scale, point) if warm_start, else None;
-        either way the problem keeps (x, y, s, scale) without the point."""
-        warm = self._warm
-        if warm is not None:
-            self._warm = warm[:4]
-        return warm if warm_start else None
+        ``values`` maps each batched parameter to a (k, size) array; the
+        other parameters keep their values.  Row j of every array makes
+        column j, whose solve ends in ``columns[j]`` (a Column) with the
+        status, value, solution, stats, variable values, warm start and
+        derivative state that solve() leaves on the problem;
+        derivative(column=j) and backward(column=j) act on it.  One pass
+        of the parameter map and one product with the data map give every
+        column's cone data, and columns with one cone matrix are solved
+        together, as solve_many solves problems.  With warm_start, column
+        j starts from column j of the last solve_batch.  derivatives is
+        one flag for every column, or one flag per column.  The problem's
+        own outcome and its variables' values stay as they were.  Returns
+        the columns' values, None where a solve was not optimal.
+        """
+        if not values:
+            raise ValueError("solve_batch needs at least one batched "
+                             "parameter")
+        k = len(np.atleast_2d(next(iter(values.values()))))
+        checked = {}
+        for p, rows in values.items():
+            if not any(p is q for q in self.parameters):
+                raise ValueError(f"{p!r} is not a parameter of the problem")
+            rows = np.asarray(rows, dtype=float)
+            if rows.shape != (k, p.size):
+                raise ShapeError(f"parameter {p.name}: values have shape "
+                                 f"{rows.shape}, expected ({k}, {p.size})")
+            checked[p] = p.checked(rows)
+        if isinstance(derivatives, bool):
+            derivatives = [derivatives] * k
+        derivatives = list(derivatives)
+        if len(derivatives) != k:
+            raise ValueError(f"{len(derivatives)} derivative flags for {k} "
+                             "columns")
+        return _solve([self], derivatives, eps, max_iters, warm_start,
+                      checked)
+
+    def _keep(self, values):
+        for var, value in values.items():
+            var.value = value
+
+    def _columns(self, k):
+        """The k columns of a batch solve: the last batch's first k, then
+        new ones."""
+        self.columns = self.columns[:k] + [Column() for _ in
+                                           range(k - len(self.columns))]
+        return self.columns
 
     # -- sensitivities ---------------------------------------------------
 
-    def _require_point(self):
-        if self._point is None:
+    def _require_point(self, column):
+        """The outcome of the solve, or of its column, with derivative
+        state, and the compiled problem."""
+        at = self if column is None else self.columns[column]
+        if at._point is None:
             raise NoDerivativeStateError(
                 "no derivative state: solve(derivatives=True) must succeed "
                 "before calling derivative() or backward()")
-        prob, cmap, pmap = self._compiled
-        return prob, cmap, pmap
+        return (at, *self._compiled)
 
-    def derivative(self):
+    def derivative(self, column=None):
         """First-order variable changes for the parameter ``delta``s.
 
         Reads each parameter's ``delta`` (default zero), writes each
-        variable's ``delta``, and returns {variable name: delta}.
+        variable's ``delta``, and returns {variable name: delta}.  With
+        ``column``, at that column of the last solve_batch.
         """
-        prob, cmap, pmap = self._require_point()
+        at, prob, cmap, pmap = self._require_point(column)
         dalpha = np.concatenate(
             [_leaf_field(p, "delta", np.zeros(p.size))
              for p in self.parameters]) if self.parameters else np.zeros(0)
-        dbeta = cmap.apply_DC(self._alpha, dalpha)
-        dxhat = dphi(self._point, pmap.apply_T(dbeta))
+        dbeta = cmap.apply_DC(at._alpha, dalpha)
+        dxhat = dphi(at._point, pmap.apply_T(dbeta))
         out = {}
         for var, lo, hi in prob.var_slices:
-            var.delta = np.exp(self._point.x[lo:hi]) * dxhat[lo:hi]
+            var.delta = np.exp(at._point.x[lo:hi]) * dxhat[lo:hi]
             out[var.name] = var.delta
         return out
 
-    def backward(self):
+    def backward(self, column=None):
         """Gradient of sum(gradient_i . x_i) with respect to parameters.
 
         Reads each variable's ``gradient`` (default all ones), writes
         each parameter's ``gradient``, and returns {parameter name:
-        gradient}.
+        gradient}.  With ``column``, at that column of the last
+        solve_batch.
         """
-        prob, cmap, pmap = self._require_point()
+        at, prob, cmap, pmap = self._require_point(column)
         dxhat = np.zeros(pmap.n)
         for var, lo, hi in prob.var_slices:
             g = _leaf_field(var, "gradient", np.ones(var.size))
-            dxhat[lo:hi] = np.exp(self._point.x[lo:hi]) * g
-        dtheta = dphi_adjoint(self._point, dxhat)
-        dalpha = cmap.apply_DC_adjoint(self._alpha,
+            dxhat[lo:hi] = np.exp(at._point.x[lo:hi]) * g
+        dtheta = dphi_adjoint(at._point, dxhat)
+        dalpha = cmap.apply_DC_adjoint(at._alpha,
                                        pmap.apply_T_adjoint(dtheta))
         out = {}
         pos = 0
@@ -293,35 +381,42 @@ def solve_many(problems, *, derivatives=False, eps=1e-8, max_iters=100000,
     return _solve(problems, derivatives, eps, max_iters, warm_start)
 
 
-def _solve(problems, derivatives, eps, max_iters, warm_start):
-    """solve_many's work, with one derivative flag per problem."""
+def _solve(problems, derivatives, eps, max_iters, warm_start, values=None):
+    """solve_many's work, with one derivative flag per problem; with
+    values, the checked batched parameter values, solve_batch's on the
+    columns of the one problem, with one flag per column."""
     t_start = time.perf_counter()
-    data = []
-    groups = {}
-    for k, prob in enumerate(problems):
+    outcomes, data, groups = [], [], {}
+    for prob in problems:
         _, cmap, pmap = prob._ensure_compiled()
-        alpha = cmap.pack_alpha()
+        alpha = cmap.pack_alpha(values)
         beta = cmap.eval_C(alpha)
-        A, b, c = pmap.instantiate(beta)
-        key = (A.shape, A.indptr.tobytes(), A.indices.tobytes(),
-               A.data.tobytes(), tuple(sorted(pmap.dims.items())))
-        groups.setdefault(key, []).append(k)
-        data.append((alpha, beta, A, b, c, pmap.dims))
-    values = [None] * len(problems)
+        cone = pmap.instantiate(beta)
+        if values is None:
+            alpha, beta, cone, ends = [alpha], [beta], [cone], [prob]
+        else:
+            ends = prob._columns(len(alpha))
+        for end, a, bt, (A, b, c) in zip(ends, alpha, beta, cone):
+            key = (A.shape, A.indptr.tobytes(), A.indices.tobytes(),
+                   A.data.tobytes(), tuple(sorted(pmap.dims.items())))
+            groups.setdefault(key, []).append(len(outcomes))
+            outcomes.append(end)
+            data.append((prob, a, bt, A, b, c, pmap.dims))
+    results = [None] * len(outcomes)
     for members in groups.values():
-        A, dims = data[members[0]][2], data[members[0]][5]
-        held = [problems[k]._workspace for k in members
-                if problems[k]._workspace is not None]
+        A, dims = data[members[0]][3], data[members[0]][6]
+        held = [outcomes[k]._workspace for k in members
+                if outcomes[k]._workspace is not None]
         workspace = held[0] if held else solver.Workspace(A, dims)
-        bs = [data[k][3] for k in members]
-        cs = [data[k][4] for k in members]
+        bs = [data[k][4] for k in members]
+        cs = [data[k][5] for k in members]
         for k in members:
             # the old derivative state goes before the solver runs; only
             # now, so that a bad problem above left every one as it was
-            problems[k]._point = None
+            outcomes[k]._point = None
         # the solver takes each warm start as it reads it, and with it the
         # point, which then lives until its column has used it
-        warm = (problems[k]._take_warm(warm_start) for k in members)
+        warm = (outcomes[k]._take_warm(warm_start) for k in members)
         t_solver = time.perf_counter()
         # one program enters by solver.solve, a span the benchmark's
         # tracer requires (REQUIRED_ALL, tests/test_perfbench_targets.py)
@@ -335,7 +430,9 @@ def _solve(problems, derivatives, eps, max_iters, warm_start):
                                       workspace=workspace)
         solver_time = time.perf_counter() - t_solver
         for k, sol in zip(members, sols):
-            problems[k]._workspace = workspace
-            values[k] = problems[k]._finish(sol, *data[k][:2], derivatives[k],
-                                            t_start, solver_time)
-    return values
+            outcomes[k]._workspace = workspace
+            prob, alpha, beta = data[k][:3]
+            results[k] = outcomes[k]._finish(prob, sol, alpha, beta,
+                                             derivatives[k], t_start,
+                                             solver_time)
+    return results

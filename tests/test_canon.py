@@ -270,6 +270,86 @@ def test_DC_adjoint_identity():
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
+def canon_product():
+    """A program whose map has product entries beside log and passthrough
+    ones: p[0] is only a product base, p[1] also a log source, and a[0]
+    both a product's exponent and a variable's."""
+    x = llcp.Variable("x", 2)
+    p = llcp.Parameter("p", 2, positive=True, value=[1.7, 0.4])
+    a = llcp.Parameter("a", 2, value=[-0.6, 1.3])
+    objective = add(x[0], x[1])
+    constraints = [p[0] ** a[0] * p ** a[1] <= x, p[1] * x[1] ** a[0] <= x[0]]
+    return canonicalize("minimize", objective, constraints, [x], [p, a])
+
+
+def test_product_entries_and_their_bases():
+    _, cmap = canon_product()
+    p, a = cmap.params
+    products = sorted((q.name, j, cmap.bases[i][0].name, cmap.bases[i][1])
+                      for i, (q, j, tag) in enumerate(cmap.entries)
+                      if tag == "product")
+    # p[0]**a[1] appears twice and is one entry
+    assert products == [("a", 0, "p", 0), ("a", 1, "p", 0), ("a", 1, "p", 1)]
+    alpha = cmap.pack_alpha()
+    beta = cmap.eval_C(alpha)
+    for i in cmap.product:
+        q, j, _ = cmap.entries[i]
+        base, k = cmap.bases[i]
+        assert beta[i] == q.value[j] * math.log(base.value[k])
+
+
+def test_product_DC_matches_finite_differences():
+    _, cmap = canon_product()
+    alpha = cmap.pack_alpha()
+    J = central_jacobian(cmap.eval_C, alpha, h=1e-6)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        da = rng.normal(size=alpha.size)
+        assert np.allclose(cmap.apply_DC(alpha, da), J @ da,
+                           rtol=1e-8, atol=1e-9)
+
+
+def test_product_DC_adjoint_identity():
+    _, cmap = canon_product()
+    alpha = cmap.pack_alpha()
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        da = rng.normal(size=cmap.n_alpha)
+        w = rng.normal(size=cmap.n_beta)
+        lhs = float(np.dot(cmap.apply_DC(alpha, da), w))
+        rhs = float(np.dot(da, cmap.apply_DC_adjoint(alpha, w)))
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_eval_C_names_a_nonpositive_product_base():
+    _, cmap = canon_product()
+    alpha = cmap.pack_alpha()
+    alpha[0] = -0.5
+    with pytest.raises(DomainError,
+                       match=r"^parameter p\[0\] must be positive, "
+                       r"got -0.5$"):
+        cmap.eval_C(alpha)
+    # a product's exponent may be any finite number
+    alpha[0], alpha[2] = 1.7, -4.0
+    cmap.eval_C(alpha)
+
+
+def test_eval_C_rows_match_one_row_at_a_time():
+    _, cmap = canon_product()
+    rng = np.random.default_rng(7)
+    alphas = cmap.pack_alpha() * np.exp(rng.normal(size=(4, cmap.n_alpha)))
+    rows = cmap.eval_C(alphas)
+    assert rows.shape == (4, cmap.n_beta)
+    for alpha, row in zip(alphas, rows):
+        assert cmap.eval_C(alpha).tobytes() == row.tobytes()
+    # a batch of values for some parameters, the others at their values
+    p = cmap.params[0]
+    packed = cmap.pack_alpha({p: alphas[:, :2]})
+    assert np.array_equal(packed[:, :2], alphas[:, :2])
+    assert np.array_equal(packed[:, 2:], np.tile(cmap.pack_alpha()[2:],
+                                                 (4, 1)))
+
+
 # ---------------------------------------------------------------------------
 # equivalence with the original programs
 

@@ -142,6 +142,17 @@ def test_power_rule():
     with pytest.raises(ShapeError):
         power(x, av)
     assert curvature(x ** av[1]).kind == "affine"
+    # a positive parameter base, or one entry of one, is log-log affine
+    cv = llcp.Parameter("cv", size=2, positive=True)
+    for e in (c ** a, cv[1] ** av[0], cv ** a):
+        assert curvature(e).kind == "affine"
+    assert llcp.Problem(llcp.Minimize(x), [c ** a * x >= 1.0]).is_dgp()
+    # a base without declared sign is not
+    s = llcp.Parameter("s")
+    with pytest.raises(PowerRuleError, match="positive parameter"):
+        s ** a
+    with pytest.raises(PowerRuleError):
+        av[0] ** a
 
 
 def test_subtraction_and_negation_are_rejected():

@@ -90,6 +90,55 @@ def test_model_problem_shares_parameter_leaves():
             assert np.allclose(y.value, target, atol=1e-6)
 
 
+def test_model_problem_on_a_parameter_input_is_the_layer():
+    # the input as a positive parameter: one compiled program whose
+    # columns solve as the constant-input programs do, and whose adjoint
+    # gives d(loss)/dx, which central differences of re-solves confirm
+    rng = np.random.default_rng(8)
+    m, n = 3, 2
+    A = Parameter("A", m * n, value=rng.normal(0.0, 0.5, m * n))
+    c = Parameter("c", m, positive=True, value=np.exp(rng.normal(size=m)))
+    x = Parameter("x", n, positive=True)
+    X = np.exp(rng.standard_normal((4, n)))
+    target = np.exp(rng.standard_normal(m))
+    model = model_problem(x, A, c)
+    values = model.solve_batch({x: X}, derivatives=True, eps=1e-10)
+    assert model.status is None and [col.status for col in model.columns] \
+        == ["optimal"] * 4
+    variables = {v.name: v for v in model.variables}
+
+    def loss(xk):
+        p = model_problem(xk, A, c)
+        p.solve(eps=1e-10)
+        y = {v.name: v for v in p.variables}["y"].value
+        return float(np.sum((y - target) ** 2))
+
+    h = 1e-5
+    for k, xk in enumerate(X):
+        alone = model_problem(xk, A, c)
+        assert alone.solve(eps=1e-10) == pytest.approx(values[k], rel=1e-12)
+        y = model.columns[k].values["y"]
+        assert np.allclose(y, {v.name: v for v in alone.variables}["y"].value,
+                           rtol=1e-12, atol=0.0)
+        variables["y"].gradient = 2.0 * (y - target)
+        variables["z"].gradient = np.zeros(m)
+        grad = model.backward(column=k)["x"]
+        assert x.gradient is grad
+        fd = [(loss(xk + h * e) - loss(xk - h * e)) / (2 * h)
+              for e in np.eye(n)]
+        assert np.allclose(grad, fd, rtol=1e-4, atol=1e-7)
+
+
+def test_fit_compiles_one_program():
+    from llcp.canon import traversal_count
+
+    X, Y, Xv, Yv, *_ = synthetic_data(8, 3, 3, seed=5)
+    before = traversal_count()
+    res = fit(X, Y, Xv, Yv, iters=2)
+    assert traversal_count() == before + 1
+    assert res.solves == 3 * (8 + 4)
+
+
 def test_fit_zero_iterations_is_the_warm_start():
     X, Y, Xv, Yv, *_ = synthetic_data(10, 3, 3, seed=2)
     res = fit(X, Y, Xv, Yv, iters=0)

@@ -252,3 +252,27 @@ def test_vector_parameters_round_trip():
     gamma = next(p for p in doc["parameters"] if p["name"] == "gamma")
     assert gamma == {"name": "gamma", "len": 2, "pos": True,
                      "value": [1.0, 2.0]}
+
+
+def test_parameter_base_under_parameter_exponent_round_trips(tmp_path):
+    # the fitting model on a parameter input: x[j] ** A[i*n+j]
+    from llcp.expr import Parameter
+    from llcp.fitting import model_problem
+
+    A = Parameter("A", 4, value=[0.3, -0.2, 0.5, 0.1])
+    c = Parameter("c", 2, positive=True, value=[0.8, 1.4])
+    x = Parameter("x", 2, positive=True, value=[2.5, 0.7])
+    p = model_problem(x, A, c)
+    path = tmp_path / "model.json"
+    save_problem(p, path)
+    doc = json.loads(path.read_text())
+    validate_document(doc)
+    power = doc["constraints"][0]["rhs"]["args"][1]
+    assert power == {"atom": "power", "args": [{"ref": "x", "index": 0}],
+                     "attrs": {"exponent": {"ref": "A", "index": 0}}}
+    q = load_problem(path)
+    assert serialize_problem(q) == doc
+    assert q.solve(eps=1e-10) == pytest.approx(p.solve(eps=1e-10), rel=1e-9)
+    for vp, vq in zip(p.variables, q.variables):
+        assert vp.name == vq.name
+        assert np.allclose(vp.value, vq.value, rtol=1e-9)

@@ -11,6 +11,7 @@ from llcp.expr import (
     Constant,
     DomainError,
     Parameter,
+    ShapeError,
     Variable,
     evaluate,
     log,
@@ -594,6 +595,68 @@ def test_held_points_are_gone_before_the_new_ones(monkeypatch):
     assert [p.solution.iterations for p in batch] == [0] * 8
     assert seen[0] == [True] * 8
     assert all(p._warm[4] is p._point for p in batch)
+
+
+@pytest.mark.parametrize("batched, groups", [("a", 1), ("c", 3)])
+def test_solve_batch_columns_end_as_solve_does(batched, groups):
+    # a enters b only, so the columns share one cone matrix and solver
+    # workspace; c is an exponent of a variable, so each column has its own
+    rows = {"a": [[2.0], [1.5], [3.0]], "c": [[0.5], [0.8], [0.3]]}[batched]
+    p = hello_world()
+    before = canon.traversal_count()
+    values = p.solve_batch({named(p, "parameters")[batched]: rows},
+                           derivatives=[True, False, True])
+    assert canon.traversal_count() == before + 1
+    assert len({id(col._workspace) for col in p.columns}) == groups
+    # the problem's own outcome and its variables stay unsolved
+    assert p.status is None and p.value is None
+    assert all(v.value is None for v in p.variables)
+    for j, (row, value) in enumerate(zip(rows, values)):
+        alone = hello_world()
+        named(alone, "parameters")[batched].set_value(row)
+        want = alone.solve(derivatives=True)
+        col = p.columns[j]
+        assert col.status == "optimal" and col.value == value
+        assert value == pytest.approx(want, rel=1e-12)
+        assert col.solution.iterations == alone.solution.iterations
+        assert set(col.stats) == set(alone.stats)
+        for v in alone.variables:
+            assert np.allclose(col.values[v.name], v.value, rtol=1e-12,
+                               atol=0.0)
+        if j == 1:
+            with pytest.raises(NoDerivativeStateError):
+                p.backward(column=j)
+            continue
+        for q, r in zip(p.parameters, alone.parameters):
+            q.delta = r.delta = 0.01
+        for g, w in zip(p.derivative(column=j).values(),
+                        alone.derivative().values()):
+            assert np.allclose(g, w, rtol=1e-6, atol=1e-9)
+        for g, w in zip(p.backward(column=j).values(),
+                        alone.backward().values()):
+            assert np.allclose(g, w, rtol=1e-6, atol=1e-9)
+    with pytest.raises(NoDerivativeStateError):
+        p.backward()
+
+
+def test_solve_batch_checks_its_values():
+    p = hello_world()
+    a, b, c = (named(p, "parameters")[n] for n in "abc")
+    with pytest.raises(ValueError, match="at least one"):
+        p.solve_batch({})
+    with pytest.raises(ValueError, match="not a parameter"):
+        p.solve_batch({Parameter("a", positive=True): [[1.0]]})
+    with pytest.raises(ShapeError, match=r"expected \(2, 1\)"):
+        p.solve_batch({a: [[1.0], [2.0]], b: [[1.0]]})
+    with pytest.raises(ShapeError, match=r"expected \(1, 1\)"):
+        p.solve_batch({a: [1.0]})
+    with pytest.raises(DomainError, match="positive"):
+        p.solve_batch({a: [[1.0], [-2.0]]})
+    with pytest.raises(DomainError, match="finite"):
+        p.solve_batch({c: [[np.nan]]})
+    with pytest.raises(ValueError, match="derivative flags"):
+        p.solve_batch({a: [[1.0], [2.0]]}, derivatives=[True])
+    assert p.columns == [] and p.status is None
 
 
 def test_solve_many_checks_the_flags():
