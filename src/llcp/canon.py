@@ -239,19 +239,20 @@ class CanonMap:
     def eval_C(self, alpha: np.ndarray) -> np.ndarray:
         """beta = C(alpha); a (k, n_alpha) alpha gives one row of beta per
         row."""
-        alpha = self._sized(alpha, self.n_alpha, "alpha", rows=True)
-        beta = alpha[..., self.index]
-        sources = beta[..., self.logged]
+        # on the transpose the entries index the first axis, for one row or
+        # k, so one row takes numpy's fast one-dimensional indexing
+        alpha = self._sized(alpha, self.n_alpha, "alpha", rows=True).T
+        beta = alpha[self.index]
+        sources = beta[self.logged]
         if self.product.size:
-            sources = np.concatenate([sources, alpha[..., self.base_index]],
-                                     axis=-1)
+            sources = np.concatenate([sources, alpha[self.base_index]])
         flat = sources.reshape(-1)
         bad = np.flatnonzero(flat <= 0)
         if bad.size:
             # the sources: the "log" entries' elements, then the bases
             names = ([self.entries[i][:2] for i in np.flatnonzero(self.logged)]
                      + list(self.bases.values()))
-            p, j = names[bad[0] % len(names)]
+            p, j = names[bad[0] * len(names) // flat.size]
             raise DomainError(
                 f"parameter {p.name}[{j}] must be positive, got {flat[bad[0]]}"
             )
@@ -268,11 +269,11 @@ class CanonMap:
         self._logs = (flat, logs)
         logs = logs.reshape(sources.shape)
         if self.product.size:
-            n_log = sources.shape[-1] - self.product.size
-            beta[..., self.product] *= logs[..., n_log:]
-            logs = logs[..., :n_log]
-        beta[..., self.logged] = logs
-        return beta
+            n_log = len(sources) - self.product.size
+            beta[self.product] *= logs[n_log:]
+            logs = logs[:n_log]
+        beta[self.logged] = logs
+        return beta.T
 
     def apply_DC(self, alpha: np.ndarray, dalpha: np.ndarray) -> np.ndarray:
         alpha = self._sized(alpha, self.n_alpha, "alpha")
