@@ -265,7 +265,7 @@ class CanonMap:
         else:
             logs = np.empty(flat.size)
             new = np.arange(flat.size)
-        logs[new] = [math.log(a) for a in flat[new].tolist()]
+        logs[new] = self._log(flat[new])
         self._logs = (flat, logs)
         logs = logs.reshape(sources.shape)
         if self.product.size:
