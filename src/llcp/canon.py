@@ -46,7 +46,6 @@ from llcp.expr import (
     Expr,
     Parameter,
     Variable,
-    _analyze,
     _slots,
     evaluate,
 )
@@ -328,9 +327,6 @@ class _Canonicalizer:
         self.beta_entries = []
         self.bases = {}
         self.constraints = []
-        # curvature verdicts by node id; every node analyzed stays referenced
-        # by the problem for the whole call, so no id is reused
-        self.verdicts = {}
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -364,10 +360,10 @@ class _Canonicalizer:
         not log-log affine."""
         if e.size == 1:
             elem = 0
-        verdict = _analyze(e, self.verdicts)
-        if verdict.kind == "constant":
+        kind = e.verdict.kind
+        if kind == "constant":
             return lin_const(math.log(float(evaluate(e)[elem])))
-        if not verdict.is_affine:
+        if kind != "affine":
             return None
         if isinstance(e, Variable):
             return lin_var(self.var_index[(id(e), elem)])

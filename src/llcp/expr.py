@@ -12,9 +12,11 @@ log-log affine; symmetrically for log-log concave.
 The rule is written once: ``_slots`` gives an atom's own curvature and the
 slot of each argument (a power's slot follows its exponent), and the table
 ``_SLOT_NEED`` says what an argument in each slot must be for each need.
-The verdict (``curvature``, bottom-up through ``_analyze``) and the grammar
-diagnostic (``explain_failure``, top-down through ``_arg_needs``) both read
-them, and both speak in one verdict type, ``Curvature``.
+Each node's verdict, of the one verdict type ``Curvature``, is computed
+once, when the node is built: an atom application's from its arguments'
+held verdicts (``_compose``).  ``curvature`` reads it, and so does every
+later phase; the grammar diagnostic (``explain_failure``) descends top-down
+through ``_arg_needs`` only where a held verdict fails its need.
 
 Parameters are atoms too: a positive parameter is log-log affine, a
 parameter without declared sign has unknown curvature everywhere except as
@@ -100,9 +102,13 @@ def _as_expr(obj) -> "Expr":
 
 
 class Expr:
-    """Base class for all expression nodes.  Immutable."""
+    """Base class for all expression nodes.
 
-    __slots__ = ()
+    Immutable: a node's ``verdict`` (its ``Curvature``) and size are set
+    when it is built, from its leaves' kinds and its arguments' verdicts,
+    and hold for its whole life."""
+
+    __slots__ = ("verdict",)
 
     @property
     def size(self) -> int:
@@ -182,6 +188,7 @@ class Constant(Expr):
             )
         self.value = arr
         self.value.setflags(write=False)
+        self.verdict = _VERDICT["constant", False]
 
     @property
     def size(self) -> int:
@@ -212,6 +219,7 @@ class Variable(Expr):
         self.value = None
         self.delta = None
         self.gradient = None
+        self.verdict = _VERDICT["affine", False]
 
     @property
     def size(self) -> int:
@@ -228,11 +236,12 @@ class Parameter(Expr):
     """Problem parameter; positive parameters are log-log affine.
 
     Parameters without ``positive=True`` may appear only as power
-    exponents.  ``delta`` feeds ``Problem.derivative``; ``gradient`` is
-    written by ``Problem.backward``.
+    exponents.  ``positive`` is read-only, as the verdict it gives is.
+    ``delta`` feeds ``Problem.derivative``; ``gradient`` is written by
+    ``Problem.backward``.
     """
 
-    __slots__ = ("name", "_size", "positive", "value", "delta", "gradient")
+    __slots__ = ("name", "_size", "_positive", "value", "delta", "gradient")
 
     def __init__(self, name: str, size: int = 1, positive: bool = False,
                  value=None):
@@ -242,12 +251,17 @@ class Parameter(Expr):
             raise ShapeError("parameter size must be >= 1")
         self.name = name
         self._size = int(size)
-        self.positive = bool(positive)
+        self._positive = bool(positive)
         self.value = None
         self.delta = None
         self.gradient = None
+        self.verdict = _VERDICT["affine" if positive else "unknown", True]
         if value is not None:
             self.set_value(value)
+
+    @property
+    def positive(self) -> bool:
+        return self._positive
 
     @property
     def size(self) -> int:
@@ -296,6 +310,7 @@ class Elem(Expr):
             )
         self.base = base
         self.index = index
+        self.verdict = base.verdict
 
     @property
     def size(self) -> int:
@@ -340,16 +355,14 @@ ATOMS: dict[str, AtomSignature] = {
 class AtomApp(Expr):
     """Application of an atom to argument expressions."""
 
-    __slots__ = ("atom", "args", "exponent")
+    __slots__ = ("atom", "args", "exponent", "size")
 
     def __init__(self, atom: str, args: tuple, exponent=None):
         self.atom = atom
         self.args = args
         self.exponent = exponent
-
-    @property
-    def size(self) -> int:
-        return max(a.size for a in self.args)
+        self.size = max(a.size for a in args)
+        self.verdict = _compose(self)
 
     def __repr__(self):
         if self.atom == "power":
@@ -428,7 +441,7 @@ def _build_power(base: Expr, exponent) -> Expr:
             raise PowerRuleError("power exponent must be a number or parameter")
         if exponent.size != 1:
             raise ShapeError("power exponent must be scalar")
-        if _analyze(base).parametrized:
+        if base.verdict.parametrized:
             leaf = base.base if isinstance(base, Elem) else base
             if not (isinstance(leaf, Parameter) and leaf.positive):
                 raise PowerRuleError(
@@ -518,9 +531,9 @@ class Curvature:
         return self.meets("affine")
 
 
+_KINDS = ("constant", "affine", "convex", "concave", "unknown")
 _VERDICT = {(kind, par): Curvature(kind, par)
-            for kind in ("constant", "affine", "convex", "concave", "unknown")
-            for par in (False, True)}
+            for kind in _KINDS for par in (False, True)}
 _KIND = {(True, True): "affine", (True, False): "convex",
          (False, True): "concave", (False, False): "unknown"}
 
@@ -531,6 +544,12 @@ _SLOT_NEED = {
     NONINCR: {"convex": "concave", "concave": "convex", "affine": "affine"},
     UNSPEC: {"convex": "affine", "concave": "affine", "affine": "affine"},
 }
+
+# whether an argument of each kind in each slot lets the application be
+# convex, and concave
+_FITS = {slot: {kind: (kind in _MEETS[need["convex"]],
+                       kind in _MEETS[need["concave"]]) for kind in _KINDS}
+         for slot, need in _SLOT_NEED.items()}
 
 # (own curvature, per-argument slots); n-ary atoms repeat slot 0 endlessly
 _ATOM_SLOTS = {
@@ -566,26 +585,9 @@ def _arg_needs(node: AtomApp, need: str):
             for arg, slot in zip(node.args, slots)]
 
 
-def _analyze(e: Expr, memo=None) -> Curvature:
-    memo = {} if memo is None else memo
-    verdict = memo.get(id(e))
-    if verdict is None:
-        verdict = memo[id(e)] = _analyze_node(e, memo)
-    return verdict
-
-
-def _analyze_node(e: Expr, memo) -> Curvature:
-    if isinstance(e, Constant):
-        return _VERDICT["constant", False]
-    if isinstance(e, Variable):
-        return _VERDICT["affine", False]
-    if isinstance(e, Parameter):
-        return _VERDICT["affine" if e.positive else "unknown", True]
-    if isinstance(e, Elem):
-        return _analyze_node(e.base, memo)
-    if not isinstance(e, AtomApp):
-        raise ExpressionError(f"unknown node {e!r}")
-
+def _compose(e: AtomApp) -> Curvature:
+    """The verdict of ``e`` by the composition rule, from its arguments'
+    held verdicts."""
     own, slots = _slots(e)
     cvx = own != "concave"
     ccv = own != "convex"
@@ -595,10 +597,10 @@ def _analyze_node(e: Expr, memo) -> Curvature:
     par = isinstance(a, Expr)
     const = not par
     for arg, slot in zip(e.args, slots):
-        f = _analyze(arg, memo)
-        need = _SLOT_NEED[slot]
-        cvx = cvx and f.meets(need["convex"])
-        ccv = ccv and f.meets(need["concave"])
+        f = arg.verdict
+        fits_cvx, fits_ccv = _FITS[slot][f.kind]
+        cvx = cvx and fits_cvx
+        ccv = ccv and fits_ccv
         const = const and f.kind == "constant"
         par = par or f.parametrized
     if const or (isinstance(a, float) and a == 0.0):
@@ -608,7 +610,7 @@ def _analyze_node(e: Expr, memo) -> Curvature:
 
 def curvature(e: Expr) -> Curvature:
     """Tightest log-log curvature derivable by the composition rule."""
-    return _analyze(_as_expr(e))
+    return _as_expr(e).verdict
 
 
 # -- diagnostics -------------------------------------------------------------
@@ -620,39 +622,35 @@ _NEED_WORD = {"convex": "log-log convex", "concave": "log-log concave",
 def explain_failure(e: Expr, need: str, path: str = "") -> str | None:
     """Locate the first subtree that blocks the required curvature.
 
-    Returns None when ``e`` satisfies ``need``; otherwise a human-readable
-    diagnostic naming the offending node by path.
+    Returns None when ``e`` satisfies ``need``, which its held verdict
+    tells; otherwise a human-readable diagnostic naming the offending node
+    by path.
     """
-    memo: dict = {}
-
-    def descend(node, need, path):
-        if _analyze(node, memo).meets(need):
-            return None
-        label = path or "expression"
-        leaf = node.base if isinstance(node, Elem) else node
-        if isinstance(leaf, Parameter):
-            return (f"{label}: parameter {leaf.name!r} has no declared sign, "
-                    f"so its log-log curvature is unknown outside power "
-                    f"exponents")
-        if not isinstance(node, AtomApp):
-            return f"{label}: not {_NEED_WORD[need]}"
-        pairs = _arg_needs(node, need)
-        if pairs is None:
-            return (f"{label}: atom {node.atom!r} is log-log "
-                    f"{ATOMS[node.atom].curvature}, which cannot appear in a "
-                    f"{_NEED_WORD[need]} position")
-        power = node.atom == "power"
-        for i, (arg, sub_need) in enumerate(pairs):
-            sub_path = (f"{path or 'power'}.arg" if power else
-                        f"{path + '.' if path else ''}{node.atom}.args[{i}]")
-            deeper = descend(arg, sub_need, sub_path)
-            if deeper:
-                return deeper
-        if power:
-            return f"{label}: power is not {_NEED_WORD[need]} here"
-        return f"{label}: atom {node.atom!r} is not {_NEED_WORD[need]} here"
-
-    return descend(e, need, path)
+    if e.verdict.meets(need):
+        return None
+    label = path or "expression"
+    leaf = e.base if isinstance(e, Elem) else e
+    if isinstance(leaf, Parameter):
+        return (f"{label}: parameter {leaf.name!r} has no declared sign, "
+                f"so its log-log curvature is unknown outside power "
+                f"exponents")
+    if not isinstance(e, AtomApp):
+        return f"{label}: not {_NEED_WORD[need]}"
+    pairs = _arg_needs(e, need)
+    if pairs is None:
+        return (f"{label}: atom {e.atom!r} is log-log "
+                f"{ATOMS[e.atom].curvature}, which cannot appear in a "
+                f"{_NEED_WORD[need]} position")
+    power = e.atom == "power"
+    for i, (arg, sub_need) in enumerate(pairs):
+        sub_path = (f"{path or 'power'}.arg" if power else
+                    f"{path + '.' if path else ''}{e.atom}.args[{i}]")
+        deeper = explain_failure(arg, sub_need, sub_path)
+        if deeper:
+            return deeper
+    if power:
+        return f"{label}: power is not {_NEED_WORD[need]} here"
+    return f"{label}: atom {e.atom!r} is not {_NEED_WORD[need]} here"
 
 
 # ---------------------------------------------------------------------------
@@ -708,39 +706,40 @@ def evaluate(e: Expr, values: dict | None = None) -> np.ndarray:
     return np.broadcast_to(rec(e), (e.size,)).astype(float)
 
 
-def _walk_leaves(e: Expr, kind, seen, out):
-    if isinstance(e, kind):
+def _leaves(*exprs) -> tuple:
+    """(variables, parameters) of exprs, each in first-appearance
+    (depth-first) order, a power's exponent after its base, from one walk."""
+    seen: set = set()
+    variables: list = []
+    parameters: list = []
+    stack = list(reversed(exprs))
+    while stack:
+        e = stack.pop()
+        if isinstance(e, AtomApp):
+            if isinstance(e.exponent, Expr):
+                stack.append(e.exponent)
+            stack.extend(reversed(e.args))
+            continue
+        if isinstance(e, Elem):
+            e = e.base
         if id(e) not in seen:
             seen.add(id(e))
-            out.append(e)
-        return
-    if isinstance(e, Elem):
-        _walk_leaves(e.base, kind, seen, out)
-        return
-    if isinstance(e, AtomApp):
-        for a in e.args:
-            _walk_leaves(a, kind, seen, out)
-        if e.atom == "power" and isinstance(e.exponent, (Parameter, Elem)):
-            _walk_leaves(e.exponent, kind, seen, out)
+            if isinstance(e, Variable):
+                variables.append(e)
+            elif isinstance(e, Parameter):
+                parameters.append(e)
+    return variables, parameters
 
 
 def variables_of(*exprs) -> list:
     """Variables in first-appearance (depth-first) order."""
-    seen: set = set()
-    out: list = []
-    for e in exprs:
-        _walk_leaves(e, Variable, seen, out)
-    return out
+    return _leaves(*exprs)[0]
 
 
 def parameters_of(*exprs) -> list:
     """Parameters in first-appearance (depth-first) order, including
     power exponents."""
-    seen: set = set()
-    out: list = []
-    for e in exprs:
-        _walk_leaves(e, Parameter, seen, out)
-    return out
+    return _leaves(*exprs)[1]
 
 
 class Constraint:

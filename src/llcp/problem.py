@@ -34,9 +34,8 @@ from .expr import (
     Constraint,
     ShapeError,
     _as_expr,
+    _leaves,
     explain_failure,
-    parameters_of,
-    variables_of,
 )
 from . import solver
 
@@ -188,8 +187,9 @@ class Problem(_Outcome):
         for con in self.constraints:
             sides.append(con.lhs)
             sides.append(con.rhs)
-        self.variables = tuple(variables_of(*sides))
-        self.parameters = tuple(parameters_of(*sides))
+        variables, parameters = _leaves(*sides)
+        self.variables = tuple(variables)
+        self.parameters = tuple(parameters)
         self._compiled = None
         self.columns = []
 

@@ -236,12 +236,13 @@ class Workspace:
     """What a solve computes from A alone, kept for the next solve.
 
     Built from (A, dims), it holds the Embedding of A's pattern, A's
-    values with their Ruiz factors (As, d, e), and the factors of K at
-    the scales the last solve's programs ended at, by scale.  solve()
-    and solve_batch() compare each A's values with the held ones: equal
-    values keep the equilibration and the factors, other values
-    recompute both.  A with another pattern, or other dims, raises
-    ValueError.  Not safe to share between threads.
+    values with their Ruiz factors (As, d, e), the transposes AT and AsT
+    of A and As, and the factors of K at the scales the last solve's
+    programs ended at, by scale.  solve() and solve_batch() compare each
+    A's values with the held ones: equal values keep the equilibration,
+    the transposes and the factors, other values recompute them all.  A
+    with another pattern, or other dims, raises ValueError.  Not safe to
+    share between threads.
     """
 
     def __init__(self, A, dims):
@@ -263,6 +264,9 @@ class Workspace:
             raise ValueError("A or dims differ from the workspace's")
         if self._values is None or not np.array_equal(A.data, self._values):
             self.As, self.d, self.e = _equilibrate(A, dims)
+            # made once here, not at each check and certificate test; AT
+            # is a copy, so a later change to the caller's A cannot reach it
+            self.AT, self.AsT = A.T.copy(), self.As.T
             self._values = A.data.copy()
             self._factors = {}
 
@@ -346,23 +350,23 @@ def _dots(X, Y):
     return (X[..., None, :] @ Y[..., :, None])[..., 0, 0]
 
 
-def _residuals(A, b, c, x, y, s):
+def _residuals(A, AT, b, c, x, y, s):
     pres = np.linalg.norm(A @ x + s - b) / (1.0 + np.linalg.norm(b))
-    dres = np.linalg.norm(A.T @ y + c) / (1.0 + np.linalg.norm(c))
+    dres = np.linalg.norm(AT @ y + c) / (1.0 + np.linalg.norm(c))
     px = float(c @ x)
     dy = float(b @ y)
     gap = abs(px + dy) / (1.0 + abs(px) + abs(dy))
     return pres, dres, gap
 
 
-def _certificates(A, b, c, u, v, tol):
-    """Farkas-style tests on the raw iterates."""
+def _certificates(A, AT, b, c, u, v, tol):
+    """Farkas-style tests on the raw iterates; AT is A's transpose."""
     m, n = A.shape
     uy = u[n:n + m]
     bty = float(b @ uy)
     if bty < 0.0:
         yhat = uy / -bty
-        if np.linalg.norm(A.T @ yhat) <= tol:
+        if np.linalg.norm(AT @ yhat) <= tol:
             return "infeasible", yhat
     ux = u[:n]
     ctx = float(c @ ux)
@@ -401,12 +405,12 @@ def _refine(emb, z, eps):
     return z
 
 
-def _held_steps(pi, A, cols, points, eps):
+def _held_steps(pi, cols, points, eps):
     """The solutions of the columns cols whose Gauss-Newton steps from
     their held points meet eps, each at iteration 0, else None.
 
     Each point is the diff.ResidualPoint of a previous solution (x, y, s)
-    on data with A; column p starts at its z0 = (x, y - s, 1), where its
+    on the columns' A; column p starts at its z0 = (x, y - s, 1), where its
     data moved b and c alone.  Every step is the tau-pinned least-squares
     step with the point's M, its tau row that of the column's b and c
     (Embedding.tau_row, ReducedJacobian.bordered), so no step linearizes
@@ -448,19 +452,10 @@ def _held_steps(pi, A, cols, points, eps):
         running = still
     out = []
     for col, up, zp in zip(cols, u, z):
-        cand = _candidate(col.emb, A, col.b, col.c, up, up - zp)
+        cand = col.candidate(up, up - zp)
         ok = cand is not None and max(cand[3:]) <= eps
         out.append(col._ending("optimal", 0, *cand) if ok else None)
     return out
-
-
-def _candidate(emb, A, b, c, u, v):
-    """(x, y, s, pres, dres, gap) of an unscaled pair (u, v), or None if
-    tau is not positive."""
-    pair = emb.split(u, v)
-    if pair is None:
-        return None
-    return pair + _residuals(A, b, c, *pair)
 
 
 def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None,
@@ -509,6 +504,7 @@ class _Column:
     """One program of a batch: its data, scale and candidates so far."""
 
     def __init__(self, workspace, A, b, c):
+        self.A, self.AT = A, workspace.AT
         self.b, self.c = b, c
         self.bs, self.cs = b * workspace.d, c * workspace.e
         self.emb = workspace.embedding.at(np.concatenate([A.data, b, c]))
@@ -534,17 +530,25 @@ class _Column:
         return (np.concatenate([u[:n] * e, u[n:n + m] * d, u[-1:]]),
                 np.concatenate([rv[:n], rv[n:n + m] / d, rv[-1:]]))
 
-    def check(self, A, uu, vv, eps):
+    def candidate(self, u, v):
+        """(x, y, s, pres, dres, gap) of an unscaled pair (u, v), or None
+        if tau is not positive."""
+        pair = self.emb.split(u, v)
+        if pair is None:
+            return None
+        return pair + _residuals(self.A, self.AT, self.b, self.c, *pair)
+
+    def check(self, uu, vv, eps):
         """Add the candidates of the unscaled pair (uu, vv); True when
         the best one meets eps."""
         emb = self.emb
-        raw = self.raw = _candidate(emb, A, self.b, self.c, uu, vv)
+        raw = self.raw = self.candidate(uu, vv)
         cands = [self.best, raw]
         near = raw is not None and max(raw[3:]) <= self.polish_tol
         if near and uu[-1] > 1e-12 * (1.0 + np.linalg.norm(uu)):
             z = _refine(emb, uu - vv, eps)
             ur = emb.project(z)
-            cands.append(_candidate(emb, A, self.b, self.c, ur, ur - z))
+            cands.append(self.candidate(ur, ur - z))
         # the smallest worst residual wins; a tie keeps the earlier one
         best = self.best = min((t for t in cands if t is not None),
                                key=lambda t: max(t[3:]), default=None)
@@ -560,10 +564,11 @@ class _Column:
         optimal = bool(best) and max(best[3:]) <= eps
         return self._ending("optimal" if optimal else "max_iters", it, *best)
 
-    def certificate(self, A, dims, uu, vv, it):
+    def certificate(self, dims, uu, vv, it):
         """The certificate solution confirmed on the unscaled data, or
         None."""
-        kind, cert = _certificates(A, self.b, self.c, uu, vv, 1e-6)
+        A = self.A
+        kind, cert = _certificates(A, self.AT, self.b, self.c, uu, vv, 1e-6)
         if kind == "infeasible":
             return self._ending(kind, it, y=cert)
         if kind == "unbounded":
@@ -882,7 +887,7 @@ def solve_batch(A, bs, cs, dims, *, eps=1e-8, max_iters=100000,
     del warm_starts
     done = [None] * len(cols)
     if held:
-        for j, sol in zip(held, _held_steps(pi, A, [cols[j] for j in held],
+        for j, sol in zip(held, _held_steps(pi, [cols[j] for j in held],
                                             list(held.values()), eps)):
             done[j] = sol
         del held
@@ -916,17 +921,17 @@ def solve_batch(A, bs, cs, dims, *, eps=1e-8, max_iters=100000,
             vp = np.ascontiguousarray(v.reshape(N, -1)[:, p])
             if check:
                 uu, vv = col.unscaled(up, vp, d, e)
-                if col.check(A, uu, vv, eps):
+                if col.check(uu, vv, eps):
                     done[j] = col.solution(it, eps)
                     leaving.append(p)
                     continue
             # a certificate iteration is also a check one, so (uu, vv) is
             # this iteration's unscaled pair
             if cert:
-                kind, _ = _certificates(As, col.bs, col.cs, up, col.r * vp,
-                                        max(eps, 1e-9))
+                kind, _ = _certificates(As, workspace.AsT, col.bs, col.cs, up,
+                                        col.r * vp, max(eps, 1e-9))
                 if kind is not None:
-                    done[j] = col.certificate(A, dims, uu, vv, it)
+                    done[j] = col.certificate(dims, uu, vv, it)
                     if done[j] is not None:
                         leaving.append(p)
                         continue

@@ -8,6 +8,7 @@ import pytest
 import llcp
 from llcp.canon import CanonMap, canonicalize, lin_eval, traversal_count
 from llcp import examples
+from llcp.probfile import parse_problem, serialize_problem
 from llcp.expr import (
     DomainError,
     add,
@@ -126,6 +127,24 @@ def test_deterministic_structure():
         assert a.kind == b.kind and a.args == b.args and a.rhs == b.rhs
     assert [(p.name, j, t) for p, j, t in m1.entries] == \
         [(p.name, j, t) for p, j, t in m2.entries]
+
+
+@pytest.mark.parametrize("make", [examples.hello_world, examples.queuing,
+                                  lambda: examples.benchmark(n=250)],
+                         ids=["hello", "queuing", "n250"])
+def test_probfile_round_trip_compiles_bitwise_equal(make):
+    # the parsed program's nodes are built anew, each with its own held
+    # verdict, and lower to the same cone data bit for bit
+    compiled = []
+    for problem in (make(), parse_problem(serialize_problem(make()))):
+        _, cmap, pmap = problem._ensure_compiled()
+        A, b, c = pmap.instantiate(cmap.eval_C(cmap.pack_alpha()))
+        compiled.append((A.shape, A.indptr.tobytes(), A.indices.tobytes(),
+                         A.data.tobytes(), b.tobytes(), c.tobytes(),
+                         sorted(pmap.dims.items()),
+                         [(p.name, j, tag) for p, j, tag in cmap.entries],
+                         {i: (p.name, j) for i, (p, j) in cmap.bases.items()}))
+    assert compiled[0] == compiled[1]
 
 
 # ---------------------------------------------------------------------------

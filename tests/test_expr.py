@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import llcp
-from llcp import expr as expr_module
 from llcp.expr import (
     ArityError,
+    AtomApp,
     Constant,
     Constraint,
     Curvature,
     DomainError,
     Elem,
+    Expr,
     PowerRuleError,
     ShapeError,
     add,
@@ -382,6 +383,91 @@ def test_every_power_form_follows_the_composition_rule(exponent, slot):
         assert verdict.parametrized == (exponent == "param")
 
 
+def _oracle(e):
+    """(kind, parametrized) of e from scratch: _textbook_kind applied
+    recursively, reading no held verdict."""
+    if isinstance(e, Constant):
+        return "constant", False
+    if isinstance(e, llcp.Variable):
+        return "affine", False
+    if isinstance(e, Elem):
+        return _oracle(e.base)
+    if isinstance(e, llcp.Parameter):
+        return ("affine" if e.positive else "unknown"), True
+    subs = [_oracle(a) for a in e.args]
+    kinds = [kind for kind, _ in subs]
+    par = any(p for _, p in subs)
+    if e.atom == "power":
+        a = e.exponent
+        if not isinstance(a, float):
+            # parametrized, never constant
+            kind = _textbook_kind("affine", ("any",), kinds)
+            return ("affine" if kind == "constant" else kind), True
+        if a == 0.0:
+            return "constant", par
+        return _textbook_kind("affine", ("inc" if a > 0 else "dec",),
+                              kinds), par
+    own, arity, slots = _ATOM_RULES[e.atom]
+    slots = (slots,) * len(kinds) if arity is None else slots
+    return _textbook_kind(own, slots, kinds), par
+
+
+def _nodes(e):
+    """e and every node below it, power exponents included."""
+    yield e
+    if isinstance(e, AtomApp):
+        for a in e.args:
+            yield from _nodes(a)
+        if isinstance(e.exponent, Expr):
+            yield from _nodes(e.exponent)
+
+
+def _random_tree(rng, leaves, exponents, depth):
+    """An expression of any curvature over leaves, with float and
+    parameter exponents; an application the grammar rejects at build
+    becomes a leaf."""
+    if depth == 0 or rng.uniform() < 0.2:
+        return leaves[rng.integers(len(leaves))]
+    atom = ["mul", "add", "maximum", "minimum", "ratio", "diff_pos", "exp",
+            "log", "power"][rng.integers(9)]
+    arity = {"ratio": 2, "diff_pos": 2, "exp": 1, "log": 1, "power": 1}.get(
+        atom, int(rng.integers(2, 4)))
+    args = [_random_tree(rng, leaves, exponents, depth - 1)
+            for _ in range(arity)]
+    exponent = None
+    if atom == "power":
+        exponent = (exponents[rng.integers(len(exponents))]
+                    if rng.uniform() < 0.4
+                    else float(rng.choice([-2.0, -0.5, 0.0, 0.5, 3.0])))
+    try:
+        return build_atom(atom, args, exponent)
+    except llcp.ExpressionError:
+        return leaves[rng.integers(len(leaves))]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_held_verdicts_match_a_recursive_oracle(seed):
+    rng = np.random.default_rng(seed)
+    x, y = llcp.Variable("x"), llcp.Variable("y", 2)
+    a, b = llcp.Parameter("a"), llcp.Parameter("b", 2)
+    p, q = llcp.Parameter("p", positive=True), llcp.Parameter("q", 2,
+                                                             positive=True)
+    trees = [_random_certified(rng, [x, y[0], y[1]], need, depth=3)
+             for need in ("convex", "concave", "affine")]
+    leaves = [x, y[0], y[1], p, q[1], Constant(2.0), Constant(0.5), a]
+    trees += [_random_tree(rng, leaves, [a, b[0], b[1]], 4)
+              for _ in range(10)]
+    # parameter exponents on unparametrized bases and on positive
+    # parameters, whole or one entry, the bases the power rule admits
+    trees += [x ** a, (x * y[0]) ** b[1], (x + y[1]) ** a,
+              Constant(2.0) ** a, p ** a, q ** b[0], q[0] ** a,
+              mul(p ** a, x ** b[1], q[1] ** 2.0), add(q ** a, y)]
+    for tree in trees:
+        for node in _nodes(tree):
+            assert node.verdict == Curvature(*_oracle(node)), node
+            assert curvature(node) is node.verdict
+
+
 def test_zero_power_is_constant():
     x = llcp.Variable("x")
     c = llcp.Parameter("c", positive=True)
@@ -455,23 +541,18 @@ def test_diagnostic_for_atom_in_wrong_position():
 
 
 def _deny(monkeypatch, target):
-    """Make the verdict of ``target`` unknown while its arguments keep
-    theirs: the descent then finds no failing argument."""
-    real = expr_module._analyze
-
-    def analyze(e, memo=None):
-        if e is target:
-            return Curvature("unknown", False)
-        return real(e, memo)
-
-    monkeypatch.setattr(expr_module, "_analyze", analyze)
+    """Plant the unknown verdict on ``target`` while its arguments keep
+    theirs: the descent then finds no failing argument.  A node reads its
+    arguments' verdicts when it is built, so a parent of ``target`` must be
+    built after this."""
+    monkeypatch.setattr(target, "verdict", Curvature("unknown", False))
 
 
 def test_fallback_diagnostics(monkeypatch):
     x, y = llcp.Variable("x"), llcp.Variable("y")
     leaf = llcp.Variable("w")
-    e = exp(leaf)
     _deny(monkeypatch, leaf)
+    e = exp(leaf)
     assert explain_failure(e, "convex") == "exp.args[0]: not log-log convex"
     monkeypatch.undo()
     mono = x * y
@@ -532,6 +613,17 @@ def test_leaf_collection_order():
     e = add(c * y, x ** a, y)
     assert variables_of(e) == [y, x]
     assert parameters_of(e) == [c, a]
+
+
+def test_parameter_sign_is_read_only():
+    # a node holds the verdict its parameter's sign gave it when it was
+    # built, so the sign cannot change afterwards
+    p = llcp.Parameter("p", positive=True)
+    e = p * llcp.Variable("x")
+    with pytest.raises(AttributeError):
+        p.positive = False
+    assert p.positive
+    assert curvature(e) == Curvature("affine", True)
 
 
 def test_parameter_value_validation():
