@@ -104,9 +104,10 @@ def _as_expr(obj) -> "Expr":
 class Expr:
     """Base class for all expression nodes.
 
-    Immutable: a node's ``verdict`` (its ``Curvature``) and size are set
-    when it is built, from its leaves' kinds and its arguments' verdicts,
-    and hold for its whole life."""
+    Immutable, which a node's ``verdict`` (its ``Curvature``) and size
+    rely on: both are set when the node is built, a leaf's from its kind
+    and an atom application's from its arguments', and hold for its whole
+    life."""
 
     __slots__ = ("verdict",)
 
