@@ -384,7 +384,7 @@ def test_every_power_form_follows_the_composition_rule(exponent, slot):
 
 
 def _oracle(e):
-    """(kind, parametrized) of e from scratch: _textbook_kind applied
+    """(kind, parametrized) of e, recomputed: _textbook_kind applied
     recursively, reading no held verdict."""
     if isinstance(e, Constant):
         return "constant", False
