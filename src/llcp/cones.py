@@ -35,11 +35,16 @@ stationarity conditions: the identity along the ray through the projected
 point, zero along the constraint gradient, and a curvature-shrunk identity
 along the tangent between them.  Points within tolerance of a case
 boundary are flagged as nonsmooth; callers can warn without failing.
+``dproject_cone`` differentiates a call's triples one at a time in
+Python floats, or, above the same count of triples, in one numpy pass
+whose arithmetic is the scalar one, exponentials, squares and norms
+included, which gives the same bits.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -304,7 +309,7 @@ def _fun_der_many(rho, r, s, t):
 
 
 def _recover_many(rho, r, s, t):
-    """_recover over arrays: (x, y, z)."""
+    """_recover over arrays: (x, y, z, lam)."""
     neg = rho < 0.0
     a = _exp(-np.abs(rho))
     den = 1.0 + a * a * (1.0 - rho)
@@ -313,7 +318,8 @@ def _recover_many(rho, r, s, t):
     z = t + lam
     y = np.where(neg, (s + t * a * (1.0 - rho)) / den, z * a)
     y = np.where(y < 0.0, 0.0, y)
-    return rho * y, y, np.where(z < 0.0, 0.0, z)
+    return (rho * y, y, np.where(z < 0.0, 0.0, z),
+            np.where(lam < 0.0, 0.0, lam))
 
 
 def _solve_boundary_many(r, s, t, rho0):
@@ -375,11 +381,12 @@ def _solve_boundary_many(r, s, t, rho0):
 def _project_exp_many(r, s, t, rho0):
     """_project_exp over arrays of triples, in numpy.
 
-    Returns (x, y, z, case, rho): case holds indices into _CASES, and rho
-    the boundary roots, NaN elsewhere.  rho0 holds one root to start
-    from per triple, NaN for none.  The cases, the scaling and the root
-    find are _project_exp's, lane by lane and operation by operation,
-    so each lane's result is _project_exp's to the bit."""
+    Returns (x, y, z, case, rho, lam): case holds indices into _CASES,
+    and rho and lam the boundary roots and multipliers, NaN elsewhere.
+    rho0 holds one root to start from per triple, NaN for none.  The
+    cases, the scaling and the root find are _project_exp's, lane by lane
+    and operation by operation, so each lane's result is _project_exp's
+    to the bit."""
     def in_cone(x, y, z):
         # in_expcone with tol = 0
         q = x / y
@@ -400,13 +407,14 @@ def _project_exp_many(r, s, t, rho0):
         z = np.where(polar | (third & (t < 0.0)), 0.0, t)
         case = np.select([polar, third, bnd], [1, 2, 3], 0)
         rho = np.full(r.size, np.nan)
+        lam = np.full(r.size, np.nan)
         if bnd.any():
             e = np.frexp(scale[bnd])[1]
             rb, sb, tb = (np.ldexp(w[bnd], -e) for w in (r, s, t))
             rho[bnd] = root = _solve_boundary_many(rb, sb, tb, rho0[bnd])
-            xb, yb, zb = _recover_many(root, rb, sb, tb)
-            x[bnd], y[bnd], z[bnd] = (np.ldexp(w, e) for w in (xb, yb, zb))
-    return x, y, z, case, rho
+            x[bnd], y[bnd], z[bnd], lam[bnd] = (
+                np.ldexp(w, e) for w in _recover_many(root, rb, sb, tb))
+    return x, y, z, case, rho, lam
 
 
 def project_expcone(v):
@@ -469,6 +477,106 @@ def dproject_expcone(v):
     return np.outer(m, m) / mm + f / (gg * mm) * np.outer(v, v), bool(near)
 
 
+def _pow2(x):
+    """x ** 2 over an array as Python floats take it, through C's pow,
+    which rounds differently from x * x on some inputs."""
+    return np.fromiter(map(pow, x.tolist(), itertools.repeat(2)), float,
+                       x.size)
+
+
+def _hypot(a, b, c):
+    """math.hypot(a, b, c) over arrays, whose rounding numpy has no match
+    for."""
+    return np.fromiter(map(math.hypot, a.tolist(), b.tolist(), c.tolist()),
+                       float, a.size)
+
+
+def _inside(y, z, q, tol, polar):
+    """in_expcone((q y, y, z), tol) for tol < 0 and y > 0 over arrays, or,
+    with polar, in_polar_expcone((y, q y, w), tol) for u = y > 0, z being
+    -e w: the two share their tests and differ in the norm of the
+    constraint gradient, whose terms come in another order."""
+    small = q <= 1.0
+    ex = _exp(np.where(small, q, -q))
+    g = np.where(ex == 0.0, 0.0, ex * (1.0 - q))
+    if polar:
+        terms = (np.where(small, g, q - 1.0), np.where(small, ex, 1.0),
+                 np.where(small, math.e, math.e * ex))
+    else:
+        terms = (np.where(small, ex, 1.0), np.where(small, g, q - 1.0),
+                 np.where(small, 1.0, ex))
+    slack = tol * (1.0 + _hypot(*terms))
+    return np.where(small, y * ex <= z + slack, y <= z * ex + slack)
+
+
+def _dproject_exp_many(r, s, t):
+    """dproject_expcone over arrays of triples, in numpy: the (k, 3, 3)
+    Jacobians and the k nonsmooth flags, each dproject_expcone's to the
+    bit.
+
+    The cases come from _project_exp_many, and each case's block and
+    near-test are dproject_expcone's, operation by operation, on the
+    lanes of that case; exponentials, squares and the gradient norms of
+    the membership tests go through math, as the scalar code takes
+    them."""
+    k = r.size
+    J = np.zeros((k, 3, 3))
+    near = np.ones(k, dtype=bool)
+    with np.errstate(all="ignore"):
+        tol = _NS_TOL * (1.0 + np.abs(r) + np.abs(s) + np.abs(t))
+        _, y, z, case, rho, lam = _project_exp_many(r, s, t,
+                                                    np.full(k, np.nan))
+        # interior: near unless inside by tol; only y > 0 can be
+        i = np.flatnonzero(case == 0)
+        J[i] = np.eye(3)
+        i = i[s[i] > 0.0]
+        near[i] = ~_inside(s[i], t[i], r[i] / s[i], -tol[i], False)
+        # polar: near unless inside the polar by tol
+        i = np.flatnonzero(case == 1)
+        pos = r[i] > 0.0
+        p, q = i[pos], i[~pos]
+        near[p] = ~_inside(r[p], -math.e * t[p], s[p] / r[p], -tol[p], True)
+        near[q] = ~((r[q] >= tol[q]) & (s[q] <= -tol[q]) & (t[q] <= -tol[q]))
+        # the third region, and degenerate boundary points left of zero
+        bnd = case == 3
+        deg = bnd & (y <= 0.0)
+        right = deg & (rho > 0.0)
+        i = np.flatnonzero((case == 2) | (deg & ~right))
+        J[i, 0, 0] = 1.0
+        J[i, 2, 2] = np.where(t[i] > 0.0, 1.0, 0.0)
+        i = np.flatnonzero(case == 2)
+        near[i] = ((np.abs(t[i]) <= tol[i]) | (r[i] >= -tol[i])
+                   | (s[i] >= -tol[i]))
+        # deep-right degenerate points
+        i = np.flatnonzero(right)
+        J[i, 2, 2] = np.where(z[i] > 0.0, 1.0, 0.0)
+        # the boundary
+        i = np.flatnonzero(bnd & ~deg)
+        near[i] = (lam[i] <= tol[i]) | (y[i] <= tol[i])
+        J[i] = _boundary_jacobian(rho[i], y[i], lam[i])
+    return J, near
+
+
+def _boundary_jacobian(rho, y, lam):
+    """The (k, 3, 3) blocks P + f V of dproject_expcone's boundary case at
+    y > 0, in its arithmetic: m m' / |m|^2 + f / (|g|^2 |m|^2) v v'."""
+    neg = rho < 0.0
+    ex = _exp(np.where(neg, rho, -rho))
+    w = np.where(neg, ex, 1.0)
+    e = np.where(neg, 1.0, ex)
+    gg = w * w * (1.0 + _pow2(1.0 - rho)) + e * e
+    m = np.stack([rho * e, e, w], axis=1)
+    # one BLAS dot per lane, as m @ m takes it
+    mm = (m[:, None, :] @ m[:, :, None])[:, 0, 0]
+    v = np.stack([w * w * (1.0 - rho) + e * e, -(rho * e * e + w * w),
+                  w * e * (1.0 - rho + rho * rho)], axis=1)
+    lm = lam * w * mm
+    yeg = y * e * gg
+    f = np.where(lm > 0.0, yeg / (yeg + lm), 1.0)
+    return (m[:, :, None] * m[:, None, :] / mm[:, None, None]
+            + (f / (gg * mm))[:, None, None] * (v[:, :, None] * v[:, None, :]))
+
+
 def _exp_blocks(dims):
     nz, nl, ne = dims["zero"], dims["nonneg"], dims["exp"]
     return nz, nl, ne, nz + nl + 3 * ne
@@ -512,7 +620,7 @@ def project_cone(v, dims, dual=False, rho=None):
         if count > _VECTOR_TRIPLES:
             r, s, t = cone.reshape(count, 3).T
             warm = np.full(count, np.nan) if rho is None else rho
-            x, y, z, _, root = _project_exp_many(r, s, t, warm)
+            x, y, z, _, root, _ = _project_exp_many(r, s, t, warm)
             proj = np.stack([x, y, z], axis=1).reshape(cone.shape).T
             warm = np.where(np.isnan(root), warm, root)
         else:
@@ -565,21 +673,37 @@ def dproject_cone(v, dims, dual=False):
 
     The matrix stores the zero and nonnegative rows' diagonal and then
     each exponential triple's 3x3 block row by row, zeros included
-    (_blockdiag_csr), so its data has one layout for all points."""
+    (_blockdiag_csr), so its data has one layout for all points.
+
+    v may also be an (m, k) stack of such vectors, one per column; then
+    the result is the list of the k columns' matrices and a boolean array
+    of their flags.  A call with more than _VECTOR_TRIPLES exponential
+    triples differentiates them in one numpy pass (_dproject_exp_many),
+    fewer run dproject_expcone per triple; both give the same bits."""
     v = np.asarray(v, dtype=float)
     nz, nl, ne, m = _exp_blocks(dims)
-    if v.shape != (m,):
+    if v.ndim not in (1, 2) or v.shape[0] != m:
         raise ValueError(f"vector has shape {v.shape}, expected ({m},)")
     w = v[nz:nz + nl]
-    diag = np.concatenate([np.full(nz, 1.0 if dual else 0.0),
+    diag = np.concatenate([np.full((nz,) + v.shape[1:],
+                                   1.0 if dual else 0.0),
                            (w > 0.0).astype(float)])
-    nonsmooth = bool(np.any(np.abs(w) <= _NS_TOL * (1.0 + np.abs(w))))
-    blk = v[nz + nl:]
-    it = iter((-blk if dual else blk).tolist())
-    J = np.empty((ne, 3, 3))
-    for k, rst in enumerate(zip(it, it, it)):
-        J[k], ns = dproject_expcone(rst)
-        nonsmooth = nonsmooth or ns
+    kink = np.any(np.abs(w) <= _NS_TOL * (1.0 + np.abs(w)), axis=0)
+    # one row of triples per column
+    cone = (-v[nz + nl:] if dual else v[nz + nl:]).T
+    count = cone.size // 3
+    if count > _VECTOR_TRIPLES:
+        J, ns = _dproject_exp_many(*cone.reshape(count, 3).T)
+    else:
+        it = iter(cone.ravel().tolist())
+        J, ns = np.empty((count, 3, 3)), [False] * count
+        for k, rst in enumerate(zip(it, it, it)):
+            J[k], ns[k] = dproject_expcone(rst)
     if dual:
         J = np.eye(3) - J
-    return _blockdiag_csr(diag, J), nonsmooth
+    if v.ndim == 1:
+        return _blockdiag_csr(diag, J), bool(kink or any(ns))
+    k = v.shape[1]
+    return ([_blockdiag_csr(d, Jj)
+             for d, Jj in zip(diag.T, J.reshape(k, ne, 3, 3))],
+            kink | np.reshape(ns, (k, ne)).any(axis=1))

@@ -30,6 +30,10 @@ the reduction finds empty among the first n_x unknowns, makes the
 solution non-unique there; the point reports it and warns with
 NonuniqueWarning.
 
+The points of a batch's columns are linearized together: linearize
+makes all their Jacobians from one stacked derivative of the projection
+(Embedding.jacobians), each the one its point would make alone.
+
 The point also seeds the next warm solve (solver.solve): where only b
 and c move, its factor gives Gauss-Newton steps from the solution, and
 the first of them is this module's derivative of the solution in the
@@ -46,7 +50,7 @@ from .compiler import DimensionError
 from .embedding import LsqrNoConvergence
 
 __all__ = ["LsqrNoConvergence", "NonsmoothWarning", "NonuniqueWarning",
-           "ResidualPoint", "dphi", "dphi_adjoint"]
+           "ResidualPoint", "dphi", "dphi_adjoint", "linearize"]
 
 
 class NonsmoothWarning(UserWarning):
@@ -63,7 +67,8 @@ class ResidualPoint:
 
     Reuses the solve's embedding (ConeSolution.embedding) and caches
     u = (x, y, 1), z = (x, y - s, 1) and jacobian, the ReducedJacobian at
-    z, whose factor the first solve that needs it makes.  unique is False
+    z, whose factor the first solve that needs it makes.  jacobian may be
+    passed in, as linearize makes it for a batch's points.  unique is False
     when the reduction leaves free one of the first n_x unknowns, the
     original variables' logarithms.  Instances are safe to share across
     threads: two threads that both make the factor make the same one.
@@ -73,15 +78,14 @@ class ResidualPoint:
     (solver.solve); Problem does so after solve(derivatives=True).
     """
 
-    def __init__(self, embedding, x, y, s, n_x):
+    def __init__(self, embedding, x, y, s, n_x, jacobian=None):
         self.embedding = embedding
         self.n, self.m = embedding.n, embedding.m
         self.x = np.asarray(x, dtype=float)
         self.y = np.asarray(y, dtype=float)
         self.u = np.concatenate([self.x, self.y, [1.0]])
-        self.z = np.concatenate([self.x, self.y - np.asarray(s, dtype=float),
-                                 [1.0]])
-        self.jacobian = embedding.jacobian(self.z)
+        self.z = _point(self.x, self.y, np.asarray(s, dtype=float))
+        self.jacobian = jacobian or embedding.jacobian(self.z)
         self.nonsmooth = self.jacobian.nonsmooth
         self.unique = not np.any(self.jacobian.free < n_x)
         # both reported at the caller of Problem.solve or solve_many
@@ -93,6 +97,22 @@ class ResidualPoint:
             warnings.warn("the solution is not unique in a variable; "
                           "sensitivities follow one of the solutions",
                           NonuniqueWarning, stacklevel=5)
+
+
+def _point(x, y, s):
+    """The point z = (x, y - s, 1) of a solution (x, y, s) of arrays."""
+    return np.concatenate([x, y - s, [1.0]])
+
+
+def linearize(solutions):
+    """The ReducedJacobians at the points z of solutions, ConeSolutions
+    of programs with one A pattern and dims, in order, from one stacked
+    dproject_cone (Embedding.jacobians, an iterator); each is the one
+    ResidualPoint makes alone, to the bit, and it takes it as its
+    jacobian."""
+    Z = np.column_stack([_point(sol.x, sol.y, sol.s) for sol in solutions])
+    return solutions[0].embedding.jacobians(
+        Z, [sol.embedding for sol in solutions])
 
 
 def dphi(point, dtheta):

@@ -358,11 +358,12 @@ class AtomApp(Expr):
 
     __slots__ = ("atom", "args", "exponent", "size")
 
-    def __init__(self, atom: str, args: tuple, exponent=None):
+    def __init__(self, atom: str, args: tuple, size: int, exponent=None):
         self.atom = atom
         self.args = args
         self.exponent = exponent
-        self.size = max(a.size for a in args)
+        # the broadcast size, which build_atom has checked
+        self.size = size
         self.verdict = _compose(self)
 
     def __repr__(self):
@@ -400,14 +401,15 @@ def build_atom(atom_id: str, args, exponent=None) -> Expr:
         raise ArityError(
             f"{atom_id} takes {sig.arity} argument(s), got {len(args)}"
         )
-    _broadcast_size(args, atom_id)
+    size = _broadcast_size(args, atom_id)
 
     if atom_id == "power":
         return _build_power(args[0], exponent)
     if exponent is not None:
         raise ExpressionError(f"{atom_id} does not take an exponent")
 
-    # associative n-ary atoms flatten, which keeps canonical forms small
+    # associative n-ary atoms flatten, which keeps canonical forms small;
+    # size stays, a flattened argument's size being the largest of its own
     if sig.arity is None:
         flat = []
         for a in args:
@@ -425,7 +427,7 @@ def build_atom(atom_id: str, args, exponent=None) -> Expr:
         if np.any(np.atleast_1d(y.value - x.value) <= 0):
             raise DomainError("diff_pos of constants requires y > x")
 
-    return AtomApp(atom_id, args)
+    return AtomApp(atom_id, args, size)
 
 
 def _build_power(base: Expr, exponent) -> Expr:
@@ -435,7 +437,7 @@ def _build_power(base: Expr, exponent) -> Expr:
         exponent = float(exponent)
         if not math.isfinite(exponent):
             raise DomainError(f"power exponent must be finite, got {exponent}")
-        return AtomApp("power", (base,), exponent=exponent)
+        return AtomApp("power", (base,), base.size, exponent=exponent)
     if isinstance(exponent, (Parameter, Elem)):
         ref = exponent.base if isinstance(exponent, Elem) else exponent
         if not isinstance(ref, Parameter):
@@ -449,7 +451,7 @@ def _build_power(base: Expr, exponent) -> Expr:
                     "parameter exponent requires a non-parametrized base or "
                     "a positive parameter"
                 )
-        return AtomApp("power", (base,), exponent=exponent)
+        return AtomApp("power", (base,), base.size, exponent=exponent)
     raise PowerRuleError(
         "power exponent must be a fixed number or a (scalar) parameter, "
         "not a composed expression"

@@ -29,7 +29,7 @@ import numpy as np
 
 from .canon import canonicalize
 from .compiler import compile_problem
-from .diff import ResidualPoint, dphi, dphi_adjoint
+from .diff import ResidualPoint, dphi, dphi_adjoint, linearize
 from .expr import (
     Constraint,
     ShapeError,
@@ -105,10 +105,11 @@ class _Outcome:
         self._workspace = None
 
     def _finish(self, problem, sol, alpha, beta, derivatives, t_start,
-                solver_time):
+                solver_time, jacobian=None):
         """Record sol, the cone solution of problem at (alpha, beta): the
         status, value, variable values, warm start, derivative state and
-        stats.  Returns the value, None unless optimal."""
+        stats; jacobian is the derivative point's linearization where it
+        is made already.  Returns the value, None unless optimal."""
         prob, _, pmap = problem._compiled
         self.status = sol.status
         self.solution = sol
@@ -123,7 +124,8 @@ class _Outcome:
                                                                   sol.x)))
             if derivatives:
                 self._point = ResidualPoint(sol.embedding, sol.x, sol.y,
-                                            sol.s, n_x=pmap.n_x)
+                                            sol.s, n_x=pmap.n_x,
+                                            jacobian=jacobian)
                 self.nonsmooth = self._point.nonsmooth
                 self.unique = self._point.unique
                 self._alpha = alpha
@@ -429,10 +431,15 @@ def _solve(problems, derivatives, eps, max_iters, warm_start, values=None):
                                       max_iters=max_iters, warm_starts=warm,
                                       workspace=workspace)
         solver_time = time.perf_counter() - t_solver
-        for k, sol in zip(members, sols):
+        # a batch's derivative points, linearized together
+        points = [p for p, (k, sol) in enumerate(zip(members, sols))
+                  if derivatives[k] and sol.status == "optimal"]
+        jacobians = dict(zip(points, linearize([sols[p] for p in points]))
+                         if len(points) > 1 else ())
+        for p, (k, sol) in enumerate(zip(members, sols)):
             outcomes[k]._workspace = workspace
             prob, alpha, beta = data[k][:3]
             results[k] = outcomes[k]._finish(prob, sol, alpha, beta,
                                              derivatives[k], t_start,
-                                             solver_time)
+                                             solver_time, jacobians.get(p))
     return results

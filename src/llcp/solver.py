@@ -18,13 +18,16 @@ sparse factorization of the quasidefinite matrix
 eliminates tau with a rank-one correction computed once per solve and
 scale.
 rho_x is fixed; rho_y, the scale, follows the ratio of the dual to the
-primal residual, and each change of it refactors K.  A Gauss-Newton
-polish on the normalized residual map pushes the returned point to tight
-tolerances once ADMM has found the neighborhood.  Each of its steps is a
-least-squares solve with the map's Jacobian M at the point
-(Embedding.jacobian, whose ReducedJacobian docstring states the policy):
-LSQR on M G, with G the generalized inverse from one sparse LU of M's
-reduced matrix, a few iterations where LSQR on M alone takes dozens.
+primal residual, and each change of it refactors K, whose pattern the
+workspace builds once per A and whose diagonal each scale refills.  A
+Gauss-Newton polish on the normalized residual map pushes the returned
+point to tight tolerances once ADMM has found the neighborhood.  Each of
+its steps is a least-squares solve with the map's Jacobian M at the point
+(Embedding.jacobians, whose ReducedJacobian docstring states the
+policy): LSQR on M G, with G the generalized inverse from one sparse LU
+of M's reduced matrix, a few iterations where LSQR on M alone takes
+dozens.  The polish and the steps from a held point below are one
+Gauss-Newton routine (_gauss_newton) with a step maker of their own.
 
 The iteration is a fixed-point map w -> T(w) of w = u - v, the vector it
 projects, and type-II Anderson acceleration (Walker & Ni, 2011) extends
@@ -61,10 +64,13 @@ in lockstep on stacks of iterates, one column per program.  Programs at
 one scale share one factor of K, and each iteration makes one solve with
 it on all their columns and one projection of all their exponential
 triples, which are then enough to run the root finds as one numpy loop.
-Each program keeps its own tau elimination, checks, polish, certificates,
-scale and acceleration memory, a column of the acceleration's stack, and
-leaves the stack when it ends.  solve is the batch of one, which runs on
-vectors.
+Each program keeps its own tau elimination, checks, certificates, scale
+and acceleration memory, a column of the acceleration's stack, and leaves
+the stack when it ends.  The programs that polish at one check polish in
+lockstep: each step makes one stacked DPi of all their points, which
+above _VECTOR_TRIPLES exponential triples is one numpy pass, and one
+projection of all their candidates, and each program takes its own LSQR
+step.  solve is the batch of one, which runs on vectors.
 """
 
 from __future__ import annotations
@@ -213,10 +219,17 @@ def _metric(n, m, scale):
     return np.concatenate([np.full(n, _RHO_X), np.full(m, scale), [1.0]])
 
 
-def _factor_kkt(A, r):
+def _kkt(A):
+    """K = [[I, A'], [A, -I]] as CSC, the pattern of _factor_kkt's K."""
+    return sp.bmat([[sp.identity(A.shape[1]), A.T],
+                    [A, -sp.identity(A.shape[0])]], format="csc")
+
+
+def _factor_kkt(A, r, K):
     """Sparse LU of the quasidefinite K = [[Rx, A'], [A, -Ry]].
 
-    Rx and Ry are the diagonal blocks of R = diag(r) with r > 0.  Every
+    Rx and Ry are the diagonal blocks of R = diag(r) with r > 0, and K is
+    _kkt(A), made once per A, whose diagonal the call overwrites.  Every
     symmetric permutation of a quasidefinite matrix factors without
     pivoting, so the factor keeps a symmetric minimum-degree order, which
     puts the dense posynomial rows last and keeps the fill about linear
@@ -226,8 +239,10 @@ def _factor_kkt(A, r):
     the diagonal, and leaves the other pivots where the order put them.
     """
     m, n = A.shape
-    K = sp.bmat([[sp.diags(r[:n]), A.T], [A, sp.diags(-r[n:n + m])]],
-                format="csc")
+    # K's rows are sorted: the diagonal is the first entry of each of the
+    # first n columns and the last of each of the others
+    K.data[np.concatenate([K.indptr[:n], K.indptr[n + 1:] - 1])] = \
+        np.concatenate([r[:n], -r[n:n + m]])
     return spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-2,
                      options={"SymmetricMode": True})
 
@@ -237,10 +252,11 @@ class Workspace:
 
     Built from (A, dims), it holds the Embedding of A's pattern, A's
     values with their Ruiz factors (As, d, e), the transposes AT and AsT
-    of A and As, and the factors of K at the scales the last solve's
+    of A and As, K on As (_kkt), whose diagonal each scale refills, and
+    the factors of K at the scales the last solve's
     programs ended at, by scale.  solve() and solve_batch() compare each
     A's values with the held ones: equal values keep the equilibration,
-    the transposes and the factors, other values recompute them all.  A
+    the transposes, K and the factors, other values recompute them all.  A
     with another pattern, or other dims, raises ValueError.  Not safe to
     share between threads.
     """
@@ -267,17 +283,18 @@ class Workspace:
             # made once here, not at each check and certificate test; AT
             # is a copy, so a later change to the caller's A cannot reach it
             self.AT, self.AsT = A.T.copy(), self.As.T
+            self._K = _kkt(self.As)
             self._values = A.data.copy()
             self._factors = {}
 
-    def factor(self, scale):
-        """The factor of K at scale, and the number of factors computed
-        for it (0 when one at that scale is held, else 1)."""
+    def factor(self, scale, r):
+        """The factor of K at scale, whose metric is r = _metric(n, m,
+        scale), and the number of factors computed for it (0 when one at
+        that scale is held, else 1)."""
         lu = self._factors.get(scale)
         if lu is not None:
             return lu, 0
-        m, n = self.As.shape
-        lu = self._factors[scale] = _factor_kkt(self.As, _metric(n, m, scale))
+        lu = self._factors[scale] = _factor_kkt(self.As, r, self._K)
         return lu, 1
 
     def retain(self, scales):
@@ -296,7 +313,7 @@ class _HsdStep:
         u[:-1] = M^-1 (Rw)[:-1] - tau M^-1 h.
 
     M is K = [[Rx, A'], [A, -Ry]] with its second block row negated, so
-    each M^-1 is one solve with the factor lu of K (_factor_kkt(A, r)),
+    each M^-1 is one solve with the factor lu of K (_factor_kkt),
     which does not depend on b or c.  The symmetric part of M^-1 is
     positive definite, so the denominator is at least r_tau.
 
@@ -378,31 +395,65 @@ def _certificates(A, AT, b, c, u, v, tol):
     return None, None
 
 
-def _refine(emb, z, eps):
-    """Gauss-Newton on the residual map F of emb with tau pinned to one.
+def _gauss_newton(pi, embs, z, eps, step, extra, u=None):
+    """Gauss-Newton in lockstep on the residual maps F of embs, the
+    embeddings of k programs on pi's pattern, with tau pinned to one.
 
-    Takes full steps while each one lowers ||F||, at most _POLISH_STEPS,
-    until ||F|| <= eps * 1e-3.  F is positively homogeneous, so z is
-    renormalized after every step.  Returns the polished z, which is the
-    input with tau pinned to one if the first step does not help.
-    """
-    def norm_tau(zz):
-        return zz / max(zz[-1], 1e-300)
-
-    z = norm_tau(z)
-    Fz = emb.residual(z)
-    norm = np.linalg.norm(Fz)
+    z is the (k, N) stack of the programs' starts, one row each with
+    tau = 1, and u their projection Pi(z) where the caller has it.
+    step(run, z, F) gives the steps dz, one row each, of the programs run
+    from the points z and residuals F of all programs.  Each program
+    takes full steps while each one lowers ||F||, at most _POLISH_STEPS,
+    until ||F|| <= eps * 1e-3; with extra it then takes one more, kept if
+    ||F|| still falls.  F is positively homogeneous, so every candidate
+    is normalized to tau = 1.  The candidates of all programs are
+    projected in one call per step.  Each program's arithmetic is that
+    of its own run; a NaN residual stops it.  z and u are updated in
+    place and returned."""
+    # one projection of a stack, and one contiguous row per program
+    u = np.ascontiguousarray(pi.project(z.T).T) if u is None else u
+    F = np.array([emb.residual(zp, up) for emb, zp, up in zip(embs, z, u)])
+    norm = np.sqrt(_dots(F, F))
+    last = norm <= eps * 1e-3
+    running = list(range(len(embs))) if extra else list(np.flatnonzero(~last))
     for _ in range(_POLISH_STEPS):
-        if norm <= eps * 1e-3:
+        if not running:
             break
-        dz = emb.jacobian(z).lsqr(-Fz)[0]
-        cand = norm_tau(z + dz)
-        Fc = emb.residual(cand)
-        nc = np.linalg.norm(Fc)
-        if not nc < norm:  # a NaN residual stops the polish too
-            break
-        z, Fz, norm = cand, Fc, nc
-    return z
+        cand = z[running] + step(running, z, F)
+        cand /= np.maximum(cand[:, -1:], 1e-300)
+        uc = np.ascontiguousarray(pi.project(cand.T).T)
+        Fc = np.array([embs[p].residual(zp, up)
+                       for p, zp, up in zip(running, cand, uc)])
+        nc = np.sqrt(_dots(Fc, Fc))
+        still = []
+        for q, p in enumerate(running):
+            if not nc[q] < norm[p]:  # a NaN residual stops it too
+                continue
+            z[p], u[p], F[p], norm[p] = cand[q], uc[q], Fc[q], nc[q]
+            # a step taken after ||F|| met the bound was the extra one
+            if not last[p]:
+                last[p] = norm[p] <= eps * 1e-3
+                if extra or not last[p]:
+                    still.append(p)
+        running = still
+    return z, u
+
+
+def _polish(pi, embs, z, eps):
+    """The polished points (z, u) of the programs of embs from the (k, N)
+    stack z of their unscaled iterates u - v: _gauss_newton, which
+    relinearizes at every step (pi.jacobians, one stacked DPi) and
+    takes each program's step by LSQR on M G (ReducedJacobian.lsqr).  A
+    program keeps its input, with tau normalized, when its first step
+    does not help; u is Pi(z)."""
+    def relinearized(run, z, F):
+        # jacobians makes the points one at a time, and each goes with
+        # its factor once its step is taken: a batch holds one factor
+        jacs = pi.jacobians(z[run].T, [embs[p] for p in run])
+        return [jac.lsqr(-F[p])[0] for jac, p in zip(jacs, run)]
+
+    return _gauss_newton(pi, embs, z / np.maximum(z[:, -1:], 1e-300), eps,
+                         relinearized, extra=False)
 
 
 def _held_steps(pi, cols, points, eps):
@@ -416,46 +467,21 @@ def _held_steps(pi, cols, points, eps):
     (Embedding.tau_row, ReducedJacobian.bordered), so no step linearizes
     or factors anything.  The first right-hand side is -F(z0) = -dQ u
     for the held u = Pi(z0), the first-order sensitivity of the
-    solution.  The columns step in lockstep, with one projection of all
-    their candidates per step.  Like _refine, a column keeps a step
-    while it lowers ||F||, at most _POLISH_STEPS, and once ||F|| <=
-    eps * 1e-3 it takes one more, kept if ||F|| still falls.  Then its
-    point is a candidate on the unscaled data.
+    solution.  The steps run in _gauss_newton with its extra step, and
+    each column's final point is a candidate on the unscaled data.
     """
     steps = [pt.jacobian.bordered(pi.tau_row(pt.jacobian, col.b, col.c))
              for col, pt in zip(cols, points)]
     # (k, N) stacks, one contiguous row per column, so that each column's
-    # arithmetic is that of its program alone
-    z = np.array([pt.z for pt in points])
-    u = np.array([pt.u for pt in points])
-    F = np.array([col.emb.residual(zp, up) for col, zp, up in zip(cols, z, u)])
-    norm = np.sqrt(_dots(F, F))
-    last = norm <= eps * 1e-3
-    running = list(range(len(cols)))
-    for _ in range(_POLISH_STEPS):
-        if not running:
-            break
-        cand = z[running] + np.array([steps[p](-F[p]) for p in running])
-        cand /= np.maximum(cand[:, -1:], 1e-300)
-        uc = np.ascontiguousarray(pi.project(np.ascontiguousarray(cand.T)).T)
-        Fc = np.array([cols[p].emb.residual(zp, up)
-                       for p, zp, up in zip(running, cand, uc)])
-        nc = np.sqrt(_dots(Fc, Fc))
-        still = []
-        for q, p in enumerate(running):
-            if not nc[q] < norm[p]:  # a NaN residual stops it too
-                continue
-            z[p], u[p], F[p], norm[p] = cand[q], uc[q], Fc[q], nc[q]
-            if not last[p]:
-                last[p] = norm[p] <= eps * 1e-3
-                still.append(p)
-        running = still
-    out = []
-    for col, up, zp in zip(cols, u, z):
-        cand = col.candidate(up, up - zp)
-        ok = cand is not None and max(cand[3:]) <= eps
-        out.append(col._ending("optimal", 0, *cand) if ok else None)
-    return out
+    # arithmetic is that of its program alone; tau is one at a point
+    z, u = _gauss_newton(
+        pi, [col.emb for col in cols], np.array([pt.z for pt in points]), eps,
+        lambda run, z, F: [steps[p](-F[p]) for p in run],
+        extra=True, u=np.array([pt.u for pt in points]))
+    cands = [col.candidate(up, up - zp) for col, up, zp in zip(cols, u, z)]
+    return [col._ending("optimal", 0, *cand)
+            if cand is not None and max(cand[3:]) <= eps else None
+            for col, cand in zip(cols, cands)]
 
 
 def solve(A, b, c, dims, *, eps=1e-8, max_iters=100000, warm_start=None,
@@ -514,21 +540,12 @@ class _Column:
         self.rejections = 0
         self.polish_tol = _POLISH_FROM
         self.best = None
-        self.raw = None
 
     def set_scale(self, scale, workspace):
-        m, n = workspace.As.shape
         self.scale = scale
-        self.r = _metric(n, m, scale)
-        self.lu, computed = workspace.factor(scale)
+        self.r = _metric(self.emb.n, self.emb.m, scale)
+        self.lu, computed = workspace.factor(scale, self.r)
         self.factorizations += computed
-
-    def unscaled(self, u, v, d, e):
-        """The pair (u, Rv) of the original data; Rv is (0, s, kappa)."""
-        n, m = e.size, d.size
-        rv = self.r * v
-        return (np.concatenate([u[:n] * e, u[n:n + m] * d, u[-1:]]),
-                np.concatenate([rv[:n], rv[n:n + m] / d, rv[-1:]]))
 
     def candidate(self, u, v):
         """(x, y, s, pres, dres, gap) of an unscaled pair (u, v), or None
@@ -538,23 +555,34 @@ class _Column:
             return None
         return pair + _residuals(self.A, self.AT, self.b, self.c, *pair)
 
-    def check(self, uu, vv, eps):
-        """Add the candidates of the unscaled pair (uu, vv); True when
-        the best one meets eps."""
-        emb = self.emb
+    def check(self, u, v, d, e):
+        """Take the raw candidate of the scaled pair (u, v): the pair
+        (u, Rv), Rv = (0, s, kappa), is kept as scaled and its pair on the
+        original data as unscaled.  Returns the point u - Rv of the
+        original data to polish from, or None."""
+        n, m = e.size, d.size
+        # contiguous copies: a strided column could change the rounding
+        # of its dot products
+        u, rv = self.scaled = (np.ascontiguousarray(u),
+                               self.r * np.ascontiguousarray(v))
+        uu, vv = self.unscaled = (
+            np.concatenate([u[:n] * e, u[n:n + m] * d, u[-1:]]),
+            np.concatenate([rv[:n], rv[n:n + m] / d, rv[-1:]]))
         raw = self.raw = self.candidate(uu, vv)
-        cands = [self.best, raw]
-        near = raw is not None and max(raw[3:]) <= self.polish_tol
-        if near and uu[-1] > 1e-12 * (1.0 + np.linalg.norm(uu)):
-            z = _refine(emb, uu - vv, eps)
-            ur = emb.project(z)
-            cands.append(self.candidate(ur, ur - z))
+        self.near = raw is not None and max(raw[3:]) <= self.polish_tol
+        polish = self.near and uu[-1] > 1e-12 * (1.0 + np.linalg.norm(uu))
+        return uu - vv if polish else None
+
+    def settle(self, polished, eps):
+        """Keep the best of the candidates so far, the check's raw one and
+        its polish (a candidate or None); True when it meets eps."""
         # the smallest worst residual wins; a tie keeps the earlier one
-        best = self.best = min((t for t in cands if t is not None),
-                               key=lambda t: max(t[3:]), default=None)
+        best = self.best = min(
+            (t for t in (self.best, self.raw, polished) if t is not None),
+            key=lambda t: max(t[3:]), default=None)
         if best is not None and max(best[3:]) <= eps:
             return True
-        if near:
+        if self.near:
             # polish fell short: drive the splitting further
             self.polish_tol = max(eps, self.polish_tol / 100.0)
         return False
@@ -838,9 +866,12 @@ def solve_batch(A, bs, cs, dims, *, eps=1e-8, max_iters=100000,
     projected in one call.  Each program keeps its own h = (c, b), its
     own tau elimination and its own root warm starts.  The checks,
     polish, certificates and scale rule run per program at solve()'s
-    iterations; a program that ends there leaves the stack, so the
-    others do not wait for it, nor it for them.  warm_starts holds one
-    warm start (or None) per program, in any iterable.  The programs
+    iterations: a check takes every program's raw candidate, polishes
+    those near enough in lockstep (_polish), then makes each program's
+    choice, certificate test and scale change.  A program that ends there
+    leaves the stack, so the others do not wait for it, nor it for them.
+    warm_starts holds one warm start (or None) per program, in any
+    iterable.  The programs
     with a held point take their Gauss-Newton steps first, in lockstep,
     with one projection of all their candidates per step; those that
     meet eps never join the stack, and a point is dropped once its steps
@@ -913,25 +944,32 @@ def solve_batch(A, bs, cs, dims, *, eps=1e-8, max_iters=100000,
         rescaled = False
         check = capped or (it > 0 and it % _CHECK_EVERY == 0)
         cert = it > 0 and it % _CERT_EVERY == 0
-        for p, j in enumerate(active if check or cert else ()):
+        polished = {}
+        if check:
+            # every column's raw candidate, then one lockstep polish of
+            # those near enough, then each column's choice
+            starts = [cols[j].check(u.reshape(N, -1)[:, p],
+                                    v.reshape(N, -1)[:, p], d, e)
+                      for p, j in enumerate(active)]
+            near = [p for p, z in enumerate(starts) if z is not None]
+            if near:
+                z, ur = _polish(pi, [cols[active[p]].emb for p in near],
+                                np.array([starts[p] for p in near]), eps)
+                polished = {p: cols[active[p]].candidate(up, up - zp)
+                            for p, zp, up in zip(near, z, ur)}
+        # a certificate iteration is also a check one, so each column's
+        # pairs are this iteration's
+        for p, j in enumerate(active if check else ()):
             col = cols[j]
-            # contiguous copies: a strided column could change the
-            # rounding of its dot products
-            up = np.ascontiguousarray(u.reshape(N, -1)[:, p])
-            vp = np.ascontiguousarray(v.reshape(N, -1)[:, p])
-            if check:
-                uu, vv = col.unscaled(up, vp, d, e)
-                if col.check(uu, vv, eps):
-                    done[j] = col.solution(it, eps)
-                    leaving.append(p)
-                    continue
-            # a certificate iteration is also a check one, so (uu, vv) is
-            # this iteration's unscaled pair
+            if col.settle(polished.get(p), eps):
+                done[j] = col.solution(it, eps)
+                leaving.append(p)
+                continue
             if cert:
-                kind, _ = _certificates(As, workspace.AsT, col.bs, col.cs, up,
-                                        col.r * vp, max(eps, 1e-9))
+                kind, _ = _certificates(As, workspace.AsT, col.bs, col.cs,
+                                        *col.scaled, max(eps, 1e-9))
                 if kind is not None:
-                    done[j] = col.certificate(dims, uu, vv, it)
+                    done[j] = col.certificate(dims, *col.unscaled, it)
                     if done[j] is not None:
                         leaving.append(p)
                         continue

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from llcp import cones
 from llcp.cones import (
@@ -65,7 +65,7 @@ def test_projection_fixtures(v, expected):
 
 def _project_numpy(v):
     """project_expcone through the numpy root find, on one lane."""
-    x, y, z, _, _ = cones._project_exp_many(
+    x, y, z, *_ = cones._project_exp_many(
         *(np.array([float(w)]) for w in v), np.array([np.nan]))
     return np.array([x[0], y[0], z[0]]), None
 
@@ -224,7 +224,8 @@ def test_numpy_projection_matches_the_scalar_one(vs, data):
                   st.floats(-50.0, 50.0)),
         min_size=len(vs), max_size=len(vs)))
     r, s, t = np.array(vs, dtype=float).T
-    x, y, z, case, rho = cones._project_exp_many(r, s, t, np.array(starts))
+    x, y, z, case, rho, lam = cones._project_exp_many(r, s, t,
+                                                      np.array(starts))
     for k, v in enumerate(vs):
         want = cones._project_exp(*map(float, v), starts[k])
         assert cones._CASES[case[k]] == want[3]
@@ -232,8 +233,9 @@ def test_numpy_projection_matches_the_scalar_one(vs, data):
         assert err <= 1e-15 * math.hypot(*v)
         if want[3] == "boundary":
             assert abs(rho[k] - want[4]) <= 1e-15 * (1.0 + abs(want[4]))
+            assert abs(lam[k] - want[5]) <= 1e-15 * math.hypot(*v)
         else:
-            assert math.isnan(rho[k])
+            assert math.isnan(rho[k]) and math.isnan(lam[k])
 
 
 # roots on both sides of zero, signed zeros, and |rho| > 745, where
@@ -257,6 +259,58 @@ def test_numpy_newton_kernel_is_the_scalar_one(lanes):
     # to the bit, NaNs from huge entries included
     got = np.stack([f, fp], axis=1)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# entries at unit scale, huge, signed zeros and tiny; and boundary
+# triples whose roots lie beyond |rho| = 745, where e^-|rho| underflows:
+# near 1 - s/r for (1, -d, t), and near r/s for (-d, 1, t)
+entries = st.one_of(st.floats(-10.0, 10.0), huge,
+                    st.sampled_from([0.0, -0.0, 1e-300, -1e-300]))
+deep = st.builds(lambda d, t, right: (1.0, -d, t) if right else (-d, 1.0, t),
+                 st.floats(745.0, 1e6), st.floats(-10.0, 10.0), st.booleans())
+
+
+# boundary triples whose block changes in its last bit when (1 - rho)^2
+# is taken as a product rather than through pow, as Python floats take it
+POW_ROUNDED = [(0.00028801461156536666, 0.002012798164678794,
+                0.0006809155654372226),
+               (2.4874740374776597e+70, -6.380532098894084e+68,
+                4.3519212169616736e+69),
+               (11.713569604886464, 1.1856856400565559, 23143.610136870175)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(triples=st.lists(st.one_of(st.tuples(entries, entries, entries), deep),
+                        min_size=1, max_size=30),
+       dual=st.booleans())
+@example(triples=POW_ROUNDED, dual=False)
+@example(triples=[tuple(-x for x in v) for v in POW_ROUNDED], dual=True)
+def test_stacked_dproject_is_each_column(triples, dual):
+    # a stack of columns, each the triples rotated, enough of them for
+    # the numpy pass: its matrices and flags are each column's alone, to
+    # the bit
+    ne = len(triples)
+    k = cones._VECTOR_TRIPLES // ne + 2
+    dims = {"zero": 1, "nonneg": 2, "exp": ne}
+    flat = np.array(triples, dtype=float).ravel()
+    head = np.array([0.5, -0.0, 1e-12])
+    V = np.column_stack([np.concatenate([head, np.roll(flat, 3 * j)])
+                         for j in range(k)])
+    assert k * ne > cones._VECTOR_TRIPLES
+    got, flags = dproject_cone(V, dims, dual=dual)
+    assert len(got) == k and flags.shape == (k,)
+    for j in range(k):
+        want, ns = dproject_cone(V[:, j], dims, dual=dual)
+        assert flags[j] == ns
+        for f in ("data", "indices", "indptr"):
+            assert (getattr(got[j], f).tobytes()
+                    == getattr(want, f).tobytes()), f
+    # and the kernel lane by lane, at any count
+    J, near = cones._dproject_exp_many(*flat.reshape(ne, 3).T)
+    for lane, v in enumerate(triples):
+        Jw, nw = dproject_expcone(v)
+        assert near[lane] == nw
+        assert np.array_equal(J[lane].view(np.uint64), Jw.view(np.uint64))
 
 
 @pytest.mark.parametrize("dual", [False, True])

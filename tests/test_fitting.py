@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from llcp import embedding, problem, solver
 from llcp.diff import NonsmoothWarning
 from llcp.fitting import (
     fit,
@@ -137,6 +138,62 @@ def test_fit_compiles_one_program():
     res = fit(X, Y, Xv, Yv, iters=2)
     assert traversal_count() == before + 1
     assert res.solves == 3 * (8 + 4)
+
+
+def test_batch_exp_cone_work_is_stacked(monkeypatch):
+    # one fit(iters=2) on synthetic_data(30, 8, 5): 45 columns per
+    # evaluation, whose polish and derivative points take one stacked
+    # DPi per Gauss-Newton step and per evaluation with derivatives (the
+    # per-column code took 105), and no one-column projection of the
+    # exponential cone while more than one column polishes or builds its
+    # points
+    X, Y, Xv, Yv, *_ = synthetic_data(30, 8, 5)
+    phase = []  # the batched phase running, "polish" or "points"
+    calls = {"dproject": [], "project": []}
+    steps = []
+
+    def recorded(kind, fn):
+        def call(v, *args, **kwargs):
+            calls[kind].append((np.ndim(v), tuple(phase)))
+            return fn(v, *args, **kwargs)
+        return call
+
+    def during(name, fn, programs):
+        def call(*args):
+            if len(programs(args)) < 2:
+                return fn(*args)
+            phase.append(name)
+            try:
+                return fn(*args)
+            finally:
+                phase.pop()
+        return call
+
+    def counted(self, Z, embeddings):
+        steps.append(tuple(phase))
+        return jacobians(self, Z, embeddings)
+
+    for kind in ("dproject", "project"):
+        name = kind + "_cone"
+        monkeypatch.setattr(embedding, name,
+                            recorded(kind, getattr(embedding, name)))
+    jacobians = embedding.Embedding.jacobians
+    monkeypatch.setattr(embedding.Embedding, "jacobians", counted)
+    monkeypatch.setattr(solver, "_polish", during(
+        "polish", solver._polish, lambda args: args[1]))
+    monkeypatch.setattr(problem, "linearize", during(
+        "points", problem.linearize, lambda args: args[0]))
+    res = fit(X, Y, Xv, Yv, iters=2)
+    assert res.solves == 135
+    # every DPi is one stacked call: one per lockstep step of a polish,
+    # one per evaluation with derivatives (the last takes no gradient)
+    assert all(ndim == 2 for ndim, _ in calls["dproject"])
+    assert len(calls["dproject"]) == len(steps)
+    assert steps.count(("points",)) == 2
+    assert len(steps) == steps.count(("polish",)) + 2 < 105
+    # the projections of a polish, one per step, are stacks too
+    inside = [ndim for ndim, at in calls["project"] if at]
+    assert inside and all(ndim == 2 for ndim in inside)
 
 
 def test_fit_zero_iterations_is_the_warm_start():

@@ -1,11 +1,13 @@
 """Operator-splitting solver: exactness, certificates, and edge shapes."""
 
+import re
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from llcp import cones, examples, solver
 from llcp.canon import canonicalize
@@ -15,7 +17,7 @@ from llcp.embedding import Embedding
 from llcp.expr import Parameter
 from llcp.fitting import least_squares_monomials, model_problem, synthetic_data
 from llcp.solver import (ConeSolution, DataError, _equilibrate, _factor_kkt,
-                         _HsdStep, solve)
+                         _HsdStep, _kkt, solve)
 
 from oracles import loosened_program, planted_cone_program, separated_program
 from test_canon import canon_hello
@@ -298,7 +300,8 @@ def test_polish_that_falls_short_tightens_the_splitting(monkeypatch):
     # a polish that never moves: the first check within the polish
     # tolerance falls short of eps, so the tolerance tightens and the
     # splitting alone must reach eps
-    monkeypatch.setattr(solver, "_refine", lambda emb, z, eps: z)
+    monkeypatch.setattr(solver, "_polish", lambda pi, embs, z, eps: (
+        z, np.ascontiguousarray(pi.project(z.T).T)))
     sol = solve(A, b, c, dims)
     assert sol.status == "optimal"
     assert max(sol.pres, sol.dres, sol.gap) <= 1e-8
@@ -310,9 +313,9 @@ def test_polish_retries_are_bounded(monkeypatch):
     # tolerance 100-fold, so only a few checks polish before the cap
     # (without the retry, 78 would)
     calls = []
-    refine = solver._refine
-    monkeypatch.setattr(solver, "_refine",
-                        lambda *args: calls.append(1) or refine(*args))
+    polish = solver._polish
+    monkeypatch.setattr(solver, "_polish",
+                        lambda *args: calls.append(1) or polish(*args))
     sol = solve(*hello_cone_program(), eps=1e-16, max_iters=2000)
     assert sol.status == "max_iters"
     assert 1 <= len(calls) <= 6
@@ -327,7 +330,7 @@ def test_polish_stops_at_the_first_step_that_does_not_help(monkeypatch):
     evals = []
     residual = Embedding.residual
     monkeypatch.setattr(Embedding, "residual",
-                        lambda self, zz: evals.append(1) or residual(self, zz))
+                        lambda self, *a: evals.append(1) or residual(self, *a))
     lsqr = solver.spla.lsqr
 
     def uphill(*args, **kwargs):
@@ -337,8 +340,42 @@ def test_polish_stops_at_the_first_step_that_does_not_help(monkeypatch):
     # the reversed Gauss-Newton direction raises ||F||: the polish gives
     # back its input after one trial step, with no halving of the step
     monkeypatch.setattr(solver.spla, "lsqr", uphill)
-    assert np.array_equal(solver._refine(far.embedding, z, 1e-8), z)
+    polished, _ = solver._polish(far.embedding, [far.embedding], z[None],
+                                 1e-8)
+    assert np.array_equal(polished[0], z)
     assert len(evals) == 2
+
+
+@pytest.mark.parametrize("extra", [False, True])
+def test_gauss_newton_takes_one_more_step_only_with_extra(extra):
+    # the polish (extra False) stops once ||F|| meets the bound, and the
+    # steps from a held point (extra True) take one more; a step that
+    # does not lower ||F|| is a program's last
+    A, b, c, dims = hello_cone_program()
+    sol = solve(A, b, c, dims)
+    emb = sol.embedding
+    z = np.concatenate([sol.x, sol.y - sol.s, [1.0]])
+    calls = []
+
+    def step(run, zr, F):
+        # to the solution, which meets the bound of eps = 1
+        calls.append(list(run))
+        return z - zr
+
+    # both columns start within the bound
+    got, u = solver._gauss_newton(emb, [emb, emb], np.array([z, z]), 1.0,
+                                  step, extra)
+    assert calls == ([[0, 1]] if extra else [])
+    assert np.array_equal(got, np.array([z, z]))
+    assert np.array_equal(u[0], emb.project(z))
+    # from outside the bound, the first step meets it
+    far = z + 0.5
+    far[-1] = 1.0
+    assert np.linalg.norm(emb.residual(far)) > 1e-3
+    calls.clear()
+    got, _ = solver._gauss_newton(emb, [emb], far[None], 1.0, step, extra)
+    assert calls == [[0]] * (2 if extra else 1)
+    assert np.allclose(got[0], z, rtol=0.0, atol=1e-12)
 
 
 def test_polish_takes_few_lsqr_iterations_per_step(monkeypatch):
@@ -420,7 +457,7 @@ def test_hsd_step_matches_dense_solve(seed):
     bs, cs = b * d, c * e
     m, n = As.shape
     r = metric(n, m, 1.0, 1.0)
-    lu = _factor_kkt(As, r)
+    lu = _factor_kkt(As, r, _kkt(As))
     # the factor depends on A alone: reuse it after b and c change
     for bb, cc in ((bs, cs), (rng.normal(size=m), 10.0 * rng.normal(size=n))):
         step = _HsdStep(lu, bb, cc, r)
@@ -445,7 +482,7 @@ def test_scaled_hsd_step_matches_dense_solve(program, rho_x, rho_y):
     bs, cs = b * d, c * e
     m, n = As.shape
     r = metric(n, m, rho_x, rho_y)
-    step = _HsdStep(_factor_kkt(As, r), bs, cs, r)
+    step = _HsdStep(_factor_kkt(As, r, _kkt(As)), bs, cs, r)
     dense = np.diag(r) + Embedding(As, bs, cs, dims).Q.toarray()
     for _ in range(3):
         w = rng.normal(size=n + m + 1)
@@ -454,11 +491,42 @@ def test_scaled_hsd_step_matches_dense_solve(program, rho_x, rho_y):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("n", [250, 500])
+def test_held_kkt_pattern_is_the_assembled_matrix(n):
+    # the workspace builds K's pattern once and refills its diagonal at
+    # each scale: the arrays, and so the factor, are those of assembling
+    # K afresh at that scale
+    A, b, c, dims = cone_program(examples.benchmark(n=n))
+    ws = solver.Workspace(A, dims)
+    ws.load(solver.canonical(A), dims)
+    m, n = ws.As.shape
+    rng = np.random.default_rng(n)
+    for scale in (solver._SCALE_START, 3.7, solver._SCALE_MIN,
+                  solver._SCALE_MAX, 1.5, solver._SCALE_START):
+        r = metric(n, m, solver._RHO_X, scale)
+        K = sp.bmat([[sp.diags(r[:n]), ws.As.T],
+                     [ws.As, sp.diags(-r[n:n + m])]], format="csc")
+        lu, computed = ws.factor(scale, r)
+        want = spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-2,
+                         options={"SymmetricMode": True})
+        if computed:
+            held = ws._K
+            for f in ("indptr", "indices", "data"):
+                assert getattr(held, f).tobytes() == getattr(K, f).tobytes()
+            for f in ("L", "U"):
+                assert (getattr(lu, f).data.tobytes()
+                        == getattr(want, f).data.tobytes())
+        # a factor held from the first scale solves as a fresh one does
+        w = rng.normal(size=n + m)
+        assert lu.solve(w).tobytes() == want.solve(w).tobytes()
+
+
 def test_kkt_factor_fill_is_linear():
     A, b, c, dims = cone_program(examples.benchmark(n=500))
     As, *_ = _equilibrate(A, dims)
     m, n = As.shape
-    lu = _factor_kkt(As, metric(n, m, solver._RHO_X, solver._SCALE_START))
+    lu = _factor_kkt(As, metric(n, m, solver._RHO_X, solver._SCALE_START),
+                     _kkt(As))
     # K = [[Rx, A'], [A, -Ry]]; splu(I + Q) in the COLAMD order filled to
     # about 70 times this
     nnz_K = n + m + 2 * As.nnz
@@ -567,6 +635,54 @@ def test_mixed_batch_columns_end_on_their_own():
     # each scale that two programs hold is factored once
     assert 3 <= sum(s.factorizations for s in batch) < sum(
         s.factorizations for s in solos)
+
+
+def test_batch_mixed_lockstep_groups(monkeypatch):
+    # fit programs with perturbed c: the columns reach the polish at
+    # different checks, and at one of them a column whose flipped cost
+    # makes it unbounded ends by certificate while others polish
+    A, bs, cs, dims = fit_cone_programs()
+    rng = np.random.default_rng(7)
+    c = cs[0]
+    bs, cs = bs[:6], [c * rng.uniform(0.3, 3.0) for _ in range(6)]
+    for j, entry in ((1, 10), (2, 11), (3, 20)):
+        cs[j] = c.copy()
+        cs[j][entry] = -1.0
+    cs[4] = c + rng.uniform(0.0, 0.5, size=c.size)
+    # one letter per event: c a column's check, p a polish, x a
+    # certificate that ends its column
+    events = []
+    for name, letter in (("check", "c"), ("certificate", "x")):
+        method = getattr(solver._Column, name)
+
+        def hooked(self, *args, method=method, letter=letter):
+            out = method(self, *args)
+            if letter == "c" or out is not None:
+                events.append(letter)
+            return out
+
+        monkeypatch.setattr(solver._Column, name, hooked)
+    groups = []
+    polish = solver._polish
+
+    def grouped(pi, embs, z, eps):
+        events.append("p")
+        groups.append(len(embs))
+        return polish(pi, embs, z, eps)
+
+    monkeypatch.setattr(solver, "_polish", grouped)
+    batch = solver.solve_batch(A, bs, cs, dims)
+    monkeypatch.undo()
+    for got, b, c in zip(batch, bs, cs):
+        assert_solutions_agree(got, solve(A, b, c, dims))
+    assert [s.status for s in batch] == ["optimal", "unbounded"] + [
+        "optimal"] * 4
+    # the premises: three checks polish, and the certificate falls on the
+    # second, at iteration 100
+    checks = re.findall("c+[^c]*", "".join(events))
+    assert groups == [2, 2, 1]
+    assert [s.iterations for s in batch] == [125, 100, 100, 100, 75, 75]
+    assert "p" in checks[1] and "x" in checks[1]
 
 
 def test_empty_batch_and_argument_checks():
