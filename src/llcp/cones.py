@@ -531,12 +531,10 @@ def _dproject_exp_many(r, s, t):
         J[i] = np.eye(3)
         i = i[s[i] > 0.0]
         near[i] = ~_inside(s[i], t[i], r[i] / s[i], -tol[i], False)
-        # polar: near unless inside the polar by tol
+        # polar: near unless inside the polar by tol, which takes r > 0
         i = np.flatnonzero(case == 1)
-        pos = r[i] > 0.0
-        p, q = i[pos], i[~pos]
-        near[p] = ~_inside(r[p], -math.e * t[p], s[p] / r[p], -tol[p], True)
-        near[q] = ~((r[q] >= tol[q]) & (s[q] <= -tol[q]) & (t[q] <= -tol[q]))
+        i = i[r[i] > 0.0]
+        near[i] = ~_inside(r[i], -math.e * t[i], s[i] / r[i], -tol[i], True)
         # the third region, and degenerate boundary points left of zero
         bnd = case == 3
         deg = bnd & (y <= 0.0)
@@ -657,14 +655,15 @@ def _blockdiag_pattern(nd, ne):
 
 
 def _blockdiag_csr(diag, J):
-    """diag(diag) followed by the 3x3 blocks J[0], ..., J[-1] down the
+    """For each row j of diag, (k, nd), diag(diag[j]) followed by the
+    3x3 blocks J[j, 0], ..., J[j, -1] of J, (k, ne, 3, 3), down the
     diagonal, as one CSR matrix that stores every block entry, zeros
-    included: its data is diag followed by J's entries row by row, a
-    layout fixed by the block counts."""
-    m = diag.size + 3 * J.shape[0]
-    return sp.csr_matrix((np.concatenate([diag, J.ravel()]),
-                          *_blockdiag_pattern(diag.size, J.shape[0])),
-                         shape=(m, m))
+    included: its data is diag[j] followed by J[j]'s entries row by row,
+    a layout fixed by the block counts.  Returns the list of the k."""
+    (k, nd), ne = diag.shape, J.shape[1]
+    pattern = _blockdiag_pattern(nd, ne)
+    return [sp.csr_matrix((data, *pattern), shape=(nd + 3 * ne,) * 2)
+            for data in np.concatenate([diag, J.reshape(k, -1)], axis=1)]
 
 
 def dproject_cone(v, dims, dual=False):
@@ -684,26 +683,25 @@ def dproject_cone(v, dims, dual=False):
     nz, nl, ne, m = _exp_blocks(dims)
     if v.ndim not in (1, 2) or v.shape[0] != m:
         raise ValueError(f"vector has shape {v.shape}, expected ({m},)")
-    w = v[nz:nz + nl]
-    diag = np.concatenate([np.full((nz,) + v.shape[1:],
-                                   1.0 if dual else 0.0),
-                           (w > 0.0).astype(float)])
-    kink = np.any(np.abs(w) <= _NS_TOL * (1.0 + np.abs(w)), axis=0)
+    # one column per point
+    V = v[:, None] if v.ndim == 1 else v
+    k = V.shape[1]
+    w = V[nz:nz + nl]
+    diag = np.concatenate([np.full((nz, k), 1.0 if dual else 0.0), w > 0.0]).T
+    a = np.abs(w)
+    flags = np.any(a <= _NS_TOL * (1.0 + a), axis=0)
     # one row of triples per column
-    cone = (-v[nz + nl:] if dual else v[nz + nl:]).T
-    count = cone.size // 3
-    if count > _VECTOR_TRIPLES:
-        J, ns = _dproject_exp_many(*cone.reshape(count, 3).T)
+    cone = (-V[nz + nl:] if dual else V[nz + nl:]).T.reshape(-1, 3)
+    if len(cone) > _VECTOR_TRIPLES:
+        J, ns = _dproject_exp_many(*cone.T)
+        flags |= ns.reshape(k, ne).any(axis=1)
     else:
-        it = iter(cone.ravel().tolist())
-        J, ns = np.empty((count, 3, 3)), [False] * count
-        for k, rst in enumerate(zip(it, it, it)):
-            J[k], ns[k] = dproject_expcone(rst)
+        J = np.empty((len(cone), 3, 3))
+        for j, rst in enumerate(cone.tolist()):
+            J[j], ns = dproject_expcone(rst)
+            if ns:
+                flags[j // ne] = True
     if dual:
         J = np.eye(3) - J
-    if v.ndim == 1:
-        return _blockdiag_csr(diag, J), bool(kink or any(ns))
-    k = v.shape[1]
-    return ([_blockdiag_csr(d, Jj)
-             for d, Jj in zip(diag.T, J.reshape(k, ne, 3, 3))],
-            kink | np.reshape(ns, (k, ne)).any(axis=1))
+    Js = _blockdiag_csr(diag, J.reshape(k, ne, 3, 3))
+    return (Js, flags) if v.ndim == 2 else (Js[0], bool(flags[0]))

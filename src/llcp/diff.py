@@ -30,9 +30,10 @@ the reduction finds empty among the first n_x unknowns, makes the
 solution non-unique there; the point reports it and warns with
 NonuniqueWarning.
 
-The points of a batch's columns are linearized together: linearize
-makes all their Jacobians from one stacked derivative of the projection
-(Embedding.jacobians), each the one its point would make alone.
+The points of one solve's programs, one or many, are linearized
+together: linearize makes all their Jacobians from one stacked
+derivative of the projection (Embedding.jacobians), each the one its
+point would make alone.
 
 The point also seeds the next warm solve (solver.solve): where only b
 and c move, its factor gives Gauss-Newton steps from the solution, and
@@ -68,7 +69,9 @@ class ResidualPoint:
     Reuses the solve's embedding (ConeSolution.embedding) and caches
     u = (x, y, 1), z = (x, y - s, 1) and jacobian, the ReducedJacobian at
     z, whose factor the first solve that needs it makes.  jacobian may be
-    passed in, as linearize makes it for a batch's points.  unique is False
+    passed in, as Problem passes linearize's for the points of one solve;
+    without it the point makes its own (Embedding.jacobian, the same
+    arithmetic on a stack of one).  unique is False
     when the reduction leaves free one of the first n_x unknowns, the
     original variables' logarithms.  Instances are safe to share across
     threads: two threads that both make the factor make the same one.
@@ -107,12 +110,13 @@ def _point(x, y, s):
 def linearize(solutions):
     """The ReducedJacobians at the points z of solutions, ConeSolutions
     of programs with one A pattern and dims, in order, from one stacked
-    dproject_cone (Embedding.jacobians, an iterator); each is the one
-    ResidualPoint makes alone, to the bit, and it takes it as its
-    jacobian."""
-    Z = np.column_stack([_point(sol.x, sol.y, sol.s) for sol in solutions])
-    return solutions[0].embedding.jacobians(
-        Z, [sol.embedding for sol in solutions])
+    dproject_cone (Embedding.jacobians); each is the one ResidualPoint
+    makes alone, to the bit, and it takes it as its jacobian.  They are
+    made one at a time, as the returned iterator is read."""
+    if solutions:
+        Z = np.array([_point(sol.x, sol.y, sol.s) for sol in solutions]).T
+        yield from solutions[0].embedding.jacobians(
+            Z, [sol.embedding for sol in solutions])
 
 
 def dphi(point, dtheta):

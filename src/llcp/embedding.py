@@ -37,7 +37,8 @@ makes from this one shares, one per solver workspace.  A point then
 costs dproject_cone, two gathers, a multiply and a bincount over the
 terms, and M is SciPy's (Q - I) @ DPi + I to the bit.  jacobians(Z, ...)
 linearizes the k points of a stack, each on its own embedding of the
-pattern, from one dproject_cone of the stack.
+pattern, from one dproject_cone of the stack; jacobian(z) is its stack
+of one.
 
 Q is linear in the data theta = (A.data, b, c), A's entries in sorted
 CSC order with duplicates summed, and the embedding writes that map
@@ -172,28 +173,21 @@ class Embedding:
         return self.Q @ u - u + z
 
     def jacobian(self, z):
-        """The ReducedJacobian of F at z, M = (Q - I) DPi(z) + I as CSC."""
-        n, m = self.n, self.m
-        Jy, nonsmooth = dproject_cone(z[n:n + m], self.dims, dual=True)
-        return self._reduced(Jy, nonsmooth, z[-1])
+        """The ReducedJacobian of F at z, M = (Q - I) DPi(z) + I as CSC:
+        jacobians() of the one-column stack."""
+        return next(self.jacobians(z[:, None], [self]))
 
     def jacobians(self, Z, embeddings):
         """The ReducedJacobians of F at the k columns of the (N, k) stack
         Z, column j's on embeddings[j], which share this embedding's
         pattern and dims (as the embeddings that at() makes do): one
-        dproject_cone of the stack gives every column's DPi, and each M
-        is jacobian()'s to the bit.  They are made one at a time, as the
-        returned iterator is read."""
+        dproject_cone of the stack gives every column's DPi.  They are
+        made one at a time, as the returned iterator is read."""
         n, m = self.n, self.m
         Jys, flags = dproject_cone(Z[n:n + m], self.dims, dual=True)
-        return (emb._reduced(Jy, nonsmooth, tau) for emb, Jy, nonsmooth, tau
-                in zip(embeddings, Jys, flags, Z[-1]))
-
-    def _reduced(self, Jy, nonsmooth, tau):
-        """The ReducedJacobian at the point where DPi's K* block is Jy and
-        the tau coordinate is tau."""
-        M, live, cols = self._jmap(self.Q.data, Jy, 1.0 if tau > 0.0 else 0.0)
-        return ReducedJacobian(M, live, nonsmooth, Jy, cols)
+        for emb, Jy, nonsmooth, tau in zip(embeddings, Jys, flags, Z[-1]):
+            M, live, cols = emb._jmap(emb.Q.data, Jy, float(tau > 0.0))
+            yield ReducedJacobian(M, live, bool(nonsmooth), Jy, cols)
 
     def tau_row(self, red, b, c):
         """M's tau row at the point z of red for the data (A, b, c), where

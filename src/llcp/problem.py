@@ -105,11 +105,12 @@ class _Outcome:
         self._workspace = None
 
     def _finish(self, problem, sol, alpha, beta, derivatives, t_start,
-                solver_time, jacobian=None):
+                solver_time, jacobians):
         """Record sol, the cone solution of problem at (alpha, beta): the
         status, value, variable values, warm start, derivative state and
-        stats; jacobian is the derivative point's linearization where it
-        is made already.  Returns the value, None unless optimal."""
+        stats.  The derivative point, made when derivatives and sol is
+        optimal, takes the next of the iterator jacobians as its
+        linearization.  Returns the value, None unless optimal."""
         prob, _, pmap = problem._compiled
         self.status = sol.status
         self.solution = sol
@@ -124,8 +125,7 @@ class _Outcome:
                                                                   sol.x)))
             if derivatives:
                 self._point = ResidualPoint(sol.embedding, sol.x, sol.y,
-                                            sol.s, n_x=pmap.n_x,
-                                            jacobian=jacobian)
+                                            sol.s, pmap.n_x, next(jacobians))
                 self.nonsmooth = self._point.nonsmooth
                 self.unique = self._point.unique
                 self._alpha = alpha
@@ -431,15 +431,14 @@ def _solve(problems, derivatives, eps, max_iters, warm_start, values=None):
                                       max_iters=max_iters, warm_starts=warm,
                                       workspace=workspace)
         solver_time = time.perf_counter() - t_solver
-        # a batch's derivative points, linearized together
-        points = [p for p, (k, sol) in enumerate(zip(members, sols))
-                  if derivatives[k] and sol.status == "optimal"]
-        jacobians = dict(zip(points, linearize([sols[p] for p in points]))
-                         if len(points) > 1 else ())
-        for p, (k, sol) in enumerate(zip(members, sols)):
+        # the derivative points, linearized together, in the order
+        # _finish makes them
+        jacobians = linearize([sol for k, sol in zip(members, sols)
+                               if derivatives[k] and sol.status == "optimal"])
+        for k, sol in zip(members, sols):
             outcomes[k]._workspace = workspace
             prob, alpha, beta = data[k][:3]
             results[k] = outcomes[k]._finish(prob, sol, alpha, beta,
                                              derivatives[k], t_start,
-                                             solver_time, jacobians.get(p))
+                                             solver_time, jacobians)
     return results

@@ -287,15 +287,15 @@ class Workspace:
             self._values = A.data.copy()
             self._factors = {}
 
-    def factor(self, scale, r):
-        """The factor of K at scale, whose metric is r = _metric(n, m,
-        scale), and the number of factors computed for it (0 when one at
-        that scale is held, else 1)."""
-        lu = self._factors.get(scale)
-        if lu is not None:
-            return lu, 0
-        lu = self._factors[scale] = _factor_kkt(self.As, r, self._K)
-        return lu, 1
+    def factor(self, scale):
+        """The factor of K at scale, and the number of factors computed
+        for it (0 when one at that scale is held, else 1)."""
+        if scale not in self._factors:
+            m, n = self.As.shape
+            self._factors[scale] = _factor_kkt(self.As, _metric(n, m, scale),
+                                               self._K)
+            return self._factors[scale], 1
+        return self._factors[scale], 0
 
     def retain(self, scales):
         """Drop the factors at scales not in scales."""
@@ -427,14 +427,13 @@ def _gauss_newton(pi, embs, z, eps, step, extra, u=None):
         nc = np.sqrt(_dots(Fc, Fc))
         still = []
         for q, p in enumerate(running):
-            if not nc[q] < norm[p]:  # a NaN residual stops it too
-                continue
-            z[p], u[p], F[p], norm[p] = cand[q], uc[q], Fc[q], nc[q]
-            # a step taken after ||F|| met the bound was the extra one
-            if not last[p]:
-                last[p] = norm[p] <= eps * 1e-3
-                if extra or not last[p]:
-                    still.append(p)
+            if nc[q] < norm[p]:  # a NaN residual stops it too
+                z[p], u[p], F[p], norm[p] = cand[q], uc[q], Fc[q], nc[q]
+                # a step taken after ||F|| met the bound was the extra one
+                if not last[p]:
+                    last[p] = norm[p] <= eps * 1e-3
+                    if extra or not last[p]:
+                        still.append(p)
         running = still
     return z, u
 
@@ -544,7 +543,7 @@ class _Column:
     def set_scale(self, scale, workspace):
         self.scale = scale
         self.r = _metric(self.emb.n, self.emb.m, scale)
-        self.lu, computed = workspace.factor(scale, self.r)
+        self.lu, computed = workspace.factor(scale)
         self.factorizations += computed
 
     def candidate(self, u, v):
@@ -948,9 +947,8 @@ def solve_batch(A, bs, cs, dims, *, eps=1e-8, max_iters=100000,
         if check:
             # every column's raw candidate, then one lockstep polish of
             # those near enough, then each column's choice
-            starts = [cols[j].check(u.reshape(N, -1)[:, p],
-                                    v.reshape(N, -1)[:, p], d, e)
-                      for p, j in enumerate(active)]
+            starts = [cols[j].check(up, vp, d, e)
+                      for j, up, vp in zip(active, _rows(u), _rows(v))]
             near = [p for p, z in enumerate(starts) if z is not None]
             if near:
                 z, ur = _polish(pi, [cols[active[p]].emb for p in near],

@@ -628,9 +628,13 @@ def test_jacobian_matches_sparse_product_at_solve_points(name, monkeypatch):
     # every point the polish and the derivatives linearize at
     problems = _SOLVED[name]()
     points = []
-    jacobian = Embedding.jacobian
-    monkeypatch.setattr(Embedding, "jacobian", lambda emb, z: points.append(
-        (emb, z.copy())) or jacobian(emb, z))
+    jacobians = Embedding.jacobians
+
+    def capture(pi, Z, embeddings):
+        points.extend((emb, z.copy()) for emb, z in zip(embeddings, Z.T))
+        return jacobians(pi, Z, embeddings)
+
+    monkeypatch.setattr(Embedding, "jacobians", capture)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonuniqueWarning)
         for p in problems:

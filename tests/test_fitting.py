@@ -158,13 +158,14 @@ def test_batch_exp_cone_work_is_stacked(monkeypatch):
             return fn(v, *args, **kwargs)
         return call
 
-    def during(name, fn, programs):
+    def during(name, fn, programs, lazy=False):
         def call(*args):
             if len(programs(args)) < 2:
                 return fn(*args)
             phase.append(name)
             try:
-                return fn(*args)
+                # an iterator's items are made here, within the phase
+                return iter(list(fn(*args))) if lazy else fn(*args)
             finally:
                 phase.pop()
         return call
@@ -182,7 +183,7 @@ def test_batch_exp_cone_work_is_stacked(monkeypatch):
     monkeypatch.setattr(solver, "_polish", during(
         "polish", solver._polish, lambda args: args[1]))
     monkeypatch.setattr(problem, "linearize", during(
-        "points", problem.linearize, lambda args: args[0]))
+        "points", problem.linearize, lambda args: args[0], lazy=True))
     res = fit(X, Y, Xv, Yv, iters=2)
     assert res.solves == 135
     # every DPi is one stacked call: one per lockstep step of a polish,

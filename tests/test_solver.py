@@ -506,7 +506,7 @@ def test_held_kkt_pattern_is_the_assembled_matrix(n):
         r = metric(n, m, solver._RHO_X, scale)
         K = sp.bmat([[sp.diags(r[:n]), ws.As.T],
                      [ws.As, sp.diags(-r[n:n + m])]], format="csc")
-        lu, computed = ws.factor(scale, r)
+        lu, computed = ws.factor(scale)
         want = spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-2,
                          options={"SymmetricMode": True})
         if computed:
