@@ -83,22 +83,29 @@ def in_expcone(v, tol=0.0) -> bool:
         err = math.hypot(p[0] - x, p[1] - y, p[2] - z)
         return err <= tol * (1.0 + math.hypot(x, y, z))
     if y > 0.0:
-        q = x / y
-        if q <= 1.0:
-            eq = math.exp(q)
-            slack = 0.0
-            if tol != 0.0:
-                gn = math.hypot(eq, 0.0 if eq == 0.0 else eq * (1.0 - q), 1.0)
-                slack = tol * (1.0 + gn)
-            return y * eq <= z + slack
-        emq = math.exp(-q)
-        slack = 0.0
-        if tol != 0.0:
-            slack = tol * (1.0 + math.hypot(1.0, q - 1.0, emq))
-        return y <= z * emq + slack
+        return _inside_one(y, z, x / y, tol, False)
     if y >= -tol:
         return x <= tol and z >= -tol
     return False
+
+
+def _inside_one(y, z, q, tol, polar):
+    """in_expcone((q y, y, z), tol) for tol <= 0 and y > 0, or, with
+    polar, in_polar_expcone((y, q y, w), tol) for u = y > 0, z being
+    -e w, in Python floats (_inside over arrays): the tests are shared,
+    and the norms of the constraint gradients take their terms in
+    another order."""
+    small = q <= 1.0
+    ex = math.exp(q if small else -q)
+    slack = 0.0
+    if tol != 0.0:
+        g = 0.0 if ex == 0.0 else ex * (1.0 - q)
+        if polar:
+            terms = (g, ex, math.e) if small else (q - 1.0, 1.0, math.e * ex)
+        else:
+            terms = (ex, g, 1.0) if small else (1.0, q - 1.0, ex)
+        slack = tol * (1.0 + math.hypot(*terms))
+    return y * ex <= z + slack if small else y <= z * ex + slack
 
 
 def in_polar_expcone(v, tol=0.0) -> bool:
@@ -111,20 +118,7 @@ def in_polar_expcone(v, tol=0.0) -> bool:
         p, _ = project_expcone((u, vv, w))
         return math.hypot(*p) <= tol * (1.0 + math.hypot(u, vv, w))
     if u > 0.0:
-        q = vv / u
-        if q <= 1.0:
-            eq = math.exp(q)
-            slack = 0.0
-            if tol != 0.0:
-                gn = math.hypot(0.0 if eq == 0.0 else eq * (1.0 - q),
-                                eq, math.e)
-                slack = tol * (1.0 + gn)
-            return u * eq <= -math.e * w + slack
-        emq = math.exp(-q)
-        slack = 0.0
-        if tol != 0.0:
-            slack = tol * (1.0 + math.hypot(q - 1.0, 1.0, math.e * emq))
-        return u <= -math.e * w * emq + slack
+        return _inside_one(u, -math.e * w, vv / u, tol, True)
     if u >= -tol:
         return vv <= tol and w <= tol
     return False
@@ -640,7 +634,7 @@ def project_cone(v, dims, dual=False, rho=None):
 
 @functools.lru_cache(maxsize=16)
 def _blockdiag_pattern(nd, ne):
-    """The CSR indices and indptr of _blockdiag_csr's matrices with nd
+    """The CSR indices and indptr of dproject_cone's matrices with nd
     diagonal entries and ne blocks, which all of them share: read-only,
     so that no matrix can change another's."""
     first = nd + 3 * np.arange(ne)
@@ -654,25 +648,13 @@ def _blockdiag_pattern(nd, ne):
     return pattern
 
 
-def _blockdiag_csr(diag, J):
-    """For each row j of diag, (k, nd), diag(diag[j]) followed by the
-    3x3 blocks J[j, 0], ..., J[j, -1] of J, (k, ne, 3, 3), down the
-    diagonal, as one CSR matrix that stores every block entry, zeros
-    included: its data is diag[j] followed by J[j]'s entries row by row,
-    a layout fixed by the block counts.  Returns the list of the k."""
-    (k, nd), ne = diag.shape, J.shape[1]
-    pattern = _blockdiag_pattern(nd, ne)
-    return [sp.csr_matrix((data, *pattern), shape=(nd + 3 * ne,) * 2)
-            for data in np.concatenate([diag, J.reshape(k, -1)], axis=1)]
-
-
 def dproject_cone(v, dims, dual=False):
     """Derivative of ``project_cone`` as a sparse matrix, plus a flag set
     when any block sits within tolerance of a nondifferentiable point.
 
     The matrix stores the zero and nonnegative rows' diagonal and then
-    each exponential triple's 3x3 block row by row, zeros included
-    (_blockdiag_csr), so its data has one layout for all points.
+    each exponential triple's 3x3 block row by row, zeros included, so
+    its data has one layout for all points (_blockdiag_pattern).
 
     v may also be an (m, k) stack of such vectors, one per column; then
     the result is the list of the k columns' matrices and a boolean array
@@ -683,15 +665,12 @@ def dproject_cone(v, dims, dual=False):
     nz, nl, ne, m = _exp_blocks(dims)
     if v.ndim not in (1, 2) or v.shape[0] != m:
         raise ValueError(f"vector has shape {v.shape}, expected ({m},)")
-    # one column per point
-    V = v[:, None] if v.ndim == 1 else v
-    k = V.shape[1]
-    w = V[nz:nz + nl]
-    diag = np.concatenate([np.full((nz, k), 1.0 if dual else 0.0), w > 0.0]).T
-    a = np.abs(w)
-    flags = np.any(a <= _NS_TOL * (1.0 + a), axis=0)
-    # one row of triples per column
-    cone = (-V[nz + nl:] if dual else V[nz + nl:]).T.reshape(-1, 3)
+    # one row per point, and one row per triple, each point's in turn
+    X = v.T if v.ndim == 2 else v[None]
+    k, nd = len(X), nz + nl
+    w = np.abs(X[:, nz:nd])
+    flags = np.any(w <= _NS_TOL * (1.0 + w), axis=1)
+    cone = (-X[:, nd:] if dual else X[:, nd:]).reshape(-1, 3)
     if len(cone) > _VECTOR_TRIPLES:
         J, ns = _dproject_exp_many(*cone.T)
         flags |= ns.reshape(k, ne).any(axis=1)
@@ -699,9 +678,11 @@ def dproject_cone(v, dims, dual=False):
         J = np.empty((len(cone), 3, 3))
         for j, rst in enumerate(cone.tolist()):
             J[j], ns = dproject_expcone(rst)
-            if ns:
-                flags[j // ne] = True
-    if dual:
-        J = np.eye(3) - J
-    Js = _blockdiag_csr(diag, J.reshape(k, ne, 3, 3))
+            flags[j // ne] |= ns
+    data = np.empty((k, nd + 9 * ne))
+    data[:, :nz] = 1.0 if dual else 0.0
+    data[:, nz:nd] = X[:, nz:nd] > 0.0
+    data[:, nd:] = (np.eye(3) - J if dual else J).reshape(k, -1)
+    pattern = _blockdiag_pattern(nd, ne)
+    Js = [sp.csr_matrix((row, *pattern), shape=(m, m)) for row in data]
     return (Js, flags) if v.ndim == 2 else (Js[0], bool(flags[0]))

@@ -290,12 +290,11 @@ class Workspace:
     def factor(self, scale):
         """The factor of K at scale, and the number of factors computed
         for it (0 when one at that scale is held, else 1)."""
-        if scale not in self._factors:
-            m, n = self.As.shape
-            self._factors[scale] = _factor_kkt(self.As, _metric(n, m, scale),
-                                               self._K)
-            return self._factors[scale], 1
-        return self._factors[scale], 0
+        new = scale not in self._factors
+        if new:
+            r = _metric(self.As.shape[1], self.As.shape[0], scale)
+            self._factors[scale] = _factor_kkt(self.As, r, self._K)
+        return self._factors[scale], int(new)
 
     def retain(self, scales):
         """Drop the factors at scales not in scales."""
