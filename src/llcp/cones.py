@@ -678,7 +678,8 @@ def dproject_cone(v, dims, dual=False):
         J = np.empty((len(cone), 3, 3))
         for j, rst in enumerate(cone.tolist()):
             J[j], ns = dproject_expcone(rst)
-            flags[j // ne] |= ns
+            if ns:
+                flags[j // ne] = True
     data = np.empty((k, nd + 9 * ne))
     data[:, :nz] = 1.0 if dual else 0.0
     data[:, nz:nd] = X[:, nz:nd] > 0.0

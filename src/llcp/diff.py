@@ -87,8 +87,7 @@ class ResidualPoint:
         self.x = np.asarray(x, dtype=float)
         self.y = np.asarray(y, dtype=float)
         self.u = np.concatenate([self.x, self.y, [1.0]])
-        self.z = np.concatenate([self.x, self.y - np.asarray(s, dtype=float),
-                                 [1.0]])
+        self.z = _point(self.x, self.y, np.asarray(s, dtype=float))
         self.jacobian = jacobian or embedding.jacobian(self.z)
         self.nonsmooth = self.jacobian.nonsmooth
         self.unique = not np.any(self.jacobian.free < n_x)
@@ -103,14 +102,18 @@ class ResidualPoint:
                           NonuniqueWarning, stacklevel=5)
 
 
+def _point(x, y, s):
+    """The point z = (x, y - s, 1) of a solution (x, y, s) of arrays."""
+    return np.concatenate([x, y - s, [1.0]])
+
+
 def linearize(solutions):
     """The ReducedJacobians at the points z of solutions, ConeSolutions
     of programs with one A pattern and dims, in order, from one stacked
     dproject_cone (Embedding.jacobians); each is the one ResidualPoint
     makes alone, to the bit, and it takes it as its jacobian.  They are
     made one at a time, as the returned iterator is read."""
-    Z = np.array([np.concatenate([sol.x, sol.y - sol.s, [1.0]])
-                  for sol in solutions]).T
+    Z = np.array([_point(sol.x, sol.y, sol.s) for sol in solutions]).T
     return solutions[0].embedding.jacobians(
         Z, [sol.embedding for sol in solutions]) if solutions else iter(())
 
