@@ -683,7 +683,7 @@ def dproject_cone(v, dims, dual=False):
     data = np.empty((k, nd + 9 * ne))
     data[:, :nz] = 1.0 if dual else 0.0
     data[:, nz:nd] = X[:, nz:nd] > 0.0
-    data[:, nd:] = (np.eye(3) - J if dual else J).reshape(k, -1)
+    data[:, nd:] = (np.eye(3) - J if dual else J).reshape(k, 9 * ne)
     pattern = _blockdiag_pattern(nd, ne)
     Js = [sp.csr_matrix((row, *pattern), shape=(m, m)) for row in data]
     return (Js, flags) if v.ndim == 2 else (Js[0], bool(flags[0]))
