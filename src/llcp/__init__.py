@@ -32,7 +32,6 @@ from llcp.problem import (
     NoDerivativeStateError,
     NotDgpError,
     Problem,
-    solve_many,
 )
 
 __version__ = "0.1.0"
@@ -70,6 +69,5 @@ __all__ = [
     "power",
     "ratio",
     "save_problem",
-    "solve_many",
     "__version__",
 ]

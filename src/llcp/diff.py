@@ -30,10 +30,10 @@ the reduction finds empty among the first n_x unknowns, makes the
 solution non-unique there; the point reports it and warns with
 NonuniqueWarning.
 
-The points of one solve's programs, one or many, are linearized
-together: linearize makes all their Jacobians from one stacked
-derivative of the projection (Embedding.jacobians), each the one its
-point would make alone.
+The points of one solve's columns, one or many, are linearized
+together: linearize stacks their z and makes all their Jacobians from
+one derivative of the projection of the stack (Embedding.jacobians),
+each the one its point would make alone.
 
 The point also seeds the next warm solve (solver.solve): where only b
 and c move, its factor gives Gauss-Newton steps from the solution, and
@@ -68,10 +68,10 @@ class ResidualPoint:
 
     Reuses the solve's embedding (ConeSolution.embedding) and caches
     u = (x, y, 1), z = (x, y - s, 1) and jacobian, the ReducedJacobian at
-    z, whose factor the first solve that needs it makes.  jacobian may be
-    passed in, as Problem passes linearize's for the points of one solve;
-    without it the point makes its own (Embedding.jacobian, the same
-    arithmetic on a stack of one).  unique is False
+    z, whose factor the first solve that needs it makes.  The pair (z,
+    jacobian) may be passed in as linearized, as Problem passes
+    linearize's for the points of one solve; without it the point makes
+    its own (linearize of the point alone).  unique is False
     when the reduction leaves free one of the first n_x unknowns, the
     original variables' logarithms.  Instances are safe to share across
     threads: two threads that both make the factor make the same one.
@@ -81,17 +81,17 @@ class ResidualPoint:
     (solver.solve); Problem does so after solve(derivatives=True).
     """
 
-    def __init__(self, embedding, x, y, s, n_x, jacobian=None):
+    def __init__(self, embedding, x, y, s, n_x, linearized=None):
         self.embedding = embedding
         self.n, self.m = embedding.n, embedding.m
         self.x = np.asarray(x, dtype=float)
         self.y = np.asarray(y, dtype=float)
+        self.s = np.asarray(s, dtype=float)
         self.u = np.concatenate([self.x, self.y, [1.0]])
-        self.z = _point(self.x, self.y, np.asarray(s, dtype=float))
-        self.jacobian = jacobian or embedding.jacobian(self.z)
+        self.z, self.jacobian = linearized or next(linearize([self]))
         self.nonsmooth = self.jacobian.nonsmooth
         self.unique = not np.any(self.jacobian.free < n_x)
-        # both reported at the caller of Problem.solve or solve_many
+        # both reported at the caller of Problem.solve or solve_batch
         if self.nonsmooth:
             warnings.warn("projection not differentiable at the solution; "
                           "sensitivities are a least-squares heuristic",
@@ -102,20 +102,18 @@ class ResidualPoint:
                           NonuniqueWarning, stacklevel=5)
 
 
-def _point(x, y, s):
-    """The point z = (x, y - s, 1) of a solution (x, y, s) of arrays."""
-    return np.concatenate([x, y - s, [1.0]])
-
-
 def linearize(solutions):
-    """The ReducedJacobians at the points z of solutions, ConeSolutions
-    of programs with one A pattern and dims, in order, from one stacked
-    dproject_cone (Embedding.jacobians); each is the one ResidualPoint
-    makes alone, to the bit, and it takes it as its jacobian.  They are
-    made one at a time, as the returned iterator is read."""
-    Z = np.array([_point(sol.x, sol.y, sol.s) for sol in solutions]).T
-    return solutions[0].embedding.jacobians(
-        Z, [sol.embedding for sol in solutions]) if solutions else iter(())
+    """The pairs (z, jacobian) at the points z = (x, y - s, 1) of
+    solutions, ConeSolutions (or ResidualPoints) of programs with one A
+    pattern and dims, in order: z is a row of one (k, N) stack, and the
+    ReducedJacobians come from one dproject_cone of it
+    (Embedding.jacobians), each the one of the point alone, to the bit.
+    A ResidualPoint takes its pair as linearized.  The jacobians are made
+    one at a time, as the returned iterator is read."""
+    Z = np.array([np.concatenate([sol.x, sol.y - sol.s, [1.0]])
+                  for sol in solutions])
+    return zip(Z, solutions[0].embedding.jacobians(
+        Z.T, [sol.embedding for sol in solutions])) if solutions else iter(())
 
 
 def dphi(point, dtheta):

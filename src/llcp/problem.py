@@ -40,7 +40,7 @@ from .expr import (
 from . import solver
 
 __all__ = ["Column", "Maximize", "Minimize", "NoDerivativeStateError",
-           "NotDgpError", "Problem", "solve_many"]
+           "NotDgpError", "Problem"]
 
 
 class NotDgpError(ValueError):
@@ -105,12 +105,12 @@ class _Outcome:
         self._workspace = None
 
     def _finish(self, problem, sol, alpha, beta, derivatives, t_start,
-                solver_time, jacobians):
+                solver_time, linearized):
         """Record sol, the cone solution of problem at (alpha, beta): the
         status, value, variable values, warm start, derivative state and
         stats.  The derivative point, made when derivatives and sol is
-        optimal, takes the next of the iterator jacobians as its
-        linearization.  Returns the value, None unless optimal."""
+        optimal, takes the next (z, jacobian) of the iterator linearized
+        (diff.linearize).  Returns the value, None unless optimal."""
         prob, _, pmap = problem._compiled
         self.status = sol.status
         self.solution = sol
@@ -125,7 +125,7 @@ class _Outcome:
                                                                   sol.x)))
             if derivatives:
                 self._point = ResidualPoint(sol.embedding, sol.x, sol.y,
-                                            sol.s, pmap.n_x, next(jacobians))
+                                            sol.s, pmap.n_x, next(linearized))
                 self.nonsmooth = self._point.nonsmooth
                 self.unique = self._point.unique
                 self._alpha = alpha
@@ -247,9 +247,10 @@ class Problem(_Outcome):
         parameters that leave the cone matrix A unchanged moved, that
         solve first takes Gauss-Newton steps from this solution with its
         derivative state's factor, and ends at 0 iterations when they
-        meet eps.  This is solve_many with one problem.
+        meet eps.  Its stats report the solver time, and the time since
+        this call began.
         """
-        return _solve([self], [derivatives], eps, max_iters, warm_start)[0]
+        return _solve(self, [derivatives], eps, max_iters, warm_start)[0]
 
     def solve_batch(self, values, *, derivatives=False, eps=1e-8,
                     max_iters=100000, warm_start=True):
@@ -262,12 +263,14 @@ class Problem(_Outcome):
         derivative state that solve() leaves on the problem;
         derivative(column=j) and backward(column=j) act on it.  One pass
         of the parameter map and one product with the data map give every
-        column's cone data, and columns with one cone matrix are solved
-        together, as solve_many solves problems.  With warm_start, column
-        j starts from column j of the last solve_batch.  derivatives is
-        one flag for every column, or one flag per column.  The problem's
-        own outcome and its variables' values stay as they were.  Returns
-        the columns' values, None where a solve was not optimal.
+        column's cone data.  Columns with one cone matrix are solved
+        together, by one solver.solve_batch on one solver Workspace that
+        each of them keeps for later solves; their stats report the solver
+        time of that whole batch.  With warm_start, column j starts from
+        column j of the last solve_batch.  derivatives is one flag for
+        every column, or one flag per column.  The problem's own outcome
+        and its variables' values stay as they were.  Returns the columns'
+        values, None where a solve was not optimal.
         """
         if not values:
             raise ValueError("solve_batch needs at least one batched "
@@ -288,8 +291,7 @@ class Problem(_Outcome):
         if len(derivatives) != k:
             raise ValueError(f"{len(derivatives)} derivative flags for {k} "
                              "columns")
-        return _solve([self], derivatives, eps, max_iters, warm_start,
-                      checked)
+        return _solve(self, derivatives, eps, max_iters, warm_start, checked)
 
     def _keep(self, values):
         for var, value in values.items():
@@ -358,63 +360,35 @@ class Problem(_Outcome):
         return out
 
 
-def solve_many(problems, *, derivatives=False, eps=1e-8, max_iters=100000,
-               warm_start=True):
-    """Solve several problems, those with one cone matrix together.
-
-    Problems whose cone programs share A and dims, such as one model
-    instantiated on many inputs, are solved by one solver.solve_batch
-    on one solver Workspace, which each of them keeps for later solves.
-    Each problem ends with its status, value, variable values, warm
-    start, derivative state and stats; Problem.solve is solve_many of
-    one problem.  Its stats report the solver time of its whole batch,
-    and the time since this call began.  derivatives is one flag for
-    every problem, or one flag per problem.  Returns the values, None
-    where a solve was not optimal.  Problems that share a workspace
-    must not be solved from two threads at once.
-    """
-    problems = list(problems)
-    if isinstance(derivatives, bool):
-        derivatives = [derivatives] * len(problems)
-    derivatives = list(derivatives)
-    if len(derivatives) != len(problems):
-        raise ValueError(f"{len(derivatives)} derivative flags for "
-                         f"{len(problems)} problems")
-    return _solve(problems, derivatives, eps, max_iters, warm_start)
-
-
-def _solve(problems, derivatives, eps, max_iters, warm_start, values=None):
-    """solve_many's work, with one derivative flag per problem; with
-    values, the checked batched parameter values, solve_batch's on the
-    columns of the one problem, with one flag per column."""
+def _solve(problem, derivatives, eps, max_iters, warm_start, values=None):
+    """The work of solve, on the problem's own outcome with one derivative
+    flag, and of solve_batch: with values, the checked batched parameter
+    values, on its columns with one flag per column."""
     t_start = time.perf_counter()
-    outcomes, data, groups = [], [], {}
-    for prob in problems:
-        _, cmap, pmap = prob._ensure_compiled()
-        alpha = cmap.pack_alpha(values)
-        beta = cmap.eval_C(alpha)
-        cone = pmap.instantiate(beta)
-        if values is None:
-            alpha, beta, cone, ends = [alpha], [beta], [cone], [prob]
-        else:
-            ends = prob._columns(len(alpha))
-        for end, a, bt, (A, b, c) in zip(ends, alpha, beta, cone):
-            key = (A.shape, A.indptr.tobytes(), A.indices.tobytes(),
-                   A.data.tobytes(), tuple(sorted(pmap.dims.items())))
-            groups.setdefault(key, []).append(len(outcomes))
-            outcomes.append(end)
-            data.append((prob, a, bt, A, b, c, pmap.dims))
+    _, cmap, pmap = problem._ensure_compiled()
+    alpha = cmap.pack_alpha(values)
+    beta = cmap.eval_C(alpha)
+    cone = pmap.instantiate(beta)
+    if values is None:
+        alpha, beta, cone, outcomes = [alpha], [beta], [cone], [problem]
+    else:
+        outcomes = problem._columns(len(alpha))
+    # the outcomes grouped by A: instantiate gives the rows with equal A
+    # one matrix, and one compiled problem has one shape and dims
+    groups = {}
+    for k, (A, _, _) in enumerate(cone):
+        groups.setdefault(id(A), []).append(k)
     results = [None] * len(outcomes)
     for members in groups.values():
-        A, dims = data[members[0]][3], data[members[0]][6]
+        A, dims = cone[members[0]][0], pmap.dims
         held = [outcomes[k]._workspace for k in members
                 if outcomes[k]._workspace is not None]
         workspace = held[0] if held else solver.Workspace(A, dims)
-        bs = [data[k][4] for k in members]
-        cs = [data[k][5] for k in members]
+        bs = [cone[k][1] for k in members]
+        cs = [cone[k][2] for k in members]
         for k in members:
             # the old derivative state goes before the solver runs; only
-            # now, so that a bad problem above left every one as it was
+            # now, so that a bad value above left every outcome as it was
             outcomes[k]._point = None
         # the solver takes each warm start as it reads it, and with it the
         # point, which then lives until its column has used it
@@ -433,12 +407,11 @@ def _solve(problems, derivatives, eps, max_iters, warm_start, values=None):
         solver_time = time.perf_counter() - t_solver
         # the derivative points, linearized together, in the order
         # _finish makes them
-        jacobians = linearize([sol for k, sol in zip(members, sols)
-                               if derivatives[k] and sol.status == "optimal"])
+        linearized = linearize([sol for k, sol in zip(members, sols)
+                                if derivatives[k] and sol.status == "optimal"])
         for k, sol in zip(members, sols):
             outcomes[k]._workspace = workspace
-            prob, alpha, beta = data[k][:3]
-            results[k] = outcomes[k]._finish(prob, sol, alpha, beta,
+            results[k] = outcomes[k]._finish(problem, sol, alpha[k], beta[k],
                                              derivatives[k], t_start,
-                                             solver_time, jacobians)
+                                             solver_time, linearized)
     return results

@@ -16,7 +16,6 @@ from llcp import embedding, examples, fitting
 from llcp.diff import dphi
 from llcp.embedding import Embedding
 from llcp.expr import Parameter
-from llcp.problem import solve_many
 from llcp.solver import solve
 
 from oracles import central_jacobian, planted_regular_program
@@ -201,13 +200,14 @@ def test_one_map_for_a_batch(monkeypatch):
     rng = np.random.default_rng(5)
     A = Parameter("A", 40, value=0.3 * rng.normal(size=40))
     c = Parameter("c", 5, positive=True, value=rng.uniform(1.0, 2.0, 5))
-    problems = [fitting.model_problem(x, A, c)
-                for x in rng.uniform(0.5, 2.0, size=(8, 8))]
+    x = Parameter("x", 8, positive=True)
+    model = fitting.model_problem(x, A, c)
+    inputs = {x: rng.uniform(0.5, 2.0, size=(8, 8))}
     for scale in (1.0, 1.01):
         c.set_value(scale * c.value)
-        solve_many(problems, derivatives=True)
-        assert all(p.status == "optimal" for p in problems)
-    assert len({id(p._workspace) for p in problems}) == 1
+        model.solve_batch(inputs, derivatives=True)
+        assert all(col.status == "optimal" for col in model.columns)
+    assert len({id(col._workspace) for col in model.columns}) == 1
     assert len(builds) == 1
 
 

@@ -22,7 +22,7 @@ from llcp.problem import (
     NoDerivativeStateError,
     NotDgpError,
     Problem,
-    solve_many,
+    _Outcome,
 )
 
 from oracles import queuing_solution
@@ -504,12 +504,13 @@ def test_queuing_active_jacobians_match_closed_form():
     assert np.allclose(got, fd, atol=1e-4)
 
 
-# -- many problems -----------------------------------------------------------
+# -- batches -----------------------------------------------------------------
 
 
-def _fit_problems(count, seed):
-    """count regression programs over one pair of weight parameters, with
-    one cone matrix between them, and the weights."""
+def _fit_model(count, seed):
+    """The regression program over a positive input parameter x, as fit
+    builds it, the inputs of count samples as solve_batch values, and the
+    weight parameter A."""
     from llcp.fitting import least_squares_monomials, model_problem
     from llcp.fitting import synthetic_data
 
@@ -517,58 +518,70 @@ def _fit_problems(count, seed):
     A_mat, c_vec = least_squares_monomials(X, Y)
     A = Parameter("A", A_mat.size, value=A_mat.ravel())
     c = Parameter("c", c_vec.size, positive=True, value=c_vec)
-    return [model_problem(x, A, c) for x in X], A
+    x = Parameter("x", X.shape[1], positive=True)
+    return model_problem(x, A, c), {x: X}, A
 
 
-def test_solve_many_ends_each_problem_as_solve_does():
-    batch, A_batch = _fit_problems(5, seed=4)
-    solo, A_solo = _fit_problems(5, seed=4)
-    others = [hello_world(), hello_world()]
-    values = solve_many(batch + others, derivatives=[True] * 5 + [False] * 2)
-    # the regression programs share one cone matrix, the hello ones another
-    assert len({id(p._workspace) for p in batch}) == 1
-    assert len({id(p._workspace) for p in others}) == 1
-    assert others[0]._workspace is not batch[0]._workspace
+def _fit_solo(count, seed):
+    """One regression program per sample of _fit_model(count, seed), its
+    input x set to the sample's, and their weight parameters."""
+    solo = []
+    for row in range(count):
+        model, inputs, A = _fit_model(count, seed)
+        (x, X), = inputs.items()
+        x.set_value(X[row])
+        solo.append((model, A))
+    return solo
+
+
+def test_fit_batch_ends_each_column_as_solve_does():
+    model, inputs, A_batch = _fit_model(7, seed=4)
+    solo = _fit_solo(7, seed=4)[:5]
+    flags = [True] * 5 + [False] * 2
+    values = model.solve_batch(inputs, derivatives=flags)
+    # the columns share one cone matrix, and so one workspace
+    assert len({id(col._workspace) for col in model.columns}) == 1
     for step in range(2):
         if step:
-            # a weight step: the programs re-solve warm in one batch
-            for a in (A_batch, A_solo):
+            # a weight step: the columns re-solve warm in one batch
+            for a in [A_batch] + [a for _, a in solo]:
                 a.set_value(a.value * 1.02)
-            values = solve_many(batch, derivatives=True)
-        for got, want, value in zip(batch, solo, values):
+            values = model.solve_batch(inputs, derivatives=flags)
+        for j, ((want, _), value) in enumerate(zip(solo, values)):
+            got = model.columns[j]
             assert want.solve(derivatives=True) == pytest.approx(value,
                                                                  rel=1e-12)
             assert got.status == want.status == "optimal"
             assert got.value == value
             assert got.solution.iterations == want.solution.iterations
             assert set(got.stats) == set(want.stats)
-            for g, w in zip(got.variables, want.variables):
-                assert np.allclose(g.value, w.value, rtol=1e-12, atol=0.0)
+            for g, w in zip(model.variables, want.variables):
+                assert np.allclose(got.values[g.name], w.value, rtol=1e-12,
+                                   atol=0.0)
                 g.gradient = w.gradient = np.linspace(1.0, 2.0, g.size)
-            for g, w in zip(got.backward().values(), want.backward().values()):
+            for g, w in zip(model.backward(column=j).values(),
+                            want.backward().values()):
                 assert np.allclose(g, w, rtol=1e-6, atol=1e-9)
-    for p, value in zip(others, values[5:]):
-        assert p.status == "optimal"
+    for j in (5, 6):
+        assert model.columns[j].status == "optimal"
         with pytest.raises(NoDerivativeStateError):
-            p.backward()
-    assert np.allclose(concat_values(others[0].variables, "value"), HELLO_OPT,
-                       atol=1e-4)
+            model.backward(column=j)
 
 
 def test_held_points_batch_as_each_problem_alone():
-    # a weight step of fit: every program re-solves from its point, in one
+    # a weight step of fit: every column re-solves from its point, in one
     # batch of held steps, each as its own solve() does it
     from test_solver import assert_solutions_agree
-    batch, A_batch = _fit_problems(8, seed=4)
-    solo, A_solo = _fit_problems(8, seed=4)
-    solve_many(batch, derivatives=True)
-    for p in solo:
+    model, inputs, A_batch = _fit_model(8, seed=4)
+    solo = _fit_solo(8, seed=4)
+    model.solve_batch(inputs, derivatives=True)
+    for p, _ in solo:
         p.solve(derivatives=True)
     for step in range(3):
-        for a in (A_batch, A_solo):
+        for a in [A_batch] + [a for _, a in solo]:
             a.set_value(a.value * 1.01)
-        solve_many(batch, derivatives=True)
-        for got, want in zip(batch, solo):
+        model.solve_batch(inputs, derivatives=True)
+        for got, (want, _) in zip(model.columns, solo):
             want.solve(derivatives=True)
             assert got.solution.iterations == 0
             assert got.solution.factorizations == 0
@@ -579,22 +592,22 @@ def test_held_points_are_gone_before_the_new_ones(monkeypatch):
     # the solver takes each point with its warm start and drops it after
     # the held steps, so no old point lives on beside the new ones
     import weakref
-    batch, A = _fit_problems(8, seed=4)
-    solve_many(batch, derivatives=True)
-    old = [weakref.ref(p._point) for p in batch]
+    model, inputs, A = _fit_model(8, seed=4)
+    model.solve_batch(inputs, derivatives=True)
+    old = [weakref.ref(col._point) for col in model.columns]
     seen = []
-    finish = Problem._finish
+    finish = _Outcome._finish
 
     def spied(self, *args, **kwargs):
         seen.append([ref() is None for ref in old])
         return finish(self, *args, **kwargs)
 
-    monkeypatch.setattr(Problem, "_finish", spied)
+    monkeypatch.setattr(_Outcome, "_finish", spied)
     A.set_value(A.value * 1.01)
-    solve_many(batch, derivatives=True)
-    assert [p.solution.iterations for p in batch] == [0] * 8
+    model.solve_batch(inputs, derivatives=True)
+    assert [col.solution.iterations for col in model.columns] == [0] * 8
     assert seen[0] == [True] * 8
-    assert all(p._warm[4] is p._point for p in batch)
+    assert all(col._warm[4] is col._point for col in model.columns)
 
 
 @pytest.mark.parametrize("batched, groups", [("a", 1), ("c", 3)])
@@ -659,14 +672,7 @@ def test_solve_batch_checks_its_values():
     assert p.columns == [] and p.status is None
 
 
-def test_solve_many_checks_the_flags():
-    problems = [hello_world()]
-    with pytest.raises(ValueError, match="derivative flags"):
-        solve_many(problems, derivatives=[True, False])
-    assert solve_many([]) == []
-
-
-@pytest.mark.parametrize("entry", ["solve", "solve_many"])
+@pytest.mark.parametrize("entry", ["solve", "solve_batch"])
 def test_one_problem_warns_at_the_caller_through_one_solve(monkeypatch,
                                                            entry):
     # seed 110's optimum leaves a variable free: NonuniqueWarning
@@ -683,8 +689,10 @@ def test_one_problem_warns_at_the_caller_through_one_solve(monkeypatch,
         if entry == "solve":
             p.solve(derivatives=True, eps=1e-10)
         else:
-            solve_many([p], derivatives=True, eps=1e-10)
-    assert p.status == "optimal" and not p.unique
+            q = p.parameters[0]
+            p.solve_batch({q: [q.value]}, derivatives=True, eps=1e-10)
+    end = p if entry == "solve" else p.columns[0]
+    assert end.status == "optimal" and not end.unique
     assert [w.filename for w in record] == [__file__]
     assert len(calls) == 1
 
@@ -695,7 +703,8 @@ def test_problem_rejects_a_bad_max_iters(max_iters):
     with pytest.raises(ValueError, match="max_iters"):
         p.solve(max_iters=max_iters)
     with pytest.raises(ValueError, match="max_iters"):
-        solve_many([p, hello_world()], max_iters=max_iters)
+        p.solve_batch({named(p, "parameters")["a"]: [[1.0], [2.0]]},
+                      max_iters=max_iters)
     assert p.status is None
 
 
@@ -722,16 +731,16 @@ def test_solve_releases_the_old_derivative_state(monkeypatch):
     assert p._point is not point and p.derivative()
 
 
-def test_bad_problem_leaves_every_problem_as_it_was():
-    good = hello_world()
-    good.solve(derivatives=True)
-    point, stats = good._point, good.stats
-    x = Variable("x")
-    unset = Problem(Minimize(x), [Constant(1.0) <= Parameter("b",
-                                                             positive=True) * x])
-    for bad, error in ((Problem(Minimize(log(x))), NotDgpError),
-                       (unset, DomainError)):
-        with pytest.raises(error):
-            solve_many([good, bad], derivatives=True)
-        assert good._point is point and good.stats is stats
-    assert good.derivative()
+def test_bad_batch_row_leaves_every_column_as_it_was():
+    model, inputs, _ = _fit_model(8, seed=4)
+    model.solve_batch(inputs, derivatives=True)
+    columns = list(model.columns)
+    kept = [(col._point, col.stats) for col in columns]
+    (x, X), = inputs.items()
+    bad = X.copy()
+    bad[2, 1] = -1.0
+    with pytest.raises(DomainError):
+        model.solve_batch({x: bad}, derivatives=True)
+    assert model.columns == columns
+    assert [(col._point, col.stats) for col in columns] == kept
+    assert all(model.derivative(column=j) for j in range(8))
